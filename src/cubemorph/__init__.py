@@ -24,16 +24,7 @@ from .btk_chains import (
     signature_distance,
 )
 from .chain_mappings import dict_to_maj, maj_to_dict, maj_to_xor
-from .gf2_maps import (
-    SparseGF2Matrix,
-    apply,
-    build_tree_matrix,
-    prefix_xor_inverse,
-    prefix_xor_map,
-    tree_inverse_apply,
-    verify_conditions,
-    xor_head_map,
-)
+from .gf2_maps import SparseGF2Matrix, build_tree_matrix, verify_conditions
 from .stretch_metrics import (
     Mapping,
     StretchReport,
@@ -65,8 +56,7 @@ __all__ = [
     "hausdorff_chain_distance", "index_in_chain", "mark", "signature",
     "signature_distance",
     "dict_to_maj", "maj_to_dict", "maj_to_xor",
-    "SparseGF2Matrix", "apply", "build_tree_matrix", "prefix_xor_inverse",
-    "prefix_xor_map", "tree_inverse_apply", "verify_conditions", "xor_head_map",
+    "SparseGF2Matrix", "build_tree_matrix", "verify_conditions",
     "Mapping", "StretchReport", "directional_avg_stretch",
     "exhaustive_min_avg_stretch", "is_mapping_between", "local_search_min_stretch",
     "middle_binomial_check", "stretch_report", "typical_fraction",

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from .btk_chains import Signature, _mark_mask
 from .cube_core import Point, popcount
-from .gf2_maps import _prefix_xor_bits, _prefix_xor_inverse_bits
+from .gf2_maps import prefix_xor_mapping
+from .stretch_metrics import Mapping
 
 
 def _require_odd(n: int) -> None:
@@ -76,19 +77,13 @@ def dict_to_maj(y: Point) -> Point:
     return Point(dict_to_maj_bits(y.bits, y.n), y.n)
 
 
-def maj_to_xor_bits(x: int, n: int) -> int:
-    return _prefix_xor_bits(maj_to_dict_bits(x, n), n)
-
-
 def maj_to_xor(x: Point) -> Point:
     """Composition with the adjacent-sums map: carries majority to parity."""
-    _require_odd(x.n)
-    return Point(maj_to_xor_bits(x.bits, x.n), x.n)
+    return majority_to_xor_map(x.n)(x)
 
 
 def majority_to_dictator_map(n: int):
     """Mapping object for maj_to_dict with its inverse bound."""
-    from .stretch_metrics import Mapping
     _require_odd(n)
     return Mapping.from_callable(
         n,
@@ -99,7 +94,6 @@ def majority_to_dictator_map(n: int):
 
 
 def dictator_to_majority_map(n: int):
-    from .stretch_metrics import Mapping
     _require_odd(n)
     return Mapping.from_callable(
         n,
@@ -110,11 +104,11 @@ def dictator_to_majority_map(n: int):
 
 
 def majority_to_xor_map(n: int):
-    from .stretch_metrics import Mapping
     _require_odd(n)
+    prefix = prefix_xor_mapping(n)
     return Mapping.from_callable(
         n,
-        lambda b: maj_to_xor_bits(b, n),
-        inverse=lambda b: dict_to_maj_bits(_prefix_xor_inverse_bits(b, n), n),
+        lambda b: prefix.apply_bits(maj_to_dict_bits(b, n)),
+        inverse=lambda b: dict_to_maj_bits(prefix.inverse_bits(b), n),
         name="maj2xor",
     )

@@ -116,8 +116,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +438,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     workers = _workers(args)
     failed = 0

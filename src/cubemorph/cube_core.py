@@ -256,8 +256,11 @@ def random_balanced(n: int, seed: int) -> BooleanFunction:
     return BooleanFunction.from_values(n, vals, balanced=True)
 
 
-def random_subset_function(n: int, seed: int) -> BooleanFunction:
-    """Each point independently mapped to 1 with probability 1/2."""
+def random_subset_function(n: int, seed: int | np.random.SeedSequence) -> BooleanFunction:
+    """Each point independently mapped to 1 with probability 1/2.
+
+    The seed is an int or a SeedSequence; either one fixes the result.
+    """
     _check_exhaustive(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     nbytes = ((1 << n) + 7) // 8

@@ -11,16 +11,24 @@ column j is the ancestor chain of j, so the inverse is (height+1)-Lipschitz.
 Also here: the adjacent-sums map (x1+x2, x2+x3, ..., xn) and the
 parity-head map (XOR(x), x2, ..., xn), the two textbook bijections from
 dictator to parity.
+
+All three are LinearMaps: the column masks of the map and of its inverse
+give the point evaluator, the inverse and the whole table.  Sparse
+matrices stay for the condition checks, which run to n = 2^16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
-from .cube_core import Point, popcount
+import numpy as np
+
+from .stretch_metrics import Mapping
 
 ELIMINATION_MAX_N = 4096
+_CHUNK_BITS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +120,6 @@ class SparseGF2Matrix:
                 masks[c - 1] |= 1 << i
         return masks
 
-    def apply_bits(self, x: int) -> int:
-        out = 0
-        for i, cols in enumerate(self.rows):
-            acc = 0
-            for c in cols:
-                acc ^= (x >> (c - 1)) & 1
-            out |= acc << i
-        return out
-
     def to_text(self) -> str:
         """One line per row: the row's column indices, space separated."""
         return "\n".join(" ".join(str(c) for c in cols) for cols in self.rows)
@@ -131,41 +130,6 @@ def build_tree_matrix(n: int, arity: int = 2) -> SparseGF2Matrix:
     tree = TreeLabeling(n, arity)
     rows = tuple(tuple(sorted([i, *tree.children(i)])) for i in range(1, n + 1))
     return SparseGF2Matrix(n, rows, tree)
-
-
-def identity_matrix(n: int) -> SparseGF2Matrix:
-    return SparseGF2Matrix(n, tuple((i,) for i in range(1, n + 1)))
-
-
-def apply(a: SparseGF2Matrix, x: Point) -> Point:
-    if x.n != a.n:
-        raise ValueError(f"dimension mismatch: matrix n={a.n}, point n={x.n}")
-    return Point(a.apply_bits(x.bits), x.n)
-
-
-def tree_inverse_bits(n: int, arity: int, y: int) -> int:
-    """Subtree parities: output bit i-1 = parity of y over the subtree of i.
-
-    Children carry larger labels than parents, so one descending pass that
-    folds each vertex into its parent leaves every cell holding its whole
-    subtree's parity.
-    """
-    acc = [0] * (n + 1)
-    for j in range(1, n + 1):
-        acc[j] = (y >> (j - 1)) & 1
-    for j in range(n, 1, -1):
-        acc[(j - 2) // arity + 1] ^= acc[j]
-    out = 0
-    for j in range(1, n + 1):
-        out |= acc[j] << (j - 1)
-    return out
-
-
-def tree_inverse_apply(n: int, arity: int, y: Point) -> Point:
-    if y.n != n:
-        raise ValueError(f"dimension mismatch: n={n}, point n={y.n}")
-    TreeLabeling(n, arity)
-    return Point(tree_inverse_bits(n, arity, y.bits), n)
 
 
 # -- sparse (support-set) evaluation for very large n -----------------------
@@ -216,7 +180,7 @@ def extract_even_bits(x: int, nbits: int) -> int:
 
 
 def tree2_apply_bits(n: int, x: int) -> int:
-    """apply(build_tree_matrix(n, 2), x) in O(log n) word operations.
+    """tree_mapping(n).apply_bits(x) in O(log n) word operations.
 
     Output bit b is x_b ^ x_{2b+1} ^ x_{2b+2} (0-based), i.e. vertex b+1
     folded with its two children, which is one odd-bit and one shifted
@@ -229,66 +193,8 @@ def tree2_apply_bits(n: int, x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the two simple dictator-to-parity bijections
-# ---------------------------------------------------------------------------
-
-def _prefix_xor_bits(x: int, n: int) -> int:
-    return (x ^ (x >> 1)) & ((1 << n) - 1)
-
-
-def _prefix_xor_inverse_bits(y: int, n: int) -> int:
-    x = y
-    s = 1
-    while s < n:
-        x ^= x >> s
-        s <<= 1
-    return x & ((1 << n) - 1)
-
-
-def prefix_xor_map(x: Point) -> Point:
-    """(x1+x2, x2+x3, ..., x_{n-1}+x_n, x_n): 2-Lipschitz, inverse is not."""
-    return Point(_prefix_xor_bits(x.bits, x.n), x.n)
-
-
-def prefix_xor_inverse(y: Point) -> Point:
-    """Recovers x via suffix parities: x_i = y_i + y_{i+1} + ... + y_n."""
-    return Point(_prefix_xor_inverse_bits(y.bits, y.n), y.n)
-
-
-def _xor_head_bits(x: int, n: int) -> int:
-    return (x & ~1) | (popcount(x) & 1)
-
-
-def xor_head_map(x: Point) -> Point:
-    """(XOR(x), x2, ..., xn): a self-inverse 2-bi-Lipschitz bijection."""
-    return Point(_xor_head_bits(x.bits, x.n), x.n)
-
-
-# ---------------------------------------------------------------------------
 # condition verification
 # ---------------------------------------------------------------------------
-
-def gf2_rank(rows: list[int], ncols: int) -> int:
-    """Rank over GF(2) of int-bitmap rows, by Gaussian elimination."""
-    work = rows[:]
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
 
 def gf2_inverse_rows(rows: list[int], n: int) -> list[int] | None:
     """Inverse of an n x n GF(2) matrix given as int rows, or None."""
@@ -407,45 +313,88 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
 
 
 # ---------------------------------------------------------------------------
-# Mapping factories
+# linear maps
 # ---------------------------------------------------------------------------
 
-def tree_mapping(n: int, arity: int = 2):
-    """Mapping object for the tree map, inverse bound."""
-    from .stretch_metrics import Mapping
-    a = build_tree_matrix(n, arity)
-    cols = a.col_masks()
+def _span_table(cols: Sequence[int], dtype=np.int64) -> np.ndarray:
+    """Images of 0 .. 2^len(cols)-1 under the map with these columns.
 
-    def forward(x: int) -> int:
+    Doubling: t[2^b : 2^(b+1)] = t[:2^b] ^ cols[b].  dtype=object keeps
+    Python ints, for columns wider than 63 bits.
+    """
+    t = np.zeros(1 << len(cols), dtype=dtype)
+    for b, c in enumerate(cols):
+        np.bitwise_xor(t[:1 << b], c, out=t[1 << b:2 << b])
+    return t
+
+
+def _chunked_evaluator(cols: Sequence[int]) -> Callable[[int], int]:
+    """Point evaluator: XOR of one span-table lookup per _CHUNK_BITS input bits.
+
+    The chunk tables are built on the first call, so a map whose table is
+    all anyone needs never pays for them.
+    """
+    tables: list[list[int]] = []
+    low = (1 << _CHUNK_BITS) - 1
+
+    def apply(x: int) -> int:
+        if not tables:
+            tables.extend(_span_table(cols[i:i + _CHUNK_BITS], object).tolist()
+                          for i in range(0, len(cols), _CHUNK_BITS))
         out = 0
-        while x:
-            low = x & -x
-            out ^= cols[low.bit_length() - 1]
-            x ^= low
+        for t in tables:
+            out ^= t[x & low]
+            x >>= _CHUNK_BITS
         return out
 
-    return Mapping.from_callable(
-        n, forward,
-        inverse=lambda y: tree_inverse_bits(n, arity, y),
-        name=f"tree{arity}" if arity != 2 else "tree",
-    )
+    return apply
 
 
-def prefix_xor_mapping(n: int):
-    from .stretch_metrics import Mapping
-    return Mapping.from_callable(
-        n,
-        lambda x: _prefix_xor_bits(x, n),
-        inverse=lambda y: _prefix_xor_inverse_bits(y, n),
-        name="prefix",
-    )
+class LinearMap(Mapping):
+    """A GF(2)-linear bijection of the n-cube given by column masks.
+
+    cols[b] is the image of the unit vector with bit b set, inverse_cols[b]
+    its preimage; the two lists must be mutually inverse, which is not
+    checked.  Point evaluation, the inverse and the table all derive from
+    them.
+    """
+
+    def __init__(self, n: int, cols: Sequence[int], inverse_cols: Sequence[int],
+                 name: str = ""):
+        if len(cols) != n or len(inverse_cols) != n:
+            raise ValueError(f"a linear map of the {n}-cube needs {n} columns each way")
+        self.cols = tuple(cols)
+        self.inverse_cols = tuple(inverse_cols)
+        super().__init__(n, forward=_chunked_evaluator(self.cols),
+                         inverse=_chunked_evaluator(self.inverse_cols), name=name)
+
+    def _build_table(self) -> np.ndarray:
+        return _span_table(self.cols)
+
+    def inverse_mapping(self) -> "LinearMap":
+        return LinearMap(self.n, self.inverse_cols, self.cols,
+                         name=f"{self.name}^-1" if self.name else "")
 
 
-def xor_head_mapping(n: int):
-    from .stretch_metrics import Mapping
-    return Mapping.from_callable(
-        n,
-        lambda x: _xor_head_bits(x, n),
-        inverse=lambda y: _xor_head_bits(y, n),
-        name="xorhead",
-    )
+def tree_mapping(n: int, arity: int = 2) -> LinearMap:
+    """The tree map; its inverse's column j is the ancestor chain of j."""
+    a = build_tree_matrix(n, arity)
+    inverse_cols = [sum(1 << (v - 1) for v in a.tree.ancestors(j))
+                    for j in range(1, n + 1)]
+    return LinearMap(n, a.col_masks(), inverse_cols,
+                     name=f"tree{arity}" if arity != 2 else "tree")
+
+
+def prefix_xor_mapping(n: int) -> LinearMap:
+    """(x1+x2, x2+x3, ..., x_{n-1}+x_n, x_n): 2-Lipschitz, inverse is not.
+
+    The inverse recovers x via suffix parities: x_i = y_i + ... + y_n.
+    """
+    return LinearMap(n, [(3 << b) >> 1 for b in range(n)],
+                     [(2 << b) - 1 for b in range(n)], name="prefix")
+
+
+def xor_head_mapping(n: int) -> LinearMap:
+    """(XOR(x), x2, ..., xn): a self-inverse 2-bi-Lipschitz bijection."""
+    cols = [(1 << b) | 1 for b in range(n)]
+    return LinearMap(n, cols, cols, name="xorhead")

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube_core import BooleanFunction, Point, popcount_array
+from .cube_core import BooleanFunction, Point, popcount_array, random_subset_function
 from .stretch_metrics import Mapping
 
 MATCHING_MAX_N = 26
@@ -188,14 +188,6 @@ class CurveResult:
         return list(zip(self.p_mean().tolist(), self.q_mean().tolist()))
 
 
-def _bernoulli_function(n: int, rng: np.random.Generator) -> BooleanFunction:
-    nbytes = ((1 << n) + 7) // 8
-    packed = rng.integers(0, 256, size=nbytes, dtype=np.uint8)
-    if (1 << n) % 8:
-        packed[-1] &= (1 << ((1 << n) % 8)) - 1
-    return BooleanFunction(n, table=packed)
-
-
 def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
     """Empirical per-round poor/rich unmatched fractions over fresh random sets.
 
@@ -212,8 +204,7 @@ def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
     p = np.empty((trials, rounds + 1))
     q = np.empty((trials, rounds + 1))
     for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(children[t]))
-        state = run_matching(_bernoulli_function(n, rng))
+        state = run_matching(random_subset_function(n, children[t]))
         for r, (pu, ru) in enumerate(state.round_stats):
             p[t, r] = pu / half
             q[t, r] = ru / half

@@ -90,10 +90,15 @@ class Mapping:
         if self._table is None:
             if self.n > EXHAUSTIVE_MAX_N:
                 raise ValueError(f"cannot materialize a table beyond n={EXHAUSTIVE_MAX_N}")
-            fn = self._forward
-            self._table = np.fromiter(
-                (fn(x) for x in range(1 << self.n)), dtype=np.int64, count=1 << self.n)
+            self._table = self._build_table()
         return self._table
+
+    def _build_table(self) -> np.ndarray:
+        """The forward table, one callable call per point; subclasses that
+        know more about their map override this."""
+        fn = self._forward
+        return np.fromiter(
+            (fn(x) for x in range(1 << self.n)), dtype=np.int64, count=1 << self.n)
 
     @property
     def has_inverse(self) -> bool:
@@ -245,6 +250,8 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or seed is None:
         raise ValueError("sampled mode needs samples and seed")
+    if samples < 1:
+        raise ValueError(f"sampled mode needs at least one sample per direction, got {samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     histogram: dict[int, int] = {}
     per_direction = []

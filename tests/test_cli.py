@@ -154,6 +154,21 @@ def test_analyze_sampled_missing_seed_exit2(capsys):
                    "--mode", "sampled", "--samples", "10") == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_analyze_sampled_nonpositive_samples_exit2(capsys, samples):
+    assert run_cli("analyze", "--mapping", "tree", "--n", "30", "--mode", "sampled",
+                   "--samples", samples, "--seed", "1") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--histogram-csv"])
+def test_write_into_missing_directory_exit2(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "file.txt"
+    assert run_cli("analyze", "--mapping", "prefix", "--n", "3", flag, str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_analyze_histogram_csv(tmp_path):
     out = tmp_path / "r.json"
     hist = tmp_path / "h.csv"
@@ -237,6 +252,14 @@ def test_verify_exit_codes(capsys, monkeypatch):
                         lambda *a: [cli.Check("forced-failure", False, "injected")])
     assert run_cli("verify", "--suite", "lowerbound") == 1
     assert "FAIL forced-failure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_empty_range_exit2(capsys, max_n):
+    assert run_cli("verify", "--suite", "btk", "--max-n", max_n) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_verify_all_suites_pass(capsys):

@@ -6,26 +6,34 @@ from cubemorph.cube_core import BooleanFunction, Point, parse_point
 from cubemorph.gf2_maps import (
     SparseGF2Matrix,
     TreeLabeling,
-    apply,
     build_tree_matrix,
     extract_even_bits,
     gf2_inverse_rows,
-    gf2_rank,
-    identity_matrix,
-    prefix_xor_inverse,
-    prefix_xor_map,
     prefix_xor_mapping,
     tree2_apply_bits,
     tree_apply_support,
-    tree_inverse_apply,
-    tree_inverse_bits,
     tree_inverse_support,
     tree_mapping,
     verify_conditions,
-    xor_head_map,
     xor_head_mapping,
 )
 from cubemorph.stretch_metrics import is_mapping_between, stretch_report
+
+
+def _linear_maps(n):
+    """Every named linear map at dimension n."""
+    return [tree_mapping(n, arity) for arity in (2, 3, 4, 5)] + [
+        prefix_xor_mapping(n), xor_head_mapping(n)]
+
+
+def _rows(cols, n):
+    """Row masks of the matrix with these column masks."""
+    return [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(n)]
+
+
+def _row_parity_apply(rows, x):
+    """Reference evaluator: output bit i is the parity of row i against x."""
+    return sum((bin(r & x).count("1") & 1) << i for i, r in enumerate(rows))
 
 
 def test_tree_matrix_examples():
@@ -50,22 +58,37 @@ def test_tree_labeling():
 
 
 def test_apply_examples():
-    a = build_tree_matrix(3, 2)
-    assert str(apply(a, parse_point("100"))) == "100"
-    assert str(apply(a, parse_point("010"))) == "110"
-    assert apply(a, Point(0, 3)).bits == 0
+    tm = tree_mapping(3)
+    assert str(tm(parse_point("100"))) == "100"
+    assert str(tm(parse_point("010"))) == "110"
+    assert tm(Point(0, 3)).bits == 0
 
 
 def test_tree_inverse_examples():
-    assert str(tree_inverse_apply(3, 2, parse_point("110"))) == "010"
-    assert str(tree_inverse_apply(3, 2, parse_point("100"))) == "100"
-    assert tree_inverse_apply(5, 2, Point(0, 5)).bits == 0
+    inv = tree_mapping(3).inverse_mapping()
+    assert inv.name == "tree^-1"
+    assert str(inv(parse_point("110"))) == "010"
+    assert str(inv(parse_point("100"))) == "100"
+    assert tree_mapping(5).inverse_mapping()(Point(0, 5)).bits == 0
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_round_trip_exhaustive(n):
+    inv = tree_mapping(n).inverse_mapping()
     for x in range(1 << n):
-        assert tree_inverse_bits(n, 2, tree2_apply_bits(n, x)) == x
+        assert inv.apply_bits(tree2_apply_bits(n, x)) == x
+
+
+@pytest.mark.parametrize("n", [33, 47, 63])
+def test_round_trip_large_odd_n(n):
+    rng = random.Random(n)
+    for m in _linear_maps(n):
+        for _ in range(500):
+            x = rng.getrandbits(n)
+            y = m.apply_bits(x)
+            assert y >> n == 0
+            assert m.inverse_bits(y) == x
+            assert m.inverse_mapping().apply_bits(y) == x
 
 
 def test_round_trip_sparse_large():
@@ -79,9 +102,34 @@ def test_round_trip_sparse_large():
 
 def test_fast_word_path_matches_generic():
     for n in (1, 2, 3, 5, 8, 11):
-        a = build_tree_matrix(n, 2)
+        tm = tree_mapping(n)
         for x in range(1 << n):
-            assert tree2_apply_bits(n, x) == a.apply_bits(x)
+            assert tree2_apply_bits(n, x) == tm.apply_bits(x)
+    rng = random.Random(5)
+    for n in (40, 63, 200):
+        tm = tree_mapping(n)
+        for _ in range(200):
+            x = rng.getrandbits(n)
+            assert tree2_apply_bits(n, x) == tm.apply_bits(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 40, 63])
+def test_inverse_columns_match_elimination(n):
+    for m in _linear_maps(n):
+        inv_rows = gf2_inverse_rows(_rows(m.cols, n), n)
+        assert inv_rows is not None
+        assert _rows(m.inverse_cols, n) == inv_rows, m.name
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 14])
+def test_chunked_evaluator_matches_table(n):
+    for fwd in _linear_maps(n):
+        for m in (fwd, fwd.inverse_mapping()):
+            rows = _rows(m.cols, n)
+            reference = [_row_parity_apply(rows, x) for x in range(1 << n)]
+            assert m.table().tolist() == reference, m.name
+            assert [m.apply_bits(x) for x in range(1 << n)] == reference, m.name
+            assert [m.inverse_bits(y) for y in reference] == list(range(1 << n))
 
 
 def test_extract_even_bits_against_naive():
@@ -129,7 +177,7 @@ def test_verify_conditions_examples():
     assert r.max_inverse_col_weight == 2
     assert r.method == "both"
 
-    rid = verify_conditions(identity_matrix(4))
+    rid = verify_conditions(SparseGF2Matrix(4, ((1,), (2,), (3,), (4,))))
     assert rid.invertible
     assert not rid.parity_ok
     assert not rid.all_pass
@@ -157,9 +205,8 @@ def test_arity_generalization():
             assert rep.max_inverse_col_weight <= height + 1
 
 
-def test_gf2_rank_and_inverse():
+def test_gf2_inverse_rows():
     rows = [0b001, 0b011, 0b111]
-    assert gf2_rank(rows, 3) == 3
     inv = gf2_inverse_rows(rows, 3)
     # multiply back: row i of A times the inverse must be e_i
     for i, r in enumerate(rows):
@@ -169,13 +216,13 @@ def test_gf2_rank_and_inverse():
                 out ^= inv[j]
         assert out == 1 << i
     assert gf2_inverse_rows([0b01, 0b01], 2) is None
-    assert gf2_rank([0b01, 0b01], 2) == 1
 
 
 def test_prefix_xor_examples():
-    assert str(prefix_xor_map(parse_point("111"))) == "001"
-    assert str(prefix_xor_map(parse_point("100"))) == "100"
-    assert str(prefix_xor_inverse(parse_point("001"))) == "111"
+    pm = prefix_xor_mapping(3)
+    assert str(pm(parse_point("111"))) == "001"
+    assert str(pm(parse_point("100"))) == "100"
+    assert str(pm.inverse_mapping()(parse_point("001"))) == "111"
 
 
 def test_prefix_xor_inverse_flip_property():
@@ -184,23 +231,26 @@ def test_prefix_xor_inverse_flip_property():
     for _ in range(300):
         n = rng.randint(1, 40)
         x = rng.getrandbits(n)
-        y = prefix_xor_map(Point(x, n)).bits
+        pm = prefix_xor_mapping(n)
+        y = pm(Point(x, n)).bits
         k = rng.randint(1, n)
-        got = prefix_xor_inverse(Point(y ^ (1 << (k - 1)), n)).bits
+        got = pm.inverse_mapping()(Point(y ^ (1 << (k - 1)), n)).bits
         assert got == x ^ ((1 << k) - 1)
 
 
 def test_xor_head_examples():
-    assert str(xor_head_map(parse_point("100"))) == "100"
-    assert str(xor_head_map(parse_point("110"))) == "010"
-    assert str(xor_head_map(parse_point("011"))) == "011"
+    xm = xor_head_mapping(3)
+    assert str(xm(parse_point("100"))) == "100"
+    assert str(xm(parse_point("110"))) == "010"
+    assert str(xm(parse_point("011"))) == "011"
 
 
 def test_xor_head_self_inverse():
     for n in (1, 2, 7):
+        xm = xor_head_mapping(n)
         for x in range(1 << n):
             p = Point(x, n)
-            assert xor_head_map(xor_head_map(p)) == p
+            assert xm(xm(p)) == p
 
 
 def test_matrix_text_export():
@@ -217,8 +267,8 @@ def test_sparse_matrix_validation():
 
 
 def test_dimension_mismatch_errors():
-    a = build_tree_matrix(3, 2)
+    tm = tree_mapping(3)
     with pytest.raises(ValueError):
-        apply(a, parse_point("10"))
+        tm(parse_point("10"))
     with pytest.raises(ValueError):
-        tree_inverse_apply(3, 2, parse_point("1010"))
+        tm.inverse_mapping()(parse_point("1010"))
