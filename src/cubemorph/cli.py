@@ -1,5 +1,5 @@
 """Command-line front door: construct mappings, dump chains, analyze
-stretch, run seeded experiments, and run the verification suites.
+stretch, run seeded experiments, and run the check catalogue's suites.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
 argument errors.  Data goes to stdout (or the requested file); summaries
@@ -13,51 +13,27 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from . import __version__
-from .btk_chains import (
-    Signature,
-    adjacent_chain_scan,
-    enumerate_partition,
-    mark,
-    partition_covers_cube,
-    signature,
-    signature_distance,
-)
+from . import __version__, checks
+from .btk_chains import Signature, enumerate_partition, signature
 from .chain_mappings import (
     dictator_to_majority_map,
     majority_to_dictator_map,
     majority_to_xor_map,
 )
+from .checks import Check
 from .cube_core import BooleanFunction, Point, parse_point, popcount_array, random_balanced
-from .gf2_maps import (
-    build_tree_matrix,
-    prefix_xor_mapping,
-    tree_mapping,
-    verify_conditions,
-    xor_head_mapping,
-)
-from .random_matching import (
-    build_dict_to_random_details,
-    build_injection,
-    build_random_to_random,
-    injection_is_valid,
-    recursion_curve,
-    run_matching,
-)
+from .gf2_maps import build_tree_matrix, prefix_xor_mapping, tree_mapping, xor_head_mapping
+from .random_matching import MATCHING_MAX_N, build_dict_to_random_details, recursion_curve
 from .stretch_metrics import (
     Mapping,
     exhaustive_min_avg_stretch,
-    exhaustive_min_directional,
     exhaustive_min_max_stretch,
-    is_mapping_between,
     local_search_min_stretch,
-    middle_binomial_check_range,
     stretch_report,
-    typical_fraction,
 )
 
 CHAINS_DUMP_MAX_N = 20
@@ -101,7 +77,7 @@ def _parse_point_arg(s: str, n: int) -> Point:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
+    if args.workers:
         return args.workers
     env = os.environ.get("CUBEMORPH_WORKERS")
     if env:
@@ -196,9 +172,10 @@ def cmd_analyze(args) -> int:
                                 seed=args.seed, workers=_workers(args))
     except ValueError as e:
         raise UsageError(str(e)) from None
-    _write_text(args.out, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    # the histogram first: a bad path then exits 2 before any report is out
     if args.histogram_csv is not None:
         _write_text(args.histogram_csv, report.histogram_csv())
+    _write_text(args.out, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(f"avg {report.avg} max {report.max_stretch} over {report.edges_total} edges",
           file=sys.stderr)
     return 0
@@ -208,226 +185,44 @@ def cmd_analyze(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-class Check:
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+def _suite_btk(max_n: int, trials: int, seed: int) -> list:
+    return [partial(checks.partition_tiles, range(1, min(max_n, 16) + 1)),
+            partial(checks.order_invariance, seed),
+            partial(checks.edge_facts, min(max_n, 14)),
+            checks.case_split]
 
 
-def _suite_btk(max_n: int, trials: int, seed: int, workers: int) -> list[Check]:
-    checks = []
-    top = min(max_n, 16)
-    total_chains = 0
-    for n in range(1, top + 1):
-        chains, _ = partition_covers_cube(n)
-        total_chains += chains
-    checks.append(Check(f"btk.partition n<={top}", True,
-                        f"{total_chains} chains tile every cube exactly once"))
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bad = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 21))
-        x = Point(int(rng.integers(0, 1 << n)), n)
-        base = mark(x).signature()
-        for s in rng.integers(0, 2 ** 31, size=5):
-            if mark(x, order_seed=int(s)).signature() != base:
-                bad += 1
-    checks.append(Check("btk.order-invariance", bad == 0,
-                        "signature identical across marking orders"))
-
-    worst = (0, 0, 0, 0)
-    for n in range(1, min(max_n, 14) + 1):
-        r = adjacent_chain_scan(n)
-        worst = tuple(max(a, b) for a, b in zip(worst, (
-            r.max_signature_distance, r.max_level_gap, r.max_cross_excess,
-            r.max_hausdorff)))
-    ok = worst[0] <= 3 and worst[1] <= 1 and worst[2] <= 6 and worst[3] <= 7
-    checks.append(Check(f"btk.edge-facts n<={min(max_n, 14)}", ok,
-                        f"sig<={worst[0]} level-gap<={worst[1]} "
-                        f"cross-excess<={worst[2]} hausdorff<={worst[3]}"))
-
-    worst_sig = 0
-    for a in range(7):
-        for b in range(7):
-            for c in range(7):
-                for d in range(7):
-                    lo = parse_point("0" * a + "1" * b + "0" + "0" * c + "1" * d)
-                    hi = parse_point("0" * a + "1" * b + "1" + "0" * c + "1" * d)
-                    worst_sig = max(worst_sig, signature_distance(lo, hi))
-    checks.append(Check("btk.case-split a,b,c,d<=6", worst_sig <= 3,
-                        f"max signature distance {worst_sig}"))
-    return checks
+def _suite_maj2dict(max_n: int, trials: int, seed: int) -> list:
+    odd = range(1, min(max_n, 15) + 1, 2)
+    return [checks.maj2dict_block,
+            partial(checks.maj2dict_bijection, odd),
+            partial(checks.maj2xor_composition, odd)]
 
 
-def _suite_maj2dict(max_n: int, trials: int, seed: int, workers: int) -> list[Check]:
-    checks = []
-    block = [("111", "111"), ("110", "101"), ("011", "100"),
-             ("010", "000"), ("001", "001"), ("000", "011")]
-    from .chain_mappings import dict_to_maj, maj_to_dict
-    ok = all(str(maj_to_dict(parse_point(s))) == t and
-             str(dict_to_maj(parse_point(t))) == s for s, t in block)
-    checks.append(Check("maj2dict.example-block n=3", ok, "all 6 pairs reproduced"))
-
-    per_n = []
-    ok_all = True
-    for n in range(1, min(max_n, 15) + 1, 2):
-        phi = majority_to_dictator_map(n)
-        law = is_mapping_between(phi, BooleanFunction.majority(n),
-                                 BooleanFunction.dictator(n))
-        t = phi.table()
-        inv_ok = all(phi.inverse_bits(int(t[x])) == x for x in range(1 << n))
-        rep = stretch_report(phi, workers=workers)
-        half_ok = bool((((t & 1) == 1) ==
-                        (popcount_array(np.arange(1 << n).astype(np.uint64))
-                         >= (n + 1) // 2)).all())
-        ok_all &= law and inv_ok and rep.max_stretch <= 11 and half_ok
-        per_n.append(f"n={n}:C={rep.max_stretch}")
-    checks.append(Check("maj2dict.bijection odd n", ok_all,
-                        "law+inverse+halfcube, measured constants " + " ".join(per_n)))
-
-    comp_ok = True
-    worst = 0
-    for n in range(1, min(max_n, 15) + 1, 2):
-        phi = majority_to_xor_map(n)
-        comp_ok &= is_mapping_between(phi, BooleanFunction.majority(n),
-                                      BooleanFunction.xor(n))
-        worst = max(worst, stretch_report(phi, workers=workers).max_stretch)
-    checks.append(Check("maj2dict.composition-to-parity", comp_ok and worst <= 22,
-                        f"law holds, max stretch {worst} <= 22"))
-    return checks
+def _suite_tree(max_n: int, trials: int, seed: int) -> list:
+    return [partial(checks.tree_conditions, checks.tree_size_grid(64, 7), 64),
+            partial(checks.tree_exhaustive, min(max_n, 16)),
+            partial(checks.tree_arity, (2, 3, 4, 5), (7, 64, 333, 4096))]
 
 
-def _suite_tree(max_n: int, trials: int, seed: int, workers: int) -> list[Check]:
-    checks = []
-    sizes = list(range(1, 65))
-    k = 7
-    while (1 << k) <= (1 << 16):
-        for n in ((1 << k) - 1, 1 << k, (1 << k) + 1):
-            if n <= (1 << 16):
-                sizes.append(n)
-        k += 1
-    cond_ok = True
-    for n in sorted(set(sizes)):
-        rep = verify_conditions(build_tree_matrix(n, 2), cross_check=n <= 64)
-        cond_ok &= rep.all_pass
-    checks.append(Check("tree.conditions grid to 2^16", cond_ok,
-                        f"{len(set(sizes))} sizes, elimination cross-check to 64"))
-
-    ok = True
-    details = []
-    for n in range(1, min(max_n, 16) + 1):
-        tm = tree_mapping(n)
-        law = is_mapping_between(tm, BooleanFunction.dictator(n), BooleanFunction.xor(n))
-        fwd = stretch_report(tm, workers=workers).max_stretch
-        inv = stretch_report(tm.inverse_mapping(), workers=workers).max_stretch
-        t = tm.table()
-        rt = all(tm.inverse_bits(int(t[x])) == x for x in range(1 << n))
-        ok &= law and rt and fwd <= 2 and inv <= n.bit_length()
-        if n in (8, 16):
-            details.append(f"n={n}:fwd={fwd},inv={inv}")
-    checks.append(Check(f"tree.exhaustive n<={min(max_n, 16)}", ok,
-                        "law+roundtrip+stretch " + " ".join(details)))
-
-    gen_ok = True
-    for arity in (2, 3, 4, 5):
-        for n in (7, 64, 333, 4096):
-            rep = verify_conditions(build_tree_matrix(n, arity))
-            height = 0
-            while arity ** height < n:
-                height += 1
-            gen_ok &= rep.all_pass and rep.max_inverse_col_weight <= height + 1
-    checks.append(Check("tree.arity-generalization", gen_ok,
-                        "inverse column weight <= height+1 for arity 2..5"))
-    return checks
+def _suite_lowerbound(max_n: int, trials: int, seed: int) -> list:
+    return [partial(checks.middle_binomial, 10 ** 4),
+            partial(checks.typical_fraction, (64, 256, 1024, 4096)),
+            partial(checks.oracle_n3, seed),
+            checks.dict2maj_impossibility]
 
 
-def _suite_lowerbound(max_n: int, trials: int, seed: int, workers: int) -> list[Check]:
-    checks = []
-    ok = middle_binomial_check_range(10 ** 4)
-    checks.append(Check("lowerbound.middle-binomial n<=10^4", ok,
-                        "C(n,n/2) < 2^n/sqrt(n) throughout"))
-
-    fr_ok = True
-    for n in (64, 256, 1024, 4096):
-        fr_ok &= typical_fraction(n, 0.01) >= Fraction(9, 10)
-    checks.append(Check("lowerbound.typical-fraction", fr_ok,
-                        ">= 0.9 at n in {64,256,1024,4096}"))
-
-    xr, mj, dc = (BooleanFunction.xor(3), BooleanFunction.majority(3),
-                  BooleanFunction.dictator(3))
-    v, _ = exhaustive_min_avg_stretch(xr, mj)
-    lv, _ = local_search_min_stretch(xr, mj, seed=seed, restarts=8)
-    dirs = [exhaustive_min_directional(xr, mj, i)[0] for i in (1, 2, 3)]
-    checks.append(Check("lowerbound.oracle n=3", v > 1 and lv == v,
-                        f"min avg {v}, per-direction minima "
-                        f"{', '.join(str(d) for d in dirs)}, local search agrees"))
-
-    mv, _ = exhaustive_min_max_stretch(dc, mj)
-    checks.append(Check("lowerbound.dict2maj-impossibility n=3", mv >= 2,
-                        f"min worst-edge stretch {mv} >= ceil(n/2) = 2"))
-    return checks
-
-
-def _suite_matching(max_n: int, trials: int, seed: int, workers: int) -> list[Check]:
-    checks = []
+def _suite_matching(max_n: int, trials: int, seed: int) -> list:
     n = max(8, min(max_n, 24))
-    cv = recursion_curve(n, trials=trials, seed=seed)
-    p, q = cv.p_mean(), cv.q_mean()
-    rec_err = max(abs(p[i + 1] - p[i] * (1 - p[i])) for i in range(cv.rounds))
-    pq_err = max(abs(p[i] - q[i]) for i in range(cv.rounds + 1))
-    se = cv.p_hat[:, -1].std(ddof=1) / trials ** 0.5 if trials > 1 else 0.0
-    ok = (abs(p[0] - 0.25) <= 0.01 and rec_err <= 0.01 and pq_err <= 0.01
-          and p[-1] < 2 / n + 3 * se)
-    checks.append(Check(f"matching.curve n={n}", ok,
-                        f"p0={p[0]:.4f} recursion-err={rec_err:.4f} "
-                        f"|p-q|={pq_err:.4f} final={p[-1]:.4f} < 2/n={2 / n:.4f}+3se"))
-
-    from .cube_core import random_subset_function
-    inj_ok = True
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        a = random_subset_function(min(n, 16), seed=int(rng.integers(0, 2 ** 31)))
-        st = run_matching(a)
-        inj_ok &= injection_is_valid(st, build_injection(st))
-    checks.append(Check("matching.injection", inj_ok,
-                        f"injective with the 1-coordinate condition, {trials} trials"))
-
     m = min(max_n, 16)
-    law_ok = True
-    worst_avg = 0.0
-    worst_frac = 1.0
-    children = np.random.SeedSequence(seed + 1).spawn(max(5, trials // 4))
-    for child in children:
-        f = random_balanced(m, child)
-        res = build_dict_to_random_details(f)
-        phi = res.mapping
-        law_ok &= is_mapping_between(phi, BooleanFunction.dictator(m), f)
-        t = phi.table()
-        d = popcount_array((t ^ np.arange(1 << m)).astype(np.uint64))
-        worst_frac = min(worst_frac, float((d <= 2).mean()))
-        worst_avg = max(worst_avg, float(stretch_report(phi, workers=workers).avg),
-                        float(stretch_report(phi.inverse_mapping(), workers=workers).avg))
-    ok = law_ok and worst_frac >= 1 - 5 / m and worst_avg <= 10
-    checks.append(Check(f"matching.dict2random n={m}", ok,
-                        f"law exact, min frac(dist<=2)={worst_frac:.4f}, "
-                        f"max avg stretch {worst_avg:.2f} <= 10"))
-
-    f = random_balanced(m, seed + 2)
-    g = random_balanced(m, seed + 3)
-    comp = build_random_to_random(f, g)
-    t = comp.table()
-    d = popcount_array((t ^ np.arange(1 << m)).astype(np.uint64))
-    far = float((d >= 4).mean())
-    avg = float(stretch_report(comp, workers=workers).avg)
-    ok = is_mapping_between(comp, f, g) and avg <= 20 and far <= 10 / m
-    checks.append(Check(f"matching.rand2rand n={m}", ok,
-                        f"law exact, avg {avg:.2f} <= 20, frac(dist>=4)={far:.4f} <= 10/n"))
-    return checks
+    return [partial(checks.matching_curve, n, trials, seed),
+            partial(checks.injection, min(n, 16), checks.derived_seeds(seed, trials, 2 ** 31)),
+            partial(checks.dict2random, m,
+                    np.random.SeedSequence(seed + 1).spawn(max(5, trials // 4))),
+            partial(checks.rand2rand, m, [(seed + 2, seed + 3)])]
 
 
+# A suite lists catalogue calls (callables returning a Check) or ready Checks.
 _SUITES = {
     "btk": _suite_btk,
     "maj2dict": _suite_maj2dict,
@@ -437,14 +232,27 @@ _SUITES = {
 }
 
 
+def _run_check(item) -> Check:
+    """A catalogue call that raises is that check's failure, not a traceback."""
+    if isinstance(item, Check):
+        return item
+    try:
+        return item()
+    except Exception as e:  # noqa: BLE001 - any exception is a failed check
+        name = getattr(item, "func", item).__name__
+        return Check(name, False, f"{type(e).__name__}: {e}")
+
+
 def cmd_verify(args) -> int:
-    if args.max_n < 1:
-        raise UsageError("--max-n must be at least 1")
+    for flag, value, low in (("--max-n", args.max_n, 1), ("--trials", args.trials, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    workers = _workers(args)
     failed = 0
     for name in names:
-        for check in _SUITES[name](args.max_n, args.trials, args.seed, workers):
+        for item in _SUITES[name](args.max_n, args.trials, args.seed):
+            check = _run_check(item)
             status = "PASS" if check.ok else "FAIL"
             print(f"{status} {check.name}" + (f" - {check.detail}" if check.detail else ""))
             failed += 0 if check.ok else 1
@@ -457,7 +265,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_random(args) -> int:
-    from .random_matching import MATCHING_MAX_N
     if not 2 <= args.n <= MATCHING_MAX_N:
         raise UsageError(f"--n must be in 2..{MATCHING_MAX_N}")
     if args.trials < 1:
@@ -571,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=12)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="seeded matching experiments, CSV output")

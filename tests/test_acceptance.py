@@ -8,263 +8,87 @@ information.
 import json
 import random
 import time
-from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
 
-from cubemorph import cli
-from cubemorph.btk_chains import (
-    adjacent_chain_scan,
-    chain_count,
-    partition_covers_cube,
-    signature_distance,
-)
-from cubemorph.chain_mappings import (
-    dict_to_maj,
-    maj_to_dict,
-    majority_to_dictator_map,
-    majority_to_xor_map,
-)
-from cubemorph.cube_core import (
-    BooleanFunction,
-    parse_point,
-    popcount_array,
-    random_balanced,
-    random_subset_function,
-)
-from cubemorph.gf2_maps import (
-    build_tree_matrix,
-    tree2_apply_bits,
-    tree_mapping,
-    verify_conditions,
-)
-from cubemorph.random_matching import (
-    build_dict_to_random_details,
-    build_injection,
-    build_random_to_random,
-    injection_is_valid,
-    recursion_curve,
-    run_matching,
-)
-from cubemorph.stretch_metrics import (
-    exhaustive_min_avg_stretch,
-    exhaustive_min_max_stretch,
-    is_mapping_between,
-    local_search_min_stretch,
-    middle_binomial_check_range,
-    stretch_report,
-    typical_fraction,
-)
+from cubemorph import checks, cli
+from cubemorph.gf2_maps import tree2_apply_bits
 
 from test_cli import REPORT_SCHEMA
 
 
-def report(num, ok, detail):
+def report(num, results, ok=True, note=""):
+    """Print criterion num's line from its catalogue checks (and a test-only
+    verdict), then assert them all."""
+    ok = ok and all(c.ok for c in results)
+    detail = "; ".join([f"{'' if c.ok else 'FAIL '}{c.name}: {c.detail}" for c in results]
+                       + ([note] if note else []))
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
 
 
 def test_criterion_1_partition_tiles_every_cube():
     t0 = time.time()
-    for n in range(1, 17):
-        chains, points = partition_covers_cube(n)
-        assert chains == chain_count(n)
-        assert points == 1 << n
+    result = checks.partition_tiles(range(1, 17))
     elapsed = time.time() - t0
-    report(1, elapsed < 60,
-           f"partitions tile all cubes n<=16, shapes verified, {elapsed:.1f}s")
+    report(1, [result], elapsed < 60, f"{elapsed:.1f}s")
 
 
 def test_criterion_2_chain_distance_facts_exhaustive():
-    worst = [0, 0, 0, 0]
-    for n in range(1, 15):
-        r = adjacent_chain_scan(n)
-        worst = [max(a, b) for a, b in zip(worst, (
-            r.max_signature_distance, r.max_level_gap,
-            r.max_cross_excess, r.max_hausdorff))]
-    ok = (worst[0] <= 3 and worst[1] <= 1 and worst[2] <= 6 and worst[3] <= 7)
-    report(2, ok,
-           f"all edges n<=14: sig-dist<={worst[0]} (<=3), |k-k'|<={worst[1]} (<=1), "
-           f"cross-excess<={worst[2]} (<=6), hausdorff<={worst[3]} (<=7)")
+    report(2, [checks.edge_facts(14)])
 
 
 def test_criterion_3_case_split_generator():
-    worst = 0
-    for a in range(7):
-        for b in range(7):
-            for c in range(7):
-                for d in range(7):
-                    lo = parse_point("0" * a + "1" * b + "0" + "0" * c + "1" * d)
-                    hi = parse_point("0" * a + "1" * b + "1" + "0" * c + "1" * d)
-                    worst = max(worst, signature_distance(lo, hi))
-    report(3, worst <= 3, f"2401 middle-bit cases, max signature distance {worst} <= 3")
+    report(3, [checks.case_split()])
 
 
 def test_criterion_4_majority_to_dictator():
-    block = [("111", "111"), ("110", "101"), ("011", "100"),
-             ("010", "000"), ("001", "001"), ("000", "011")]
-    block_ok = all(str(maj_to_dict(parse_point(s))) == t and
-                   str(dict_to_maj(parse_point(t))) == s for s, t in block)
-    constants = []
-    ok = block_ok
-    for n in range(3, 16, 2):
-        phi = majority_to_dictator_map(n)
-        ok &= is_mapping_between(phi, BooleanFunction.majority(n),
-                                 BooleanFunction.dictator(n))
-        table = phi.table()
-        ok &= all(phi.inverse_bits(int(table[x])) == x for x in range(1 << n))
-        ok &= all(int(table[phi.inverse_bits(y)]) == y for y in range(1 << n))
-        c = stretch_report(phi).max_stretch
-        ok &= c <= 11
-        constants.append(f"n={n}:{c}")
-    report(4, ok, "law+two-sided inverse, block reproduced, measured Lipschitz "
-                  "constants " + " ".join(constants) + " (all <= 11)")
+    report(4, [checks.maj2dict_block(), checks.maj2dict_bijection(range(3, 16, 2))])
 
 
 def test_criterion_5_no_short_dictator_to_majority():
-    dic, maj = BooleanFunction.dictator(3), BooleanFunction.majority(3)
-    value, witness = exhaustive_min_max_stretch(dic, maj)
-    ok = value >= 2 and is_mapping_between(witness, dic, maj)
-    report(5, ok, f"all 576 bijections searched: min worst-edge stretch "
-                  f"{value} >= ceil(3/2) = 2")
+    report(5, [checks.dict2maj_impossibility()])
 
 
 def test_criterion_6_tree_map():
-    sizes = set(range(1, 257))
-    k = 8
-    while (1 << k) <= (1 << 16):
-        sizes.update(v for v in ((1 << k) - 1, 1 << k, (1 << k) + 1) if v <= (1 << 16))
-        k += 1
-    sizes.update((1000, 10000, 1 << 16))
-    cond_ok = all(
-        verify_conditions(build_tree_matrix(n, 2), cross_check=n <= 128).all_pass
-        for n in sorted(sizes))
-
-    stretch_ok = law_ok = True
-    for n in range(1, 17):
-        tm = tree_mapping(n)
-        law_ok &= is_mapping_between(tm, BooleanFunction.dictator(n),
-                                     BooleanFunction.xor(n))
-        stretch_ok &= stretch_report(tm).max_stretch <= 2
-        stretch_ok &= stretch_report(tm.inverse_mapping()).max_stretch <= n.bit_length()
-
-    n16 = 1 << 16
+    sizes = checks.tree_size_grid(256, 8) + [1000, 10000, 1 << 16]
     rng = random.Random(616)
-    parity_ok = True
-    for _ in range(100_000):
-        v = rng.getrandbits(n16)
-        parity_ok &= (tree2_apply_bits(n16, v).bit_count() & 1) == (v & 1)
-
-    arity_ok = True
-    for arity in (2, 3, 4, 5, 6):
-        for n in (1, 7, 64, 333, 4096):
-            rep = verify_conditions(build_tree_matrix(n, arity))
-            height = 0
-            while arity ** height < n:
-                height += 1
-            arity_ok &= rep.all_pass and rep.max_inverse_col_weight <= height + 1
-
-    ok = cond_ok and stretch_ok and law_ok and parity_ok and arity_ok
-    report(6, ok, f"conditions on {len(sizes)} sizes to 2^16, stretch bounds "
-                  f"exhaustive n<=16, parity law on 10^5 points at n=2^16, "
-                  f"arity generalization 2..6")
+    parity_ok = all((tree2_apply_bits(1 << 16, v).bit_count() & 1) == (v & 1)
+                    for v in (rng.getrandbits(1 << 16) for _ in range(100_000)))
+    report(6, [checks.tree_conditions(sizes, 128), checks.tree_exhaustive(16),
+               checks.tree_arity((2, 3, 4, 5, 6), (1, 7, 64, 333, 4096))],
+           parity_ok, "parity law on 10^5 points at n=2^16")
 
 
 def test_criterion_7_lower_bound_ingredients():
-    mb_ok = middle_binomial_check_range(10 ** 4)
-    tf_ok = all(typical_fraction(n, 0.01) >= Fraction(9, 10)
-                for n in (64, 256, 1024, 4096))
-    xor3, maj3 = BooleanFunction.xor(3), BooleanFunction.majority(3)
-    value, witness = exhaustive_min_avg_stretch(xor3, maj3)
-    oracle_ok = value > 1 and is_mapping_between(witness, xor3, maj3)
-    local, _ = local_search_min_stretch(xor3, maj3, seed=7, restarts=8)
-    ok = mb_ok and tf_ok and oracle_ok and local == value
-    report(7, ok, f"middle-binomial to 10^4, typical fractions >= 0.9, "
-                  f"exhaustive XOR->Majority minimum {value} > 1, local search matches")
+    report(7, [checks.middle_binomial(10 ** 4),
+               checks.typical_fraction((64, 256, 1024, 4096)), checks.oracle_n3(7)])
 
 
 def test_criterion_8_majority_to_parity_composition():
-    ok = True
-    worst = 0
-    for n in range(3, 16, 2):
-        phi = majority_to_xor_map(n)
-        ok &= is_mapping_between(phi, BooleanFunction.majority(n),
-                                 BooleanFunction.xor(n))
-        worst = max(worst, stretch_report(phi).max_stretch)
-    report(8, ok and worst <= 22, f"law holds odd n<=15, max edge stretch {worst} <= 22")
+    report(8, [checks.maj2xor_composition(range(3, 16, 2))])
 
 
 def test_criterion_9_matching_statistics():
     t0 = time.time()
-    trials = 20
-    details = []
-    ok = True
+    results = []
     for n in (16, 20, 24):
-        cv = recursion_curve(n, trials=trials, seed=900 + n)
-        p, q = cv.p_mean(), cv.q_mean()
-        ok &= abs(p[0] - 0.25) <= 0.01
-        ok &= all(abs(p[i + 1] - p[i] * (1 - p[i])) <= 0.01 for i in range(cv.rounds))
-        ok &= all(abs(p[i] - q[i]) <= 0.01 for i in range(cv.rounds + 1))
-        se = cv.p_hat[:, -1].std(ddof=1) / trials ** 0.5
-        ok &= p[-1] < 2 / n + 3 * se
-        for t, child in enumerate(np.random.SeedSequence(800 + n).spawn(trials)):
-            rng = np.random.Generator(np.random.PCG64(child))
-            a = random_subset_function(n, seed=int(rng.integers(0, 2 ** 62)))
-            state = run_matching(a)
-            assert injection_is_valid(state, build_injection(state)), (n, t)
-        details.append(f"n={n}:p0={p[0]:.3f},final={p[-1]:.4f}<{2 / n:.4f}")
+        results.append(checks.matching_curve(n, 20, 900 + n))
+        results.append(checks.injection(n, checks.derived_seeds(800 + n, 20, 2 ** 62)))
     elapsed = time.time() - t0
-    ok &= elapsed < 300
-    report(9, ok, f"{trials} trials each, injections all valid, "
-                  + " ".join(details) + f", {elapsed:.0f}s")
+    report(9, results, elapsed < 300, f"{elapsed:.0f}s")
 
 
 def test_criterion_10_dictator_to_random_balanced():
-    trials = 20
-    ok = True
-    worst_avg = 0.0
-    worst_frac = 1.0
-    for n in range(14, 21):
-        idx = np.arange(1 << n, dtype=np.int64)
-        dic = BooleanFunction.dictator(n)
-        for child in np.random.SeedSequence(1000 + n).spawn(trials):
-            f = random_balanced(n, child)
-            res = build_dict_to_random_details(f)
-            phi = res.mapping
-            ok &= is_mapping_between(phi, dic, f)
-            d = popcount_array((phi.table() ^ idx).astype(np.uint64))
-            frac = float((d <= 2).mean())
-            worst_frac = min(worst_frac, frac)
-            ok &= frac >= 1 - 5 / n
-            fwd = float(stretch_report(phi).avg)
-            inv = float(stretch_report(phi.inverse_mapping()).avg)
-            worst_avg = max(worst_avg, fwd, inv)
-            ok &= fwd <= 10 and inv <= 10
-    report(10, ok, f"n=14..20 x {trials} seeds: law exact, min frac(dist<=2)="
-                   f"{worst_frac:.4f}, max avgStretch {worst_avg:.2f} <= 10")
+    report(10, [checks.dict2random(n, np.random.SeedSequence(1000 + n).spawn(20))
+                for n in range(14, 21)])
 
 
 def test_criterion_11_random_to_random_composition():
-    n, trials = 16, 20
-    idx = np.arange(1 << n, dtype=np.int64)
-    ok = True
-    worst_avg = 0.0
-    worst_far = 0.0
-    for child in np.random.SeedSequence(1100).spawn(trials):
-        sf, sg = child.spawn(2)
-        f = random_balanced(n, sf)
-        g = random_balanced(n, sg)
-        comp = build_random_to_random(f, g)
-        ok &= is_mapping_between(comp, f, g)
-        avg = float(stretch_report(comp).avg)
-        far = float((popcount_array((comp.table() ^ idx).astype(np.uint64)) >= 4).mean())
-        worst_avg = max(worst_avg, avg)
-        worst_far = max(worst_far, far)
-        ok &= avg <= 20 and far <= 10 / n
-    report(11, ok, f"n=16 x {trials} seeds: law exact, max avgStretch "
-                   f"{worst_avg:.2f} <= 20, max frac(dist>=4)={worst_far:.4f} <= 10/16")
+    pairs = [child.spawn(2) for child in np.random.SeedSequence(1100).spawn(20)]
+    report(11, [checks.rand2rand(16, pairs)])
 
 
 def test_criterion_12_cli_contract(tmp_path, capsys, monkeypatch):
@@ -297,5 +121,5 @@ def test_criterion_12_cli_contract(tmp_path, capsys, monkeypatch):
                         lambda *args: [cli.Check("forced", False, "")])
     ok &= cli.main(["verify", "--suite", "btk"]) == 1
     capsys.readouterr()
-    report(12, ok, "golden chains/map lines, schema-valid analyze report, "
-                   "byte-identical seeded CSV, exit codes 0/1/2")
+    report(12, [], ok, "golden chains/map lines, schema-valid analyze report, "
+                       "byte-identical seeded CSV, exit codes 0/1/2")

@@ -5,7 +5,7 @@ import sys
 import jsonschema
 import pytest
 
-from cubemorph import cli
+from cubemorph import checks, cli
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -165,8 +165,9 @@ def test_analyze_sampled_nonpositive_samples_exit2(capsys, samples):
 def test_write_into_missing_directory_exit2(tmp_path, capsys, flag):
     target = tmp_path / "missing" / "file.txt"
     assert run_cli("analyze", "--mapping", "prefix", "--n", "3", flag, str(target)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no report precedes the error
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
 
 def test_analyze_histogram_csv(tmp_path):
@@ -260,6 +261,31 @@ def test_verify_empty_range_exit2(capsys, max_n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_verify_check_that_raises_is_a_fail(capsys, monkeypatch):
+    def partition_tiles(ns):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(checks, "partition_tiles", partition_tiles)
+    assert run_cli("verify", "--suite", "btk", "--max-n", "3") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL partition_tiles - AssertionError: forced"
+    assert all(line.startswith("PASS") for line in out[1:])
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
+def test_verify_bad_trials_or_seed_exit2(capsys, flag, value):
+    assert run_cli("verify", "--suite", "all", "--max-n", "8", flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_verify_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["verify", "--suite", "btk", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_all_suites_pass(capsys):

@@ -100,6 +100,18 @@ def test_injection_cases():
     assert int(img[parse_point("01").bits]) == parse_point("010").bits
 
 
+def test_injection_validity_rejects_bad_images():
+    st = run_matching(random_subset_function(7, seed=3))
+    img = build_injection(st)
+    assert injection_is_valid(st, img)
+    top = 2 * st.size
+    for x, bad in ((1, img[0]), (0, top), (0, top + 5), (0, -1)):
+        broken = img.copy()
+        broken[x] = bad
+        assert not injection_is_valid(st, broken)
+    assert not injection_is_valid(st, img[:-1])
+
+
 def test_curve_statistics_n16():
     cv = recursion_curve(16, trials=20, seed=11)
     p, q = cv.p_mean(), cv.q_mean()
