@@ -14,7 +14,6 @@ from .cube_core import (
 from .btk_chains import (
     Chain,
     Signature,
-    chain_element,
     chain_of,
     enumerate_partition,
     hausdorff_chain_distance,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BooleanFunction", "Point", "dist", "flip", "format_point", "parse_point",
     "random_balanced", "weight",
-    "Chain", "Signature", "chain_element", "chain_of", "enumerate_partition",
+    "Chain", "Signature", "chain_of", "enumerate_partition",
     "hausdorff_chain_distance", "index_in_chain", "mark", "signature",
     "signature_distance",
     "dict_to_maj", "maj_to_dict", "maj_to_xor",

@@ -207,9 +207,6 @@ class Chain:
     def elements(self) -> tuple[Point, ...]:
         return tuple(Point(b, self.n) for b in self.signature.element_bits_all())
 
-    def element_at(self, j: int) -> Point:
-        return self.signature.element(j)
-
     def __len__(self) -> int:
         return self.signature.top - self.signature.k + 1
 
@@ -234,10 +231,6 @@ def signature(x: Point) -> Signature:
 
 def chain_of(x: Point) -> Chain:
     return Chain(signature(x))
-
-
-def chain_element(sig: Signature, j: int) -> Point:
-    return sig.element(j)
 
 
 def index_in_chain(x: Point) -> tuple[int, int]:

@@ -85,9 +85,9 @@ def maj_to_xor(x: Point) -> Point:
 def majority_to_dictator_map(n: int):
     """Mapping object for maj_to_dict with its inverse bound."""
     _require_odd(n)
-    return Mapping.from_callable(
+    return Mapping(
         n,
-        lambda b: maj_to_dict_bits(b, n),
+        forward=lambda b: maj_to_dict_bits(b, n),
         inverse=lambda b: dict_to_maj_bits(b, n),
         name="maj2dict",
     )
@@ -95,9 +95,9 @@ def majority_to_dictator_map(n: int):
 
 def dictator_to_majority_map(n: int):
     _require_odd(n)
-    return Mapping.from_callable(
+    return Mapping(
         n,
-        lambda b: dict_to_maj_bits(b, n),
+        forward=lambda b: dict_to_maj_bits(b, n),
         inverse=lambda b: maj_to_dict_bits(b, n),
         name="dict2maj",
     )
@@ -106,9 +106,9 @@ def dictator_to_majority_map(n: int):
 def majority_to_xor_map(n: int):
     _require_odd(n)
     prefix = prefix_xor_mapping(n)
-    return Mapping.from_callable(
+    return Mapping(
         n,
-        lambda b: prefix.apply_bits(maj_to_dict_bits(b, n)),
+        forward=lambda b: prefix.apply_bits(maj_to_dict_bits(b, n)),
         inverse=lambda b: dict_to_maj_bits(prefix.inverse_bits(b), n),
         name="maj2xor",
     )

@@ -39,9 +39,10 @@ from .cube_core import (
 )
 from .gf2_maps import build_tree_matrix, tree_mapping, verify_conditions
 from .random_matching import (
-    build_dict_to_random_details,
     build_injection,
     build_random_to_random,
+    dict_to_random_trial,
+    displacements,
     injection_is_valid,
     recursion_curve,
     run_matching,
@@ -90,12 +91,6 @@ def _inverse_is_two_sided(phi: Mapping) -> bool:
                       dtype=np.int64, count=t.size)
     idx = np.arange(t.size, dtype=np.int64)
     return bool(np.array_equal(inv[t], idx) and np.array_equal(t[inv], idx))
-
-
-def _distances(phi: Mapping) -> np.ndarray:
-    """Hamming distance from each point to its image."""
-    t = phi.table()
-    return popcount_array((t ^ np.arange(t.size, dtype=np.int64)).astype(np.uint64))
 
 
 def derived_seeds(root: int, count: int, high: int) -> list[int]:
@@ -329,12 +324,10 @@ def dict2random(n: int, seed_seqs) -> Check:
     worst_avg = 0.0
     worst_frac = 1.0
     for seed in seed_seqs:
-        f = random_balanced(n, seed)
-        phi = build_dict_to_random_details(f).mapping
-        law_ok &= is_mapping_between(phi, dic, f)
-        worst_frac = min(worst_frac, float((_distances(phi) <= 2).mean()))
-        worst_avg = max(worst_avg, float(stretch_report(phi).avg),
-                        float(stretch_report(phi.inverse_mapping()).avg))
+        trial = dict_to_random_trial(n, seed)
+        law_ok &= is_mapping_between(trial.details.mapping, dic, trial.f)
+        worst_frac = min(worst_frac, trial.frac_dist_le2)
+        worst_avg = max(worst_avg, trial.avg_stretch, trial.avg_stretch_inv)
     ok = law_ok and worst_frac >= 1 - 5 / n and worst_avg <= 10
     return Check(f"matching.dict2random n={n}", ok,
                  f"law exact, min frac(dist<=2)={worst_frac:.4f}, "
@@ -354,7 +347,7 @@ def rand2rand(n: int, seed_pairs) -> Check:
         comp = build_random_to_random(f, g)
         law_ok &= is_mapping_between(comp, f, g)
         worst_avg = max(worst_avg, float(stretch_report(comp).avg))
-        worst_far = max(worst_far, float((_distances(comp) >= 4).mean()))
+        worst_far = max(worst_far, float((displacements(comp) >= 4).mean()))
     ok = law_ok and worst_avg <= 20 and worst_far <= 10 / n
     return Check(f"matching.rand2rand n={n}", ok,
                  f"law exact, avg {worst_avg:.2f} <= 20, "

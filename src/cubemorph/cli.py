@@ -25,10 +25,11 @@ from .chain_mappings import (
     majority_to_xor_map,
 )
 from .checks import Check
-from .cube_core import BooleanFunction, Point, parse_point, popcount_array, random_balanced
+from .cube_core import BooleanFunction, Point, parse_point
 from .gf2_maps import build_tree_matrix, prefix_xor_mapping, tree_mapping, xor_head_mapping
-from .random_matching import MATCHING_MAX_N, build_dict_to_random_details, recursion_curve
+from .random_matching import MATCHING_MAX_N, dict_to_random_trial, recursion_curve
 from .stretch_metrics import (
+    EXHAUSTIVE_MAX_N,
     Mapping,
     exhaustive_min_avg_stretch,
     exhaustive_min_max_stretch,
@@ -77,15 +78,21 @@ def _parse_point_arg(s: str, n: int) -> Point:
 
 
 def _workers(args) -> int:
-    if args.workers:
-        return args.workers
-    env = os.environ.get("CUBEMORPH_WORKERS")
-    if env:
+    """--workers, else CUBEMORPH_WORKERS, else 1; below 1 is a usage error."""
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    else:
+        env = os.environ.get("CUBEMORPH_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise UsageError(f"CUBEMORPH_WORKERS={env!r} is not an integer") from None
-    return 1
+        source = "CUBEMORPH_WORKERS"
+    if workers < 1:
+        raise UsageError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -141,12 +148,7 @@ def cmd_map(args) -> int:
     if args.x is None:
         raise UsageError("--x is required")
     x = _parse_point_arg(args.x, args.n)
-    if args.inverse:
-        if not mapping.has_inverse:
-            raise UsageError(f"mapping {args.mapping!r} has no inverse evaluator")
-        out = mapping.inverse_bits(x.bits)
-    else:
-        out = mapping.apply_bits(x.bits)
+    out = mapping.inverse_bits(x.bits) if args.inverse else mapping.apply_bits(x.bits)
     print(str(Point(out, args.n)))
     return 0
 
@@ -156,20 +158,19 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    workers = _workers(args)
     try:
         mapping = _build_mapping(args.mapping, args.n, args.arity)
     except ValueError as e:
         raise UsageError(str(e)) from None
     if args.inverse:
-        if not mapping.has_inverse:
-            raise UsageError(f"mapping {args.mapping!r} has no inverse evaluator")
         mapping = mapping.inverse_mapping()
     if args.mode == "sampled":
         if args.samples is None or args.seed is None:
             raise UsageError("sampled mode requires --samples and --seed")
     try:
         report = stretch_report(mapping, mode=args.mode, samples=args.samples,
-                                seed=args.seed, workers=_workers(args))
+                                seed=args.seed, workers=workers)
     except ValueError as e:
         raise UsageError(str(e)) from None
     # the histogram first: a bad path then exits 2 before any report is out
@@ -265,8 +266,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_random(args) -> int:
-    if not 2 <= args.n <= MATCHING_MAX_N:
-        raise UsageError(f"--n must be in 2..{MATCHING_MAX_N}")
+    # without --curve every trial also takes exhaustive stretch statistics
+    cap = MATCHING_MAX_N if args.curve else EXHAUSTIVE_MAX_N
+    if not 2 <= args.n <= cap:
+        raise UsageError(f"--n must be in 2..{cap}" + ("" if args.curve else " without --curve"))
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     lines = []
@@ -278,18 +281,10 @@ def cmd_random(args) -> int:
                 lines.append(f"{t},{r},{float(cv.p_hat[t, r])!r},{float(cv.q_hat[t, r])!r}")
     else:
         lines.append("trial,frac_unmatched_poor,frac_dist_le2,avg_stretch,avg_stretch_inv")
-        children = np.random.SeedSequence(args.seed).spawn(args.trials)
-        idx = np.arange(1 << args.n, dtype=np.int64)
-        for t, child in enumerate(children):
-            f = random_balanced(args.n, child)
-            res = build_dict_to_random_details(f)
-            table = res.mapping.table()
-            d = popcount_array((table ^ idx).astype(np.uint64))
-            frac2 = float((d <= 2).mean())
-            avg = float(stretch_report(res.mapping).avg)
-            avg_inv = float(stretch_report(res.mapping.inverse_mapping()).avg)
-            lines.append(f"{t},{float(res.unmatched_poor_fraction)!r},"
-                         f"{frac2!r},{avg!r},{avg_inv!r}")
+        for t, child in enumerate(np.random.SeedSequence(args.seed).spawn(args.trials)):
+            tr = dict_to_random_trial(args.n, child)
+            lines.append(f"{t},{float(tr.details.unmatched_poor_fraction)!r},"
+                         f"{tr.frac_dist_le2!r},{tr.avg_stretch!r},{tr.avg_stretch_inv!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -299,8 +294,6 @@ def cmd_random(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
-    if args.n > 24:
-        raise UsageError("search is capped at n=24")
     f = FUNCTION_NAMES[args.source](args.n)
     g = FUNCTION_NAMES[args.target](args.n)
     try:

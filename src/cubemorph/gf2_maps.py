@@ -132,28 +132,6 @@ def build_tree_matrix(n: int, arity: int = 2) -> SparseGF2Matrix:
     return SparseGF2Matrix(n, rows, tree)
 
 
-# -- sparse (support-set) evaluation for very large n -----------------------
-
-def tree_apply_support(n: int, arity: int, support) -> frozenset[int]:
-    """Image support of a point given by its set of 1-coordinates."""
-    tree = TreeLabeling(n, arity)
-    out: set[int] = set()
-    for j in support:
-        out ^= {j}
-        if j >= 2:
-            out ^= {tree.parent(j)}
-    return frozenset(out)
-
-
-def tree_inverse_support(n: int, arity: int, support) -> frozenset[int]:
-    tree = TreeLabeling(n, arity)
-    out: set[int] = set()
-    for j in support:
-        for v in tree.ancestors(j):
-            out ^= {v}
-    return frozenset(out)
-
-
 # -- fast whole-word path for the binary tree -------------------------------
 
 @lru_cache(maxsize=None)

@@ -29,8 +29,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube_core import BooleanFunction, Point, popcount_array, random_subset_function
-from .stretch_metrics import Mapping
+from .cube_core import (
+    BooleanFunction,
+    Point,
+    popcount_array,
+    random_balanced,
+    random_subset_function,
+)
+from .stretch_metrics import Mapping, stretch_report
 
 MATCHING_MAX_N = 26
 
@@ -189,9 +195,6 @@ class CurveResult:
     def q_mean(self) -> np.ndarray:
         return self.q_hat.mean(axis=0)
 
-    def averaged(self) -> list[tuple[float, float]]:
-        return list(zip(self.p_mean().tolist(), self.q_mean().tolist()))
-
 
 def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
     """Empirical per-round poor/rich unmatched fractions over fresh random sets.
@@ -291,6 +294,36 @@ def build_dict_to_random(f: BooleanFunction, seed=None) -> Mapping:
     (default: ascending order).
     """
     return build_dict_to_random_details(f, seed=seed).mapping
+
+
+def displacements(phi: Mapping) -> np.ndarray:
+    """Hamming distance from each point to its image."""
+    t = phi.table()
+    return popcount_array((t ^ np.arange(t.size, dtype=np.int64)).astype(np.uint64))
+
+
+@dataclass(frozen=True)
+class DictToRandomTrial:
+    """One dictator -> random balanced f construction and its end-to-end numbers."""
+
+    f: BooleanFunction
+    details: DictToRandomResult
+    frac_dist_le2: float
+    avg_stretch: float
+    avg_stretch_inv: float
+
+
+def dict_to_random_trial(n: int, seed) -> DictToRandomTrial:
+    """Draw a balanced f from the seed, build dictator -> f, and measure the
+    fraction of points it moves by at most 2 and its average stretch both ways."""
+    f = random_balanced(n, seed)
+    details = build_dict_to_random_details(f)
+    phi = details.mapping
+    return DictToRandomTrial(
+        f=f, details=details,
+        frac_dist_le2=float((displacements(phi) <= 2).mean()),
+        avg_stretch=float(stretch_report(phi).avg),
+        avg_stretch_inv=float(stretch_report(phi.inverse_mapping()).avg))
 
 
 def build_random_to_random(f: BooleanFunction, g: BooleanFunction,

@@ -55,22 +55,15 @@ class Mapping:
         self._inverse_table = inverse_table
 
     @classmethod
-    def from_callable(cls, n: int, fn: Callable[[int], int],
-                      inverse: Callable[[int], int] | None = None,
-                      name: str = "") -> "Mapping":
-        return cls(n, forward=fn, inverse=inverse, name=name)
-
-    @classmethod
     def from_table(cls, n: int, table, name: str = "",
                    expect_bijection: bool = True) -> "Mapping":
         arr = np.asarray(table, dtype=np.int64)
         if arr.size != 1 << n:
             raise ValueError(f"table must have {1 << n} entries, got {arr.size}")
-        if expect_bijection:
-            counts = np.bincount(arr, minlength=1 << n)
-            if counts.max(initial=0) != 1 or counts.min() != 1:
-                raise ValueError("table is not a permutation of the cube")
-        return cls(n, table=arr, name=name)
+        mapping = cls(n, table=arr, name=name)
+        if expect_bijection and not mapping.is_permutation():
+            raise ValueError("table is not a permutation of the cube")
+        return mapping
 
     @classmethod
     def identity(cls, n: int) -> "Mapping":
@@ -100,11 +93,6 @@ class Mapping:
         return np.fromiter(
             (fn(x) for x in range(1 << self.n)), dtype=np.int64, count=1 << self.n)
 
-    @property
-    def has_inverse(self) -> bool:
-        return self._inverse is not None or self._inverse_table is not None \
-            or self._table is not None
-
     def inverse_bits(self, y: int) -> int:
         if self._inverse is not None:
             return self._inverse(y)
@@ -133,10 +121,6 @@ class Mapping:
 
     def __repr__(self) -> str:
         return f"Mapping(n={self.n}, name={self.name!r})"
-
-
-def identity_mapping(n: int) -> Mapping:
-    return Mapping.identity(n)
 
 
 def is_mapping_between(phi: Mapping, f: BooleanFunction, g: BooleanFunction) -> bool:
@@ -408,16 +392,6 @@ def exhaustive_min_directional(f: BooleanFunction, g: BooleanFunction, i: int
 # seeded transposition descent
 # ---------------------------------------------------------------------------
 
-def _stretch_sum(table: np.ndarray, n: int) -> int:
-    t = np.asarray(table, dtype=np.int64)
-    total = 0
-    for b in range(n):
-        paired = t.reshape(-1, 2, 1 << b)
-        total += int(popcount_array(
-            (paired[:, 0, :] ^ paired[:, 1, :]).ravel().astype(np.uint64)).sum())
-    return total
-
-
 def _swap_delta(table: list[int], n: int, u: int, v: int) -> int:
     """Change in the total edge sum if the images of u and v swap."""
     delta = 0
@@ -466,7 +440,8 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
             tgt = targets[c] if r == 0 else rng.permutation(targets[c])
             for s, t in zip(sources[c], tgt):
                 table[int(s)] = int(t)
-        current = _stretch_sum(np.array(table), n)
+        start = np.array(table, dtype=np.int64)
+        current = sum(_direction_stats_exhaustive(start, b)[0] for b in range(n))
         if small:
             improved = True
             while improved:

@@ -6,7 +6,6 @@ from cubemorph.btk_chains import (
     Signature,
     adjacent_chain_scan,
     chain_count,
-    chain_element,
     chain_of,
     enumerate_partition,
     hausdorff_chain_distance,
@@ -62,13 +61,13 @@ def test_chain_membership():
 
 def test_chain_element_examples():
     s = signature(parse_point("01100110"))
-    assert str(chain_element(s, 3)) == "01100010"
-    assert str(chain_element(s, 5)) == "11100110"
-    assert str(chain_element(signature(parse_point("10")), 1)) == "10"
+    assert str(s.element(3)) == "01100010"
+    assert str(s.element(5)) == "11100110"
+    assert str(signature(parse_point("10")).element(1)) == "10"
     with pytest.raises(ValueError):
-        chain_element(s, 2)
+        s.element(2)
     with pytest.raises(ValueError):
-        chain_element(s, 6)
+        s.element(6)
 
 
 def test_index_in_chain_examples():

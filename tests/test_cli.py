@@ -207,6 +207,19 @@ def test_random_experiment_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_random_beyond_stretch_cap_exit2(capsys, monkeypatch):
+    # without --curve the stretch statistics cap n; refuse before any work
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction ran before the size check")
+
+    monkeypatch.setattr(cli, "dict_to_random_trial", refuse)
+    monkeypatch.setattr(cli, "recursion_curve", refuse)
+    assert run_cli("random", "--n", "25", "--trials", "1", "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2..24 without --curve" in captured.err
+
+
 def test_search_exhaustive_golden(capsys):
     assert run_cli("search", "--from", "xor", "--to", "maj", "--n", "3",
                    "--mode", "exhaustive") == 0
@@ -295,7 +308,7 @@ def test_verify_all_suites_pass(capsys):
     assert len(out.splitlines()) >= 15
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
+def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CUBEMORPH_WORKERS", "3")
     a = tmp_path / "a.json"
     assert run_cli("analyze", "--mapping", "maj2dict", "--n", "9", "--out", str(a)) == 0
@@ -303,8 +316,15 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     b = tmp_path / "b.json"
     assert run_cli("analyze", "--mapping", "maj2dict", "--n", "9", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("CUBEMORPH_WORKERS", "zzz")
-    assert run_cli("analyze", "--mapping", "identity", "--n", "4") == 2
+    capsys.readouterr()
+    # a worker count below 1, from either source, is a usage error
+    for env, flag in (("zzz", ()), ("-4", ()), ("1", ("--workers", "0")),
+                      ("1", ("--workers", "-1"))):
+        monkeypatch.setenv("CUBEMORPH_WORKERS", env)
+        assert run_cli("analyze", "--mapping", "identity", "--n", "4", *flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_console_entry_point_subprocess():

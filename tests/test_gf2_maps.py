@@ -11,8 +11,6 @@ from cubemorph.gf2_maps import (
     gf2_inverse_rows,
     prefix_xor_mapping,
     tree2_apply_bits,
-    tree_apply_support,
-    tree_inverse_support,
     tree_mapping,
     verify_conditions,
     xor_head_mapping,
@@ -89,15 +87,6 @@ def test_round_trip_large_odd_n(n):
             assert y >> n == 0
             assert m.inverse_bits(y) == x
             assert m.inverse_mapping().apply_bits(y) == x
-
-
-def test_round_trip_sparse_large():
-    rng = random.Random(77)
-    sizes = [1 << 17, 1 << 18, 1 << 19, 1 << 20]
-    for i in range(100_000):
-        n = sizes[i & 3]
-        sup = frozenset(rng.sample(range(1, n + 1), k=rng.randint(1, 16)))
-        assert tree_inverse_support(n, 2, tree_apply_support(n, 2, sup)) == sup
 
 
 def test_fast_word_path_matches_generic():

@@ -13,7 +13,6 @@ from cubemorph.stretch_metrics import (
     exhaustive_min_avg_stretch,
     exhaustive_min_directional,
     exhaustive_min_max_stretch,
-    identity_mapping,
     is_mapping_between,
     local_search_min_stretch,
     middle_binomial_check,
@@ -46,28 +45,28 @@ def naive_min_over_bijections(f, g, n, metric):
 
 def test_is_mapping_between_examples():
     xor3 = BooleanFunction.xor(3)
-    assert is_mapping_between(identity_mapping(3), xor3, xor3)
+    assert is_mapping_between(Mapping.identity(3), xor3, xor3)
     assert is_mapping_between(majority_to_dictator_map(3),
                               BooleanFunction.majority(3), BooleanFunction.dictator(3))
-    assert not is_mapping_between(identity_mapping(3), xor3, BooleanFunction.majority(3))
+    assert not is_mapping_between(Mapping.identity(3), xor3, BooleanFunction.majority(3))
 
 
 def test_is_mapping_between_rejects_non_bijection():
-    const = Mapping.from_callable(2, lambda x: 0, name="collapse")
+    const = Mapping(2, forward=lambda x: 0, name="collapse")
     assert not is_mapping_between(const, BooleanFunction.xor(2), BooleanFunction.xor(2))
 
 
 def test_is_mapping_between_dimension_checks():
     with pytest.raises(ValueError):
-        is_mapping_between(identity_mapping(3), BooleanFunction.xor(3),
+        is_mapping_between(Mapping.identity(3), BooleanFunction.xor(3),
                            BooleanFunction.xor(4))
     with pytest.raises(ValueError):
-        stretch_report(identity_mapping(25))
+        stretch_report(Mapping.identity(25))
 
 
 def test_identity_report():
     for n in (1, 4, 8):
-        rep = stretch_report(identity_mapping(n))
+        rep = stretch_report(Mapping.identity(n))
         assert rep.avg == 1
         assert rep.max_stretch == 1
         assert rep.histogram == {1: n << (n - 1)}
@@ -89,7 +88,7 @@ def test_per_direction_consistency():
 
 
 def test_directional_examples():
-    assert directional_avg_stretch(identity_mapping(5), 3) == 1
+    assert directional_avg_stretch(Mapping.identity(5), 3) == 1
     phi = prefix_xor_mapping(3)
     assert directional_avg_stretch(phi, 1) == 1
     assert directional_avg_stretch(phi, 3) == 2
@@ -125,7 +124,7 @@ def test_sampled_matches_exhaustive_within_3_se():
 
 def test_sampled_requires_seed_and_samples():
     with pytest.raises(ValueError):
-        stretch_report(identity_mapping(4), mode="sampled")
+        stretch_report(Mapping.identity(4), mode="sampled")
 
 
 def test_sampled_deterministic():
@@ -202,9 +201,11 @@ def test_local_search_identity_case():
 
 def test_local_search_deterministic():
     f, g = BooleanFunction.xor(9), BooleanFunction.majority(9)
-    a, _ = local_search_min_stretch(f, g, seed=5, restarts=2)
+    a, witness = local_search_min_stretch(f, g, seed=5, restarts=2)
     b, _ = local_search_min_stretch(f, g, seed=5, restarts=2)
     assert a == b
+    # the descent's running value is the witness's exact average stretch
+    assert a == stretch_report(witness).avg
     naive, _ = exhaustive_min_avg_stretch(BooleanFunction.xor(3), BooleanFunction.majority(3))
     c, _ = local_search_min_stretch(BooleanFunction.xor(3), BooleanFunction.majority(3),
                                     seed=5, restarts=8)
@@ -249,3 +250,5 @@ def test_from_table_rejects_non_permutation():
         Mapping.from_table(2, [0, 0, 1, 2])
     with pytest.raises(ValueError):
         Mapping.from_table(2, [0, 1, 2])
+    with pytest.raises(ValueError):
+        Mapping.from_table(2, [0, 1, 2, 4])
