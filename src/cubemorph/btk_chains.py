@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .cube_core import Point, format_bits, popcount
+import numpy as np
+
+from .cube_core import Point, format_bits, popcount, popcount_array
 
 GAP = "_"
 
@@ -39,6 +41,40 @@ def _mark_mask(bits: int, n: int) -> int:
         elif stack:
             mask |= (1 << stack.pop()) | (1 << i)
     return mask
+
+
+def mark_masks(xs: np.ndarray, n: int) -> np.ndarray:
+    """_mark_mask of every entry of a uint64 array, one bit-plane at a time:
+    with 1 opening and 0 closing, a 0 is marked iff the running balance
+    before it exceeds the running minimum so far (an unmatched 1 is open),
+    and a 1 iff the same holds right to left with the roles swapped.
+    Balances stay within +-n, so int8 state suffices."""
+    masks = np.zeros_like(xs)
+    for positions, one_opens in ((range(n), True), (range(n - 1, -1, -1), False)):
+        balance = np.zeros(xs.shape, dtype=np.int8)
+        low = np.zeros(xs.shape, dtype=np.int8)
+        for i in positions:
+            bit = np.uint64(1 << i)
+            opens = ((xs & bit) != 0) == one_opens
+            np.bitwise_or(masks, bit, out=masks, where=~opens & (balance > low))
+            balance += opens.view(np.int8) * np.int8(2) - np.int8(1)
+            np.minimum(low, balance, out=low)
+    return masks
+
+
+def chain_elements(xs: np.ndarray, masks: np.ndarray, levels: np.ndarray,
+                   n: int) -> np.ndarray:
+    """Signature.element_bits(level) on the chain of each x, whose marking is
+    given: the marked bits stay and a pass from the high end fills the top
+    level - k gaps, k being the chain's minimum level."""
+    out = xs & masks
+    left = (np.asarray(levels) - popcount_array(masks) // 2).astype(np.int8)
+    for i in range(n - 1, -1, -1):
+        bit = np.uint64(1 << i)
+        fill = ((masks & bit) == 0) & (left > 0)
+        np.bitwise_or(out, bit, out=out, where=fill)
+        left -= fill.view(np.int8)
+    return out
 
 
 def _mark_mask_seeded(bits: int, n: int, seed: int) -> int:
@@ -318,7 +354,7 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     if n > 16:
         raise ValueError("edge scan capped at n=16")
     size = 1 << n
-    masks = [_mark_mask(x, n) for x in range(size)]
+    masks = mark_masks(np.arange(size, dtype=np.uint64), n).tolist()
     chain_cache: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
 
     def chain_data(x: int) -> tuple[int, tuple[int, ...]]:

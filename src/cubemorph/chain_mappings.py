@@ -22,8 +22,10 @@ m = (n+k) - 2j - 1 - b, so b = (n + k - 1 - m) mod 2.
 
 from __future__ import annotations
 
-from .btk_chains import Signature, _mark_mask
-from .cube_core import Point, popcount
+import numpy as np
+
+from .btk_chains import chain_elements, mark_masks
+from .cube_core import Point, popcount_array
 from .gf2_maps import prefix_xor_mapping
 from .stretch_metrics import Mapping
 
@@ -33,48 +35,42 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"the chain mapping needs odd n, got {n}")
 
 
-def _tail_signature(bits: int, m: int) -> Signature:
-    mask = _mark_mask(bits, m)
-    return Signature(bits & mask, mask, m)
+def _tail_chain(tails: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marked masks, chain minimum levels k and own levels of m-bit tails, the
+    levels as int16: every level expression below stays within +-2n."""
+    masks = mark_masks(tails, m)
+    k = (popcount_array(masks) // 2).astype(np.int16)
+    return masks, k, popcount_array(tails).astype(np.int16)
 
 
-def maj_to_dict_bits(x: int, n: int) -> int:
+def _maj_to_dict_array(xs: np.ndarray, n: int) -> np.ndarray:
     m = n - 1
-    xp = x & ((1 << m) - 1)
-    xn = x >> m
-    sig = _tail_signature(xp, m)
-    k = sig.k
-    j = popcount(xp)
-    if 2 * (j + xn) >= n + 1:
-        return 1 | (sig.element_bits(2 * j - (n - k) + xn) << 1)
-    return sig.element_bits((n + k) - 2 * j - 1 - xn) << 1
+    tails = xs & np.uint64((1 << m) - 1)
+    last = (xs >> np.uint64(m)).astype(np.int16)
+    masks, k, j = _tail_chain(tails, m)
+    upper = 2 * (j + last) >= n + 1
+    levels = np.where(upper, 2 * j - (n - k) + last, (n + k) - 2 * j - 1 - last)
+    return (chain_elements(tails, masks, levels, m) << np.uint64(1)) | upper.astype(np.uint64)
 
 
-def dict_to_maj_bits(y: int, n: int) -> int:
+def _dict_to_maj_array(ys: np.ndarray, n: int) -> np.ndarray:
     m = n - 1
-    z = y >> 1
-    sig = _tail_signature(z, m)
-    k = sig.k
-    level = popcount(z)
-    if y & 1:
-        xn = (level + n - k) & 1
-        j = (level + n - k - xn) // 2
-    else:
-        xn = (n + k - 1 - level) & 1
-        j = (n + k - 1 - level - xn) // 2
-    return sig.element_bits(j) | (xn << m)
+    tails = ys >> np.uint64(1)
+    masks, k, level = _tail_chain(tails, m)
+    # both branches give 2j + last: the last bit is the parity, j the rest
+    r = np.where((ys & np.uint64(1)) == 1, level + n - k, n + k - 1 - level)
+    last = r & 1
+    return chain_elements(tails, masks, r // 2, m) | (last.astype(np.uint64) << np.uint64(m))
 
 
 def maj_to_dict(x: Point) -> Point:
     """Bijection carrying majority to dictator; 11-Lipschitz."""
-    _require_odd(x.n)
-    return Point(maj_to_dict_bits(x.bits, x.n), x.n)
+    return majority_to_dictator_map(x.n)(x)
 
 
 def dict_to_maj(y: Point) -> Point:
     """Two-sided inverse of maj_to_dict."""
-    _require_odd(y.n)
-    return Point(dict_to_maj_bits(y.bits, y.n), y.n)
+    return dictator_to_majority_map(y.n)(y)
 
 
 def maj_to_xor(x: Point) -> Point:
@@ -82,33 +78,21 @@ def maj_to_xor(x: Point) -> Point:
     return majority_to_xor_map(x.n)(x)
 
 
-def majority_to_dictator_map(n: int):
+def majority_to_dictator_map(n: int) -> Mapping:
     """Mapping object for maj_to_dict with its inverse bound."""
     _require_odd(n)
-    return Mapping(
-        n,
-        forward=lambda b: maj_to_dict_bits(b, n),
-        inverse=lambda b: dict_to_maj_bits(b, n),
-        name="maj2dict",
-    )
+    return Mapping(n, lambda xs: _maj_to_dict_array(xs, n),
+                   lambda ys: _dict_to_maj_array(ys, n), name="maj2dict")
 
 
-def dictator_to_majority_map(n: int):
+def dictator_to_majority_map(n: int) -> Mapping:
     _require_odd(n)
-    return Mapping(
-        n,
-        forward=lambda b: dict_to_maj_bits(b, n),
-        inverse=lambda b: maj_to_dict_bits(b, n),
-        name="dict2maj",
-    )
+    return Mapping(n, lambda ys: _dict_to_maj_array(ys, n),
+                   lambda xs: _maj_to_dict_array(xs, n), name="dict2maj")
 
 
-def majority_to_xor_map(n: int):
+def majority_to_xor_map(n: int) -> Mapping:
     _require_odd(n)
     prefix = prefix_xor_mapping(n)
-    return Mapping(
-        n,
-        forward=lambda b: prefix.apply_bits(maj_to_dict_bits(b, n)),
-        inverse=lambda b: dict_to_maj_bits(prefix.inverse_bits(b), n),
-        name="maj2xor",
-    )
+    return Mapping(n, lambda xs: prefix.forward(_maj_to_dict_array(xs, n)),
+                   lambda ys: _dict_to_maj_array(prefix.inverse(ys), n), name="maj2xor")

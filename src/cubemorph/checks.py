@@ -85,11 +85,10 @@ def _power_text(value: int) -> str:
 
 
 def _inverse_is_two_sided(phi: Mapping) -> bool:
-    """The scalar inverse undoes the table, composed on either side."""
+    """The inverse evaluator undoes the table, composed on either side."""
     t = phi.table()
-    inv = np.fromiter((phi.inverse_bits(y) for y in range(t.size)),
-                      dtype=np.int64, count=t.size)
     idx = np.arange(t.size, dtype=np.int64)
+    inv = phi.inverse(idx.astype(np.uint64)).astype(np.int64)
     return bool(np.array_equal(inv[t], idx) and np.array_equal(t[inv], idx))
 
 

@@ -29,7 +29,7 @@ from .cube_core import BooleanFunction, Point, parse_point
 from .gf2_maps import build_tree_matrix, prefix_xor_mapping, tree_mapping, xor_head_mapping
 from .random_matching import MATCHING_MAX_N, dict_to_random_trial, recursion_curve
 from .stretch_metrics import (
-    EXHAUSTIVE_MAX_N,
+    TABLE_MAX_N,
     Mapping,
     exhaustive_min_avg_stretch,
     exhaustive_min_max_stretch,
@@ -49,22 +49,14 @@ class UsageError(Exception):
     """Invalid arguments detected after parsing; exits with status 2."""
 
 
+# every name in ANALYZE_NAMES but "tree", which also takes the arity
+_MAPPINGS = {"identity": Mapping.identity, "maj2dict": majority_to_dictator_map,
+             "dict2maj": dictator_to_majority_map, "maj2xor": majority_to_xor_map,
+             "prefix": prefix_xor_mapping, "xorhead": xor_head_mapping}
+
+
 def _build_mapping(name: str, n: int, arity: int = 2) -> Mapping:
-    if name == "identity":
-        return Mapping.identity(n)
-    if name == "maj2dict":
-        return majority_to_dictator_map(n)
-    if name == "dict2maj":
-        return dictator_to_majority_map(n)
-    if name == "maj2xor":
-        return majority_to_xor_map(n)
-    if name == "tree":
-        return tree_mapping(n, arity)
-    if name == "prefix":
-        return prefix_xor_mapping(n)
-    if name == "xorhead":
-        return xor_head_mapping(n)
-    raise UsageError(f"unknown mapping {name!r}")
+    return tree_mapping(n, arity) if name == "tree" else _MAPPINGS[name](n)
 
 
 def _parse_point_arg(s: str, n: int) -> Point:
@@ -135,10 +127,6 @@ def cmd_chains(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_map(args) -> int:
-    try:
-        mapping = _build_mapping(args.mapping, args.n, args.arity)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     if args.matrix_out is not None:
         if args.mapping != "tree":
             raise UsageError("--matrix-out only applies to the tree mapping")
@@ -147,6 +135,10 @@ def cmd_map(args) -> int:
             return 0
     if args.x is None:
         raise UsageError("--x is required")
+    try:
+        mapping = _build_mapping(args.mapping, args.n, args.arity)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     x = _parse_point_arg(args.x, args.n)
     out = mapping.inverse_bits(x.bits) if args.inverse else mapping.apply_bits(x.bits)
     print(str(Point(out, args.n)))
@@ -267,7 +259,7 @@ def cmd_verify(args) -> int:
 
 def cmd_random(args) -> int:
     # without --curve every trial also takes exhaustive stretch statistics
-    cap = MATCHING_MAX_N if args.curve else EXHAUSTIVE_MAX_N
+    cap = MATCHING_MAX_N if args.curve else TABLE_MAX_N
     if not 2 <= args.n <= cap:
         raise UsageError(f"--n must be in 2..{cap}" + ("" if args.curve else " without --curve"))
     if args.trials < 1:

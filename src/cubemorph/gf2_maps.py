@@ -13,8 +13,9 @@ parity-head map (XOR(x), x2, ..., xn), the two textbook bijections from
 dictator to parity.
 
 All three are LinearMaps: the column masks of the map and of its inverse
-give the point evaluator, the inverse and the whole table.  Sparse
-matrices stay for the condition checks, which run to n = 2^16.
+give the two array evaluators, and through them points and the whole
+table.  Sparse matrices stay for the condition checks, which run to
+n = 2^16.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cube_core import FORMULA_MAX_N
 from .stretch_metrics import Mapping
 
 ELIMINATION_MAX_N = 4096
@@ -158,7 +160,7 @@ def extract_even_bits(x: int, nbits: int) -> int:
 
 
 def tree2_apply_bits(n: int, x: int) -> int:
-    """tree_mapping(n).apply_bits(x) in O(log n) word operations.
+    """The binary tree map at x, for any n, in O(log n) word operations.
 
     Output bit b is x_b ^ x_{2b+1} ^ x_{2b+2} (0-based), i.e. vertex b+1
     folded with its two children, which is one odd-bit and one shifted
@@ -294,35 +296,24 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
 # linear maps
 # ---------------------------------------------------------------------------
 
-def _span_table(cols: Sequence[int], dtype=np.int64) -> np.ndarray:
-    """Images of 0 .. 2^len(cols)-1 under the map with these columns.
-
-    Doubling: t[2^b : 2^(b+1)] = t[:2^b] ^ cols[b].  dtype=object keeps
-    Python ints, for columns wider than 63 bits.
-    """
-    t = np.zeros(1 << len(cols), dtype=dtype)
+def _span_table(cols: Sequence[int]) -> np.ndarray:
+    """Images of 0 .. 2^len(cols)-1 under the map with these columns, by
+    doubling: t[2^b : 2^(b+1)] = t[:2^b] ^ cols[b]."""
+    t = np.zeros(1 << len(cols), dtype=np.uint64)
     for b, c in enumerate(cols):
-        np.bitwise_xor(t[:1 << b], c, out=t[1 << b:2 << b])
+        np.bitwise_xor(t[:1 << b], np.uint64(c), out=t[1 << b:2 << b])
     return t
 
 
-def _chunked_evaluator(cols: Sequence[int]) -> Callable[[int], int]:
-    """Point evaluator: XOR of one span-table lookup per _CHUNK_BITS input bits.
+def _linear_evaluator(cols: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array evaluator: XOR of one span-table gather per _CHUNK_BITS input bits."""
+    tables = [_span_table(cols[i:i + _CHUNK_BITS]) for i in range(0, len(cols), _CHUNK_BITS)]
+    low = np.uint64((1 << _CHUNK_BITS) - 1)
 
-    The chunk tables are built on the first call, so a map whose table is
-    all anyone needs never pays for them.
-    """
-    tables: list[list[int]] = []
-    low = (1 << _CHUNK_BITS) - 1
-
-    def apply(x: int) -> int:
-        if not tables:
-            tables.extend(_span_table(cols[i:i + _CHUNK_BITS], object).tolist()
-                          for i in range(0, len(cols), _CHUNK_BITS))
-        out = 0
-        for t in tables:
-            out ^= t[x & low]
-            x >>= _CHUNK_BITS
+    def apply(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(xs), dtype=np.uint64)
+        for i, t in enumerate(tables):
+            out ^= t[(xs >> np.uint64(i * _CHUNK_BITS)) & low]
         return out
 
     return apply
@@ -333,21 +324,19 @@ class LinearMap(Mapping):
 
     cols[b] is the image of the unit vector with bit b set, inverse_cols[b]
     its preimage; the two lists must be mutually inverse, which is not
-    checked.  Point evaluation, the inverse and the table all derive from
-    them.
+    checked.  Both evaluators, and so the table, derive from them.
     """
 
     def __init__(self, n: int, cols: Sequence[int], inverse_cols: Sequence[int],
                  name: str = ""):
         if len(cols) != n or len(inverse_cols) != n:
             raise ValueError(f"a linear map of the {n}-cube needs {n} columns each way")
+        if n > FORMULA_MAX_N:  # checked before the uint64 chunk tables are built
+            raise ValueError(f"dimension must be in 1..{FORMULA_MAX_N}, got {n}")
         self.cols = tuple(cols)
         self.inverse_cols = tuple(inverse_cols)
-        super().__init__(n, forward=_chunked_evaluator(self.cols),
-                         inverse=_chunked_evaluator(self.inverse_cols), name=name)
-
-    def _build_table(self) -> np.ndarray:
-        return _span_table(self.cols)
+        super().__init__(n, _linear_evaluator(self.cols), _linear_evaluator(self.inverse_cols),
+                         name=name)
 
     def inverse_mapping(self) -> "LinearMap":
         return LinearMap(self.n, self.inverse_cols, self.cols,

@@ -338,8 +338,5 @@ def build_random_to_random(f: BooleanFunction, g: BooleanFunction,
         sf = sg = None
     phi_f = build_dict_to_random(f, seed=sf)
     phi_g = build_dict_to_random(g, seed=sg)
-    tf = phi_f.table()
-    inv_f = np.empty_like(tf)
-    inv_f[tf] = np.arange(tf.size, dtype=np.int64)
-    table = phi_g.table()[inv_f]
+    table = phi_g.table()[phi_f.inverse_mapping().table()]
     return Mapping.from_table(f.n, table, name="rand2rand")

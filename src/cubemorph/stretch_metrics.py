@@ -24,55 +24,54 @@ from typing import Callable
 
 import numpy as np
 
-from .cube_core import BooleanFunction, Point, popcount, popcount_array
+from .cube_core import FORMULA_MAX_N, BooleanFunction, Point, popcount, popcount_array
 
-EXHAUSTIVE_MAX_N = 24
+TABLE_MAX_N = 24  # mapping tables (int64, 2^n entries) and exhaustive statistics
 ORACLE_MAX_N = 3
 LOCAL_SEARCH_MAX_N = 20
 TYPICAL_MAX_N = 10 ** 6
+# Table builds call forward on slices of this many points, so evaluator
+# temporaries stay small at any n.
+_TABLE_SLICE = 1 << 14
 
 
 class Mapping:
-    """A map of the n-cube given by a callable or a full table.
+    """A map of the n-cube given by two array evaluators.
 
-    Tables are int64 arrays indexed by packed point.  The inverse is
-    optional; table-backed mappings can derive it by inverting the
-    permutation.
+    ``forward(xs)`` and ``inverse(xs)`` map a uint64 array of packed points
+    to the array of their images.  The table, point evaluation and sampled
+    statistics all call them; ``table()`` caches the int64 forward table.
     """
 
-    def __init__(self, n: int, *, forward: Callable[[int], int] | None = None,
-                 inverse: Callable[[int], int] | None = None,
-                 table: np.ndarray | None = None,
-                 inverse_table: np.ndarray | None = None,
-                 name: str = ""):
-        if forward is None and table is None:
-            raise ValueError("mapping needs a callable or a table")
+    def __init__(self, n: int, forward: Callable[[np.ndarray], np.ndarray],
+                 inverse: Callable[[np.ndarray], np.ndarray], name: str = ""):
+        if not 1 <= n <= FORMULA_MAX_N:
+            raise ValueError(f"dimension must be in 1..{FORMULA_MAX_N}, got {n}")
         self.n = n
         self.name = name
-        self._forward = forward
-        self._inverse = inverse
-        self._table = table
-        self._inverse_table = inverse_table
+        self.forward = forward
+        self.inverse = inverse
+        self._table: np.ndarray | None = None
 
     @classmethod
-    def from_table(cls, n: int, table, name: str = "",
-                   expect_bijection: bool = True) -> "Mapping":
+    def from_table(cls, n: int, table, name: str = "") -> "Mapping":
         arr = np.asarray(table, dtype=np.int64)
         if arr.size != 1 << n:
             raise ValueError(f"table must have {1 << n} entries, got {arr.size}")
-        mapping = cls(n, table=arr, name=name)
-        if expect_bijection and not mapping.is_permutation():
+        mapping = _TableMapping(n, arr, None, name)
+        if not mapping.is_permutation():
             raise ValueError("table is not a permutation of the cube")
         return mapping
 
     @classmethod
     def identity(cls, n: int) -> "Mapping":
-        return cls(n, forward=lambda x: x, inverse=lambda x: x, name="identity")
+        return cls(n, np.asarray, np.asarray, name="identity")
 
     def apply_bits(self, x: int) -> int:
-        if self._table is not None:
-            return int(self._table[x])
-        return self._forward(x)
+        return int(self.forward(np.array([x], dtype=np.uint64))[0])
+
+    def inverse_bits(self, y: int) -> int:
+        return int(self.inverse(np.array([y], dtype=np.uint64))[0])
 
     def __call__(self, x: Point) -> Point:
         if x.n != self.n:
@@ -81,38 +80,18 @@ class Mapping:
 
     def table(self) -> np.ndarray:
         if self._table is None:
-            if self.n > EXHAUSTIVE_MAX_N:
-                raise ValueError(f"cannot materialize a table beyond n={EXHAUSTIVE_MAX_N}")
-            self._table = self._build_table()
+            if self.n > TABLE_MAX_N:
+                raise ValueError(f"cannot materialize a table beyond n={TABLE_MAX_N}")
+            size = 1 << self.n
+            table = np.empty(size, dtype=np.int64)
+            for lo in range(0, size, _TABLE_SLICE):
+                hi = min(lo + _TABLE_SLICE, size)
+                table[lo:hi] = self.forward(np.arange(lo, hi, dtype=np.uint64))
+            self._table = table
         return self._table
 
-    def _build_table(self) -> np.ndarray:
-        """The forward table, one callable call per point; subclasses that
-        know more about their map override this."""
-        fn = self._forward
-        return np.fromiter(
-            (fn(x) for x in range(1 << self.n)), dtype=np.int64, count=1 << self.n)
-
-    def inverse_bits(self, y: int) -> int:
-        if self._inverse is not None:
-            return self._inverse(y)
-        return int(self._inverse_table_arr()[y])
-
-    def _inverse_table_arr(self) -> np.ndarray:
-        if self._inverse_table is None:
-            t = self.table()
-            inv = np.empty_like(t)
-            inv[t] = np.arange(t.size, dtype=np.int64)
-            self._inverse_table = inv
-        return self._inverse_table
-
     def inverse_mapping(self) -> "Mapping":
-        if self._inverse is not None:
-            return Mapping(self.n, forward=self._inverse, inverse=self._forward,
-                           name=f"{self.name}^-1" if self.name else "")
-        return Mapping(self.n, table=self._inverse_table_arr(),
-                       inverse_table=self._table,
-                       name=f"{self.name}^-1" if self.name else "")
+        return Mapping(self.n, self.inverse, self.forward, _inverse_name(self.name))
 
     def is_permutation(self) -> bool:
         t = self.table()
@@ -123,13 +102,44 @@ class Mapping:
         return f"Mapping(n={self.n}, name={self.name!r})"
 
 
+def _inverse_name(name: str) -> str:
+    return f"{name}^-1" if name else ""
+
+
+class _TableMapping(Mapping):
+    """A permutation held as its table and evaluated by gathers.  The inverse
+    table is scattered from it once, on first use; the inverse mapping takes
+    both arrays over without copying.  The evaluators close over the arrays,
+    not the mapping, so no reference cycle delays freeing them."""
+
+    def __init__(self, n: int, table: np.ndarray, inverse_table: np.ndarray | None,
+                 name: str):
+        tables = [table, inverse_table]
+        super().__init__(n, table.__getitem__, lambda ys: _inverted(tables)[ys], name)
+        self._table = table
+        self._tables = tables
+
+    def inverse_mapping(self) -> "Mapping":
+        return _TableMapping(self.n, _inverted(self._tables), self._table,
+                             _inverse_name(self.name))
+
+
+def _inverted(tables: list) -> np.ndarray:
+    """tables[1], scattered from the permutation tables[0] if still None."""
+    if tables[1] is None:
+        inv = np.empty_like(tables[0])
+        inv[tables[0]] = np.arange(tables[0].size, dtype=np.int64)
+        tables[1] = inv
+    return tables[1]
+
+
 def is_mapping_between(phi: Mapping, f: BooleanFunction, g: BooleanFunction) -> bool:
     """True iff phi is a bijection and f(z) = g(phi(z)) at every point."""
     if not (phi.n == f.n == g.n):
         raise ValueError(
             f"dimension mismatch: mapping n={phi.n}, f n={f.n}, g n={g.n}")
-    if phi.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive check capped at n={EXHAUSTIVE_MAX_N}")
+    if phi.n > TABLE_MAX_N:
+        raise ValueError(f"exhaustive check capped at n={TABLE_MAX_N}")
     t = phi.table()
     if not phi.is_permutation():
         return False
@@ -185,12 +195,31 @@ class StretchReport:
         return "\n".join(lines) + "\n"
 
 
+def _distance_stats(d: np.ndarray) -> tuple[int, np.ndarray]:
+    """(sum, histogram) of an array of edge distances."""
+    d = d.astype(np.int64)
+    return int(d.sum()), np.bincount(d)
+
+
 def _direction_stats_exhaustive(table: np.ndarray, b: int) -> tuple[int, np.ndarray]:
     """(sum of distances, histogram) over the 2^(n-1) edges in direction b+1."""
     paired = table.reshape(-1, 2, 1 << b)
-    diffs = popcount_array((paired[:, 0, :] ^ paired[:, 1, :]).ravel().astype(np.uint64))
-    hist = np.bincount(diffs.astype(np.int64))
-    return int(diffs.sum()), hist
+    return _distance_stats(
+        popcount_array((paired[:, 0, :] ^ paired[:, 1, :]).ravel().astype(np.uint64)))
+
+
+def _direction_stats_sampled(phi: Mapping, rng: np.random.Generator, samples: int,
+                             b: int) -> tuple[int, np.ndarray]:
+    """(sum of distances, histogram) over random edges in direction b+1."""
+    n = phi.n
+    if n <= 62:
+        xs = rng.integers(0, 1 << n, size=samples, dtype=np.int64).astype(np.uint64)
+    else:
+        lo = rng.integers(0, 1 << 32, size=samples, dtype=np.int64)
+        hi = rng.integers(0, 1 << (n - 32), size=samples, dtype=np.int64)
+        xs = (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+    return _distance_stats(
+        popcount_array(phi.forward(xs) ^ phi.forward(xs ^ np.uint64(1 << b))))
 
 
 def stretch_report(phi: Mapping, mode: str = "exhaustive",
@@ -203,8 +232,8 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
     """
     n = phi.n
     if mode == "exhaustive":
-        if n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}")
+        if n > TABLE_MAX_N:
+            raise ValueError(f"exhaustive mode capped at n={TABLE_MAX_N}")
         table = phi.table()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -212,59 +241,33 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
                     lambda b: _direction_stats_exhaustive(table, b), range(n)))
         else:
             results = [_direction_stats_exhaustive(table, b) for b in range(n)]
-        half = 1 << (n - 1)
-        per_direction = tuple(Fraction(s, half) for s, _ in results)
-        hist_len = max(len(h) for _, h in results)
-        hist = np.zeros(hist_len, dtype=np.int64)
-        for _, h in results:
-            hist[: len(h)] += h
-        histogram = {int(d): int(c) for d, c in enumerate(hist) if c}
-        total = sum(s for s, _ in results)
-        edges_total = n * half
-        return StretchReport(
-            n=n, mapping=phi.name, mode="exhaustive",
-            avg=Fraction(total, edges_total),
-            per_direction=per_direction,
-            max_stretch=max(histogram) if histogram else 0,
-            histogram=histogram,
-            edges_total=edges_total,
-        )
-
-    if mode != "sampled":
+        per_edge_count = 1 << (n - 1)
+        samples = seed = None
+    elif mode == "sampled":
+        if samples is None or seed is None:
+            raise ValueError("sampled mode needs samples and seed")
+        if samples < 1:
+            raise ValueError(f"sampled mode needs at least one sample per direction, got {samples}")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        results = [_direction_stats_sampled(phi, rng, samples, b) for b in range(n)]
+        per_edge_count = samples
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if samples is None or seed is None:
-        raise ValueError("sampled mode needs samples and seed")
-    if samples < 1:
-        raise ValueError(f"sampled mode needs at least one sample per direction, got {samples}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    histogram: dict[int, int] = {}
-    per_direction = []
-    total = 0
-    sq_total = 0
-    for b in range(n):
-        bit = 1 << b
-        if n <= 62:
-            xs = rng.integers(0, 1 << n, size=samples, dtype=np.int64).tolist()
-        else:
-            lo = rng.integers(0, 1 << 32, size=samples, dtype=np.int64)
-            hi = rng.integers(0, 1 << (n - 32), size=samples, dtype=np.int64)
-            xs = ((hi.astype(object) << 32) | lo).tolist()
-        dir_sum = 0
-        for x in xs:
-            d = popcount(phi.apply_bits(x) ^ phi.apply_bits(x ^ bit))
-            dir_sum += d
-            sq_total += d * d
-            histogram[d] = histogram.get(d, 0) + 1
-        per_direction.append(Fraction(dir_sum, samples))
-        total += dir_sum
-    edges_total = n * samples
-    mean = total / edges_total
-    var = sq_total / edges_total - mean * mean
-    stderr = float((max(var, 0.0) / edges_total) ** 0.5)
+    hist = np.zeros(max(len(h) for _, h in results), dtype=np.int64)
+    for _, h in results:
+        hist[: len(h)] += h
+    histogram = {int(d): int(c) for d, c in enumerate(hist) if c}
+    total = sum(s for s, _ in results)
+    edges_total = n * per_edge_count
+    stderr = None
+    if mode == "sampled":
+        mean = total / edges_total
+        var = sum(d * d * c for d, c in histogram.items()) / edges_total - mean * mean
+        stderr = float((max(var, 0.0) / edges_total) ** 0.5)
     return StretchReport(
-        n=n, mapping=phi.name, mode="sampled",
+        n=n, mapping=phi.name, mode=mode,
         avg=Fraction(total, edges_total),
-        per_direction=tuple(per_direction),
+        per_direction=tuple(Fraction(s, per_edge_count) for s, _ in results),
         max_stretch=max(histogram) if histogram else 0,
         histogram=histogram,
         edges_total=edges_total,
@@ -277,8 +280,8 @@ def directional_avg_stretch(phi: Mapping, i: int) -> Fraction:
     n = phi.n
     if not 1 <= i <= n:
         raise ValueError(f"direction {i} out of range 1..{n}")
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive mode capped at n={EXHAUSTIVE_MAX_N}")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"exhaustive mode capped at n={TABLE_MAX_N}")
     s, _ = _direction_stats_exhaustive(phi.table(), i - 1)
     return Fraction(s, 1 << (n - 1))
 

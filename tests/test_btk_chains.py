@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorph.btk_chains import (
     Signature,
+    _mark_mask,
     adjacent_chain_scan,
     chain_count,
     chain_of,
@@ -11,6 +15,7 @@ from cubemorph.btk_chains import (
     hausdorff_chain_distance,
     index_in_chain,
     mark,
+    mark_masks,
     partition_covers_cube,
     signature,
     signature_distance,
@@ -28,6 +33,22 @@ def test_mark_worked_example():
 def test_mark_trivial_cases():
     assert mark(parse_point("0011")).marked_positions() == ()
     assert mark(parse_point("10")).marked_positions() == (1, 2)
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_array_marking_matches_stack_pass_exhaustive(n):
+    masks = mark_masks(np.arange(1 << n, dtype=np.uint64), n)
+    assert masks.tolist() == [_mark_mask(x, n) for x in range(1 << n)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 63).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1),
+                                             min_size=1, max_size=40))))
+def test_array_marking_matches_stack_pass_drawn(case):
+    n, points = case
+    masks = mark_masks(np.array(points, dtype=np.uint64), n)
+    assert masks.tolist() == [_mark_mask(x, n) for x in points]
 
 
 def test_signature_examples():

@@ -1,15 +1,53 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubemorph.btk_chains import Signature, signature
 from cubemorph.chain_mappings import (
     dict_to_maj,
+    dictator_to_majority_map,
     maj_to_dict,
     maj_to_xor,
     majority_to_dictator_map,
     majority_to_xor_map,
 )
-from cubemorph.cube_core import BooleanFunction, Point, parse_point, popcount_array
+from cubemorph.cube_core import BooleanFunction, Point, parse_point, popcount, popcount_array
 from cubemorph.stretch_metrics import is_mapping_between, stretch_report
+
+
+def _tail_signature(bits: int, m: int) -> Signature:
+    return signature(Point(bits, m)) if m else Signature(0, 0, 0)
+
+
+def maj_to_dict_reference(x: int, n: int) -> int:
+    """The chain formula one point at a time: the reference for the kernels."""
+    m = n - 1
+    xp = x & ((1 << m) - 1)
+    xn = x >> m
+    sig = _tail_signature(xp, m)
+    k = sig.k
+    j = popcount(xp)
+    if 2 * (j + xn) >= n + 1:
+        return 1 | (sig.element_bits(2 * j - (n - k) + xn) << 1)
+    return sig.element_bits((n + k) - 2 * j - 1 - xn) << 1
+
+
+def dict_to_maj_reference(y: int, n: int) -> int:
+    m = n - 1
+    z = y >> 1
+    sig = _tail_signature(z, m)
+    k = sig.k
+    level = popcount(z)
+    if y & 1:
+        xn = (level + n - k) & 1
+        j = (level + n - k - xn) // 2
+    else:
+        xn = (n + k - 1 - level) & 1
+        j = (n + k - 1 - level - xn) // 2
+    return sig.element_bits(j) | (xn << m)
 
 # the full 6-point block of the n=3 chain {00, 01, 11}
 EXAMPLE_BLOCK = [
@@ -50,11 +88,39 @@ def test_function_mapping_law(n):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
 def test_two_sided_inverse(n):
-    table = majority_to_dictator_map(n).table()
-    for x in range(1 << n):
+    phi = majority_to_dictator_map(n)
+    xs = np.arange(1 << n, dtype=np.uint64)
+    table = phi.table()
+    assert np.array_equal(phi.inverse(table.astype(np.uint64)), xs)
+    assert np.array_equal(phi.forward(phi.inverse(xs)), xs)
+    for x in random.Random(n).sample(range(1 << n), min(40, 1 << n)):
         y = int(table[x])
         assert dict_to_maj(Point(y, n)).bits == x
         assert maj_to_dict(Point(x, n)).bits == y
+
+
+@pytest.mark.parametrize("n", range(1, 14, 2))
+def test_kernels_match_scalar_formula_exhaustive(n):
+    xs = np.arange(1 << n, dtype=np.uint64)
+    forward = [maj_to_dict_reference(x, n) for x in range(1 << n)]
+    backward = [dict_to_maj_reference(y, n) for y in range(1 << n)]
+    assert majority_to_dictator_map(n).table().tolist() == forward
+    assert dictator_to_majority_map(n).table().tolist() == backward
+    assert majority_to_dictator_map(n).inverse(xs).tolist() == backward
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 31).map(lambda h: 2 * h + 1).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1),
+                                             min_size=1, max_size=40))))
+def test_kernels_match_scalar_formula_drawn(case):
+    n, points = case
+    phi = majority_to_dictator_map(n)
+    xs = np.array(points, dtype=np.uint64)
+    ys = phi.forward(xs)
+    assert ys.tolist() == [maj_to_dict_reference(x, n) for x in points]
+    assert phi.inverse(xs).tolist() == [dict_to_maj_reference(y, n) for y in points]
+    assert phi.inverse(ys).tolist() == points
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
@@ -82,5 +148,6 @@ def test_composition_law_and_bound(n):
     assert is_mapping_between(phi, BooleanFunction.majority(n), BooleanFunction.xor(n))
     assert stretch_report(phi).max_stretch <= 22
     table = phi.table()
-    for x in range(1 << n):
+    assert np.array_equal(phi.inverse(table.astype(np.uint64)), np.arange(1 << n))
+    for x in range(min(20, 1 << n)):
         assert phi.inverse_bits(int(table[x])) == x

@@ -97,6 +97,10 @@ def test_map_bad_point_exit2(capsys):
 def test_map_matrix_export(capsys):
     assert run_cli("map", "--mapping", "tree", "--n", "3", "--matrix-out", "-") == 0
     assert capsys.readouterr().out == "1 2 3\n2\n3\n"
+    # the matrix needs no mapping, so it exports beyond the point cap
+    assert run_cli("map", "--mapping", "tree", "--n", "100", "--matrix-out", "-") == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 100 and rows[0] == "1 2 3" and rows[49] == "50 100" and rows[99] == "100"
 
 
 def test_map_tree_arity3(capsys):
@@ -152,6 +156,13 @@ def test_analyze_sampled_schema_and_determinism(tmp_path):
 def test_analyze_sampled_missing_seed_exit2(capsys):
     assert run_cli("analyze", "--mapping", "tree", "--n", "30",
                    "--mode", "sampled", "--samples", "10") == 2
+    capsys.readouterr()
+    # outside the 1..63 point dimensions
+    for n in ("64", "0"):
+        assert run_cli("analyze", "--mapping", "identity", "--n", n,
+                       "--mode", "sampled", "--samples", "10", "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

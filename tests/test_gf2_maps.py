@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cubemorph.cube_core import BooleanFunction, Point, parse_point
@@ -73,33 +74,40 @@ def test_tree_inverse_examples():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_round_trip_exhaustive(n):
     inv = tree_mapping(n).inverse_mapping()
-    for x in range(1 << n):
-        assert inv.apply_bits(tree2_apply_bits(n, x)) == x
+    ys = np.array([tree2_apply_bits(n, x) for x in range(1 << n)], dtype=np.uint64)
+    assert np.array_equal(inv.forward(ys), np.arange(1 << n))
+    for x in random.Random(n).sample(range(1 << n), min(20, 1 << n)):
+        assert inv.apply_bits(int(ys[x])) == x
 
 
 @pytest.mark.parametrize("n", [33, 47, 63])
 def test_round_trip_large_odd_n(n):
     rng = random.Random(n)
     for m in _linear_maps(n):
-        for _ in range(500):
-            x = rng.getrandbits(n)
-            y = m.apply_bits(x)
-            assert y >> n == 0
-            assert m.inverse_bits(y) == x
-            assert m.inverse_mapping().apply_bits(y) == x
+        xs = [rng.getrandbits(n) for _ in range(500)]
+        ys = m.forward(np.array(xs, dtype=np.uint64))
+        assert int(ys.max()) >> n == 0
+        assert m.inverse(ys).tolist() == xs
+        assert m.inverse_mapping().forward(ys).tolist() == xs
+        for x, y in zip(xs[:10], ys[:10].tolist()):
+            assert m.apply_bits(x) == y and m.inverse_bits(y) == x
 
 
 def test_fast_word_path_matches_generic():
     for n in (1, 2, 3, 5, 8, 11):
-        tm = tree_mapping(n)
-        for x in range(1 << n):
-            assert tree2_apply_bits(n, x) == tm.apply_bits(x)
+        table = tree_mapping(n).table()
+        assert [tree2_apply_bits(n, x) for x in range(1 << n)] == table.tolist()
     rng = random.Random(5)
-    for n in (40, 63, 200):
+    for n in (40, 63):
         tm = tree_mapping(n)
-        for _ in range(200):
-            x = rng.getrandbits(n)
-            assert tree2_apply_bits(n, x) == tm.apply_bits(x)
+        xs = [rng.getrandbits(n) for _ in range(200)]
+        ys = tm.forward(np.array(xs, dtype=np.uint64)).tolist()
+        assert [tree2_apply_bits(n, x) for x in xs] == ys
+        assert all(tm.apply_bits(x) == y for x, y in zip(xs[:20], ys))
+    rows = build_tree_matrix(200).row_masks()
+    for _ in range(200):
+        x = rng.getrandbits(200)
+        assert tree2_apply_bits(200, x) == _row_parity_apply(rows, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 40, 63])
@@ -117,8 +125,11 @@ def test_chunked_evaluator_matches_table(n):
             rows = _rows(m.cols, n)
             reference = [_row_parity_apply(rows, x) for x in range(1 << n)]
             assert m.table().tolist() == reference, m.name
-            assert [m.apply_bits(x) for x in range(1 << n)] == reference, m.name
-            assert [m.inverse_bits(y) for y in reference] == list(range(1 << n))
+            xs = np.arange(1 << n, dtype=np.uint64)
+            assert m.forward(xs).tolist() == reference, m.name
+            assert m.inverse(np.array(reference, dtype=np.uint64)).tolist() == xs.tolist()
+            for x in range(0, 1 << n, max(1, (1 << n) // 8)):
+                assert m.apply_bits(x) == reference[x] and m.inverse_bits(reference[x]) == x
 
 
 def test_extract_even_bits_against_naive():

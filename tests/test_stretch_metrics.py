@@ -52,7 +52,7 @@ def test_is_mapping_between_examples():
 
 
 def test_is_mapping_between_rejects_non_bijection():
-    const = Mapping(2, forward=lambda x: 0, name="collapse")
+    const = Mapping(2, np.zeros_like, np.zeros_like, name="collapse")
     assert not is_mapping_between(const, BooleanFunction.xor(2), BooleanFunction.xor(2))
 
 
