@@ -29,6 +29,8 @@ from .cube_core import Point, format_bits, popcount, popcount_array
 GAP = "_"
 
 PARTITION_MAX_N = 24
+EDGE_SCAN_MAX_N = 16  # chain elements are held as uint16
+_EDGE_BLOCK = 2048  # edges per block of the edge scan
 
 
 def _mark_mask(bits: int, n: int) -> int:
@@ -343,65 +345,63 @@ class EdgeScanResult:
     max_hausdorff: int
 
 
+def _scan_edges(n: int, xs: np.ndarray, bit: int, masks: np.ndarray, ks: np.ndarray,
+                elements: np.ndarray) -> tuple[int, int, int, int]:
+    """adjacent_chain_scan's four maxima over the edges (x, x | bit), x in xs:
+    one level of x's chain against every level of y's per array pass."""
+    ys = xs | bit
+    mx, my = masks[xs], masks[ys]
+    sd = popcount_array((mx ^ my) | (mx & my & np.uint64(bit)))
+    gap = np.abs(ks[xs].astype(np.int8) - ks[ys])
+    levels = np.arange(n + 1)
+    on_y = (ks[ys] <= levels[:, None]) & (levels[:, None] <= n - ks[ys])
+    ey = elements[:, ys]
+    far = np.uint8(n + 1)
+    mins_y = np.full(ey.shape, far)
+    max_excess = max_haus = 0
+    for j in range(n + 1):
+        on_x = (ks[xs] <= j) & (j <= n - ks[xs])
+        d = popcount_array(elements[j, xs] ^ ey)
+        excess = d.astype(np.int8) - np.abs(j - levels).astype(np.int8)[:, None]
+        max_excess = max(max_excess, int(excess.max(initial=0, where=on_y & on_x)))
+        d[~on_y] = far
+        max_haus = max(max_haus, int(d.min(axis=0).max(initial=0, where=on_x)))
+        np.minimum(mins_y, d, out=mins_y, where=on_x)
+    max_haus = max(max_haus, int(mins_y.max(initial=0, where=on_y)))
+    return int(sd.max(initial=0)), int(gap.max(initial=0)), max_excess, max_haus
+
+
 def adjacent_chain_scan(n: int) -> EdgeScanResult:
     """Exhaustively compare the chains of every adjacent pair of points.
 
     For each edge (x, y) this records the signature distance, the gap
     |k - k'| between chain minimum levels, the worst excess of
     dist(c_j, c'_j') over |j - j'| across all element pairs, and the
-    Hausdorff distance between the two chains.
+    Hausdorff distance between the two chains.  The edges of one direction
+    are scanned a block at a time.
     """
-    if n > 16:
-        raise ValueError("edge scan capped at n=16")
+    if n > EDGE_SCAN_MAX_N:
+        raise ValueError(f"edge scan capped at n={EDGE_SCAN_MAX_N}")
     size = 1 << n
-    masks = mark_masks(np.arange(size, dtype=np.uint64), n).tolist()
-    chain_cache: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-
-    def chain_data(x: int) -> tuple[int, tuple[int, ...]]:
-        m = masks[x]
-        key = (x & m, m)
-        got = chain_cache.get(key)
-        if got is None:
-            got = (popcount(m) // 2, Signature(x & m, m, n).element_bits_all())
-            chain_cache[key] = got
-        return got
-
-    max_sig = max_gap = max_excess = max_haus = 0
+    points = np.arange(size, dtype=np.uint64)
+    masks = mark_masks(points, n)
+    ks = popcount_array(masks) // 2
+    # elements[j] is the level-j element of each point's chain; a level
+    # outside k..n-k is not on the chain and is masked out
+    elements = np.empty((n + 1, size), dtype=np.uint16)
+    for j in range(n + 1):
+        elements[j] = chain_elements(points, masks, j, n)
+    del points
+    worst = (0, 0, 0, 0)
     edges = 0
     for b in range(n):
-        bit = 1 << b
-        for x in range(size):
-            if x & bit:
-                continue
-            y = x | bit
-            edges += 1
-            mx, my = masks[x], masks[y]
-            sd = popcount((mx ^ my) | (mx & my & (x ^ y)))
-            if sd > max_sig:
-                max_sig = sd
-            kx, ex = chain_data(x)
-            ky, ey = chain_data(y)
-            gap = abs(kx - ky)
-            if gap > max_gap:
-                max_gap = gap
-            mins_y = [n + 1] * len(ey)
-            for jx, cx in enumerate(ex):
-                row_min = n + 1
-                for jy, cy in enumerate(ey):
-                    d = popcount(cx ^ cy)
-                    excess = d - abs((kx + jx) - (ky + jy))
-                    if excess > max_excess:
-                        max_excess = excess
-                    if d < row_min:
-                        row_min = d
-                    if d < mins_y[jy]:
-                        mins_y[jy] = d
-                if row_min > max_haus:
-                    max_haus = row_min
-            m2 = max(mins_y)
-            if m2 > max_haus:
-                max_haus = m2
-    return EdgeScanResult(n, edges, max_sig, max_gap, max_excess, max_haus)
+        for lo in range(0, size // 2, _EDGE_BLOCK):
+            # the points with bit b clear, numbered lo, lo + 1, ...
+            t = np.arange(lo, min(lo + _EDGE_BLOCK, size // 2))
+            xs = ((t >> b) << (b + 1)) | (t & ((1 << b) - 1))
+            edges += xs.size
+            worst = tuple(map(max, worst, _scan_edges(n, xs, 1 << b, masks, ks, elements)))
+    return EdgeScanResult(n, edges, *worst)
 
 
 def partition_covers_cube(n: int) -> tuple[int, int]:

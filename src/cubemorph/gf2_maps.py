@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ from .stretch_metrics import Mapping
 
 ELIMINATION_MAX_N = 4096
 _CHUNK_BITS = 8
+# Inverse columns composed per array pass in the tree-inverse check.
+_INVERSE_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,13 @@ class TreeLabeling:
         lo = self.arity * (i - 1) + 2
         hi = min(self.arity * i + 1, self.n)
         return range(lo, hi + 1)
+
+    def parents(self) -> np.ndarray:
+        """parent[j] for j = 1..n as an int array; 0 at the root and at the
+        unused index 0."""
+        parent = (np.arange(self.n + 1, dtype=np.int32) - 2) // self.arity + 1
+        parent[:2] = 0
+        return parent
 
     def depths(self) -> list[int]:
         """depth[j] for j = 1..n (index 0 unused); root depth 0."""
@@ -104,11 +114,11 @@ class SparseGF2Matrix:
         return [len(r) for r in self.rows]
 
     def col_weights(self) -> list[int]:
-        w = [0] * (self.n + 1)
+        w = [0] * self.n
         for cols in self.rows:
             for c in cols:
-                w[c] += 1
-        return w[1:]
+                w[c - 1] += 1
+        return w
 
     def row_masks(self) -> list[int]:
         """Rows as int bitmaps; column j is bit j-1."""
@@ -194,19 +204,62 @@ def gf2_inverse_rows(rows: list[int], n: int) -> list[int] | None:
     return [w >> n for w in work]
 
 
-def _tree_inverse_consistent(tree: TreeLabeling) -> bool:
-    """Check that the descendant-indicator matrix inverts the tree matrix.
+def _column_major_keys(a: SparseGF2Matrix) -> np.ndarray:
+    """a's entries as sorted keys (column - 1) * n + (row - 1), so that
+    column v is the run of keys in [(v - 1) * n, v * n).  Built a block of
+    rows at a time; 32 bits hold the keys up to n = 2^16."""
+    n = a.n
+    keys = np.empty(sum(map(len, a.rows)), dtype=np.uint32 if n <= 1 << 16 else np.int64)
+    at = 0
+    for lo in range(0, n, _INVERSE_CHUNK):
+        rows = a.rows[lo:lo + _INVERSE_CHUNK]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        part = keys[at:at + lengths.sum()]
+        part[:] = np.fromiter(chain.from_iterable(rows), dtype=keys.dtype, count=part.size)
+        part -= 1
+        part *= n
+        part += np.repeat(np.arange(lo, lo + len(rows), dtype=keys.dtype), lengths)
+        at += part.size
+    keys.sort()
+    return keys
 
-    Applies the matrix to every ancestor-chain column of the explicit
-    inverse and demands the corresponding unit vector back.
+
+def _tree_inverse_consistent(a: SparseGF2Matrix, parent: np.ndarray) -> bool:
+    """Check that the ancestor-indicator matrix of a tree inverts a.
+
+    parent[j] is the parent of vertex j and 0 at the root (index 0 is
+    unused); column j of the claimed inverse is the chain j, parent[j], ...,
+    root.  Column j of the product is then the GF(2) sum of a's columns
+    along that chain.  Chunks of columns walk their chains together, one
+    level per pass, and keep the entries collected an odd number of times
+    so far; at the end exactly the diagonal must be left.
     """
-    for j in range(1, tree.n + 1):
-        out: set[int] = set()
-        for v in tree.ancestors(j):
-            out ^= {v}
-            if v >= 2:
-                out ^= {tree.parent(v)}
-        if out != {j}:
+    n = a.n
+    if parent.shape != (n + 1,) or parent.min() < 0 or parent.max() > n:
+        return False
+    up = parent.copy()  # by pointer doubling, the 2^k-th ancestor, 0 past a root
+    up[0] = 0
+    for _ in range(n.bit_length()):
+        up = up[up]
+    if up.any():  # a chain that never reaches a root
+        return False
+    del up
+    keys = _column_major_keys(a)
+    key_type = keys.dtype
+    for lo in range(1, n + 1, _INVERSE_CHUNK):
+        cols = np.arange(lo, min(lo + _INVERSE_CHUNK, n + 1))
+        owner, vs = cols - lo, cols
+        odd = np.empty(0, dtype=np.int64)  # product entries owner * n + row - 1
+        while vs.size:
+            first = np.searchsorted(keys, ((vs - 1) * n).astype(key_type))
+            count = np.searchsorted(keys, (vs * n - 1).astype(key_type), side="right") - first
+            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            # the columns' entries are distinct within one level
+            odd = np.setxor1d(odd, np.repeat(owner * n, count) + keys[at] % n,
+                              assume_unique=True)
+            vs = parent[vs].astype(np.int64)
+            owner, vs = owner[vs > 0], vs[vs > 0]
+        if not np.array_equal(odd, (cols - lo) * n + cols - 1):
             return False
     return True
 
@@ -244,14 +297,10 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
     """
     n = a.n
     arity = a.tree.arity if a.tree else 2
-    row_w = a.row_weights()
-    col_w = a.col_weights()
-    parity_ok = col_w[0] % 2 == 1 and all(w % 2 == 0 for w in col_w[1:])
-
     inv_col_w: int | None = None
     if a.tree is not None:
-        invertible = _tree_inverse_consistent(a.tree)
-        inv_col_w = max(d + 1 for d in a.tree.depths()[1:])
+        invertible = _tree_inverse_consistent(a, a.tree.parents())
+        inv_col_w = a.tree.height() + 1
         method = "structural"
         if cross_check:
             if n > ELIMINATION_MAX_N:
@@ -276,16 +325,19 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
             inv_col_w = max(sum((r >> c) & 1 for r in inv_rows) for c in range(n))
         method = "elimination"
 
+    max_row_w = max(map(len, a.rows))
+    col_w = a.col_weights()
+    parity_ok = col_w[0] % 2 == 1 and all(w % 2 == 0 for w in col_w[1:])
     log_bound = max(n, 1).bit_length()  # floor(log2 n) + 1 for n >= 1
     return ConditionReport(
         n=n,
         arity=arity,
         invertible=invertible,
         parity_ok=parity_ok,
-        max_row_weight=max(row_w),
+        max_row_weight=max_row_w,
         max_col_weight=max(col_w),
         max_inverse_col_weight=inv_col_w,
-        row_weight_ok=max(row_w) <= arity + 1,
+        row_weight_ok=max_row_w <= arity + 1,
         col_weight_ok=max(col_w) <= 2,
         inverse_weight_ok=inv_col_w is not None and inv_col_w <= log_bound,
         method=method,

@@ -29,6 +29,8 @@ from .cube_core import FORMULA_MAX_N, BooleanFunction, Point, popcount, popcount
 TABLE_MAX_N = 24  # mapping tables (int64, 2^n entries) and exhaustive statistics
 ORACLE_MAX_N = 3
 LOCAL_SEARCH_MAX_N = 20
+# Proposals drawn and scored per numpy pass in the local search.
+_PROPOSAL_BLOCK = 256
 TYPICAL_MAX_N = 10 ** 6
 # Table builds call forward on slices of this many points, so evaluator
 # temporaries stay small at any n.
@@ -395,19 +397,68 @@ def exhaustive_min_directional(f: BooleanFunction, g: BooleanFunction, i: int
 # seeded transposition descent
 # ---------------------------------------------------------------------------
 
-def _swap_delta(table: list[int], n: int, u: int, v: int) -> int:
-    """Change in the total edge sum if the images of u and v swap."""
-    delta = 0
-    tu, tv = table[u], table[v]
-    for b in range(n):
-        bit = 1 << b
-        w = u ^ bit
-        if w == v:
-            continue
-        delta += popcount(tv ^ table[w]) - popcount(tu ^ table[w])
-        w = v ^ bit
-        delta += popcount(tu ^ table[w]) - popcount(tv ^ table[w])
-    return delta
+def _draw_proposals(rng: np.random.Generator, k: int, sizes: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next k proposals (c, a, b) of the scalar draws
+
+        c = rng.integers(0, 2); a, b = rng.integers(0, sizes[c], size=2)
+
+    taken from one block of 32-bit words, leaving the generator in the same
+    state.  numpy draws an integer below m from a word w as the high half of
+    w * m and rejects w, moving on to the next word, while the low half is
+    below 2^32 mod m; a rejected word is dropped and one more word pulled.
+    """
+    words = rng.integers(0, 1 << 32, size=3 * k, dtype=np.uint32)
+    sizes = sizes.astype(np.uint64)
+    thresholds = np.uint64(1 << 32) % sizes
+    while True:
+        w = words.astype(np.uint64).reshape(k, 3)
+        c = w[:, 0] >> np.uint64(31)
+        scaled = w[:, 1:] * sizes[c, None]
+        rejected = (scaled & np.uint64(0xFFFFFFFF)) < thresholds[c, None]
+        if not rejected.any():
+            ab = (scaled >> np.uint64(32)).astype(np.int64)
+            return c.astype(np.int64), ab[:, 0], ab[:, 1]
+        i, j = divmod(int(np.flatnonzero(rejected)[0]), 2)
+        words = np.append(np.delete(words, 3 * i + 1 + j),
+                          rng.integers(0, 1 << 32, size=1, dtype=np.uint32))
+
+
+def _swap_deltas(table: np.ndarray, bits: np.ndarray, us: np.ndarray,
+                 vs: np.ndarray) -> np.ndarray:
+    """Change in the total edge sum if the images of us[i] and vs[i] swap,
+    for every i.  The edge between u and v, if any, keeps its length."""
+    nu = us[:, None] ^ bits
+    nv = vs[:, None] ^ bits
+    tu = table[us][:, None]
+    tv = table[vs][:, None]
+    tnu = table[nu]
+    tnv = table[nv]
+    gain = popcount_array(tv ^ tnu) + popcount_array(tu ^ tnv)
+    loss = popcount_array(tu ^ tnu) + popcount_array(tv ^ tnv)
+    d = gain.astype(np.int16) - loss
+    d[nu == vs[:, None]] = 0
+    return d.sum(axis=1)
+
+
+def _descend(table: np.ndarray, bits: np.ndarray, us: np.ndarray,
+             vs: np.ndarray) -> tuple[int, int]:
+    """Make, in order, every swap (us[i], vs[i]) that lowers the edge sum of
+    the table as it stands by then; the block is rescored after each swap.
+    Returns the change in the sum and the index of the last swap made, -1
+    if none."""
+    total = 0
+    last = -1
+    while last + 1 < len(us):
+        d = _swap_deltas(table, bits, us[last + 1:], vs[last + 1:])
+        hits = np.flatnonzero(d < 0)
+        if not hits.size:
+            break
+        last += 1 + int(hits[0])
+        u, v = us[last], vs[last]
+        table[u], table[v] = table[v], table[u]
+        total += int(d[hits[0]])
+    return total, last
 
 
 def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
@@ -418,7 +469,11 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
     (for f = g that is the identity, which is already optimal); later
     restarts shuffle the pairing.  Small instances descend by full
     first-improvement sweeps to a genuine local optimum; larger ones use
-    random proposals with a stall cutoff.  Deterministic per seed.
+    random proposals with a stall cutoff.  Proposals are drawn and scored
+    in blocks, each swap taking effect before the rest of its block is
+    rescored; a block never outruns the stall cutoff, so the random stream,
+    and with it the result, is the same per seed as when each proposal is
+    drawn and scored on its own.
     """
     n = f.n
     if n > LOCAL_SEARCH_MAX_N:
@@ -432,54 +487,47 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     size = 1 << n
     edges = n * size // 2
-    class_of = [int(f_vals[x]) for x in range(size)]
-    small = max(len(sources[0]), len(sources[1])) <= 64
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    sizes = np.array([len(s) for s in sources])
+    small = sizes.max() <= 64
+    if not (small or sizes.min()):
+        raise ValueError("random proposals need both classes non-empty")
+    pairs = []  # the sweep's pairs of each class, in loop order
+    if small:
+        for pts in sources:
+            a, b = np.triu_indices(len(pts), 1)
+            pairs.append((pts[a], pts[b]))
+    pooled = np.concatenate(sources)
+    offsets = np.array([0, sizes[0]])
 
     best_sum: int | None = None
-    best_table: list[int] | None = None
+    best_table: np.ndarray | None = None
     for r in range(restarts):
-        table = [0] * size
+        table = np.empty(size, dtype=np.int64)
         for c in (0, 1):
-            tgt = targets[c] if r == 0 else rng.permutation(targets[c])
-            for s, t in zip(sources[c], tgt):
-                table[int(s)] = int(t)
-        start = np.array(table, dtype=np.int64)
-        current = sum(_direction_stats_exhaustive(start, b)[0] for b in range(n))
+            table[sources[c]] = targets[c] if r == 0 else rng.permutation(targets[c])
+        current = sum(_direction_stats_exhaustive(table, b)[0] for b in range(n))
         if small:
             improved = True
             while improved:
                 improved = False
-                for c in (0, 1):
-                    pts = sources[c]
-                    for a in range(len(pts)):
-                        for b in range(a + 1, len(pts)):
-                            u, v = int(pts[a]), int(pts[b])
-                            d = _swap_delta(table, n, u, v)
-                            if d < 0:
-                                table[u], table[v] = table[v], table[u]
-                                current += d
-                                improved = True
+                for us, vs in pairs:
+                    delta, last = _descend(table, bits, us, vs)
+                    current += delta
+                    improved |= last >= 0
         else:
             stall = 0
             max_stall = 200 * n
             while stall < max_stall:
-                c = int(rng.integers(0, 2))
-                pts = sources[c]
-                a, b = rng.integers(0, len(pts), size=2)
-                if a == b:
-                    stall += 1
-                    continue
-                u, v = int(pts[a]), int(pts[b])
-                d = _swap_delta(table, n, u, v)
-                if d < 0:
-                    table[u], table[v] = table[v], table[u]
-                    current += d
-                    stall = 0
-                else:
-                    stall += 1
+                k = min(_PROPOSAL_BLOCK, max_stall - stall)
+                c, a, b = _draw_proposals(rng, k, sizes)
+                delta, last = _descend(table, bits, pooled[offsets[c] + a],
+                                       pooled[offsets[c] + b])
+                current += delta
+                stall = stall + k if last < 0 else k - 1 - last
         if best_sum is None or current < best_sum:
             best_sum = current
-            best_table = table[:]
+            best_table = table.copy()
     return Fraction(best_sum, edges), Mapping.from_table(n, best_table, name="local-search")
 
 

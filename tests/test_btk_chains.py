@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorph.btk_chains import (
+    EDGE_SCAN_MAX_N,
     Signature,
     _mark_mask,
     adjacent_chain_scan,
@@ -182,6 +184,34 @@ def test_adjacent_chain_bounds_small():
         assert r.max_level_gap <= 1
         assert r.max_cross_excess <= 6
         assert r.max_hausdorff <= 7
+
+
+# adjacent_chain_scan(n) for n = 1..14, recorded from the per-edge scalar
+# scan that the per-direction array scan replaced.
+EDGE_SCAN_PINS = [
+    (1, 1, 0, 0, 0, 0),
+    (2, 4, 2, 1, 2, 2),
+    (3, 12, 3, 1, 2, 2),
+    (4, 32, 3, 1, 2, 3),
+    (5, 80, 3, 1, 4, 3),
+    (6, 192, 3, 1, 4, 3),
+    (7, 448, 3, 1, 4, 3),
+    (8, 1024, 3, 1, 4, 3),
+    (9, 2304, 3, 1, 4, 3),
+    (10, 5120, 3, 1, 4, 3),
+    (11, 11264, 3, 1, 4, 3),
+    (12, 24576, 3, 1, 4, 3),
+    (13, 53248, 3, 1, 4, 3),
+    (14, 114688, 3, 1, 4, 3),
+]
+
+
+def test_adjacent_chain_scan_pinned():
+    assert [astuple(adjacent_chain_scan(n)) for n in range(1, 15)] == EDGE_SCAN_PINS
+    assert sum(r[1] for r in EDGE_SCAN_PINS) == 212993
+    assert astuple(adjacent_chain_scan(0)) == (0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        adjacent_chain_scan(EDGE_SCAN_MAX_N + 1)
 
 
 def test_case_split_generator():

@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorph.cube_core import BooleanFunction, Point, parse_point
 from cubemorph.gf2_maps import (
     SparseGF2Matrix,
     TreeLabeling,
+    _tree_inverse_consistent,
     build_tree_matrix,
     extract_even_bits,
     gf2_inverse_rows,
@@ -54,6 +57,9 @@ def test_tree_labeling():
     assert list(t.children(2)) == [4, 5]
     assert t.height() == 2
     assert t.ancestors(7) == [7, 3, 1]
+    for arity in (2, 3, 5):
+        t = TreeLabeling(40, arity)
+        assert t.parents().tolist() == [0, 0] + [t.parent(j) for j in range(2, 41)]
 
 
 def test_apply_examples():
@@ -116,6 +122,15 @@ def test_inverse_columns_match_elimination(n):
         inv_rows = gf2_inverse_rows(_rows(m.cols, n), n)
         assert inv_rows is not None
         assert _rows(m.inverse_cols, n) == inv_rows, m.name
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(1, 63), st.sampled_from(["tree2", "tree3", "tree4", "tree5", "prefix",
+                                            "xorhead"]))
+def test_inverse_columns_match_elimination_drawn(n, kind):
+    m = {"prefix": prefix_xor_mapping, "xorhead": xor_head_mapping}.get(
+        kind, lambda n: tree_mapping(n, int(kind[-1])))(n)
+    assert _rows(m.inverse_cols, n) == gf2_inverse_rows(_rows(m.cols, n), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 14])
@@ -185,6 +200,30 @@ def test_verify_conditions_examples():
     r15 = verify_conditions(build_tree_matrix(15, 2), cross_check=True)
     assert r15.all_pass
     assert r15.max_inverse_col_weight == 4
+
+
+def test_tree_inverse_check_rejects_corruption():
+    # 70001 needs 64-bit entry keys
+    for n, arity in ((1, 2), (2, 2), (100, 2), (100, 3), (5000, 2), (70001, 2)):
+        a = build_tree_matrix(n, arity)
+        parent = a.tree.parents()
+        assert _tree_inverse_consistent(a, parent)
+        if n < 3:
+            continue
+        j = n // 2 + 1
+        assert parent[parent[j]] > 0  # j has a grandparent
+        for corrupt in (parent[j] + 1,           # another vertex as parent
+                        parent[parent[j]],       # parent[j] dropped from j's chain
+                        j,                       # a chain that never ends
+                        0,                       # a second root
+                        n + 1):                  # no such vertex
+            bad = parent.copy()
+            bad[j] = corrupt
+            assert not _tree_inverse_consistent(a, bad), (n, arity, corrupt)
+        # the matrix loses the entry that ties j to its parent
+        rows = list(a.rows)
+        rows[parent[j] - 1] = tuple(c for c in rows[parent[j] - 1] if c != j)
+        assert not _tree_inverse_consistent(SparseGF2Matrix(n, tuple(rows)), parent)
 
 
 def test_structural_and_elimination_agree():

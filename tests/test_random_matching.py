@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorph.cube_core import (
     BooleanFunction,
@@ -110,6 +112,33 @@ def test_injection_validity_rejects_bad_images():
         broken[x] = bad
         assert not injection_is_valid(st, broken)
     assert not injection_is_valid(st, img[:-1])
+
+
+def _injection_valid_reference(n, img):
+    """injection_is_valid by brute force: a set of images and a loop."""
+    half = 1 << (n - 1)
+    images = [int(v) for v in img]
+    return (len(images) == half and all(0 <= v < 2 * half for v in images)
+            and len(set(images)) == half
+            and all(bin(x ^ (v % half)).count("1") <= 1 for x, v in enumerate(images)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 2 ** 16), st.data())
+def test_injection_validity_matches_brute_force(n, seed, data):
+    state = run_matching(random_subset_function(n, seed=seed))
+    img = build_injection(state)
+    half = state.size
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.integers(0, half - 1))
+        if data.draw(st.booleans()):  # swap two images: injectivity stays
+            y = data.draw(st.integers(0, half - 1))
+            img[x], img[y] = img[y], img[x]
+        else:
+            img[x] = data.draw(st.integers(-2, 2 * half + 1))
+    if data.draw(st.booleans()):
+        img = img[:data.draw(st.integers(1, half))]
+    assert injection_is_valid(state, img) == _injection_valid_reference(n, img)
 
 
 def test_curve_statistics_n16():

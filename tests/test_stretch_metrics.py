@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +10,7 @@ from cubemorph.cube_core import BooleanFunction, popcount
 from cubemorph.gf2_maps import prefix_xor_mapping, tree_mapping
 from cubemorph.stretch_metrics import (
     Mapping,
+    _draw_proposals,
     directional_avg_stretch,
     exhaustive_min_avg_stretch,
     exhaustive_min_directional,
@@ -210,6 +212,98 @@ def test_local_search_deterministic():
     c, _ = local_search_min_stretch(BooleanFunction.xor(3), BooleanFunction.majority(3),
                                     seed=5, restarts=8)
     assert c >= naive
+
+
+# (f, g, n, seed, value, sha256 of the little-endian int64 witness table),
+# recorded when every proposal was drawn and scored on its own.  The last
+# case has classes of 64 and so runs the full-sweep branch; maj8 has classes
+# of 163 and 93, where numpy's bounded draws can reject a word.
+LOCAL_SEARCH_PINS = [
+    ("xor", "majority", 9, 1, Fraction(3907, 1152),
+     "308883ab00dc7e2fefd6079e03744c7a256a9f155c6d39ec7150a857ff5e6027"),
+    ("majority", "majority", 8, 3, Fraction(1),
+     "bbd330b12e8159e117376ef24fa106413bc9fc18032a0d43e95c5dae5e47953f"),
+    ("dictator", "xor", 8, 5, Fraction(15, 8),
+     "e4826bd856940a42159ae8e79b707775213746dfcff709739b1faa0453685bd3"),
+    ("xor", "majority", 7, 2, Fraction(75, 28),
+     "cfeed823f13ed63f5b09298dcdcdb37d176ad3a959d615f7cdf09d16a66c19cb"),
+]
+
+
+@pytest.mark.parametrize("f, g, n, seed, value, digest", LOCAL_SEARCH_PINS)
+def test_local_search_pinned(f, g, n, seed, value, digest):
+    v, witness = local_search_min_stretch(getattr(BooleanFunction, f)(n),
+                                          getattr(BooleanFunction, g)(n), seed=seed)
+    assert v == value
+    assert hashlib.sha256(witness.table().astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_local_search_random_proposals_need_both_classes():
+    empty = BooleanFunction.from_ones(8, [])
+    with pytest.raises(ValueError):
+        local_search_min_stretch(empty, empty, seed=1)
+    # at most 64 points per class the sweep runs, whatever the class sizes
+    v, _ = local_search_min_stretch(BooleanFunction.from_ones(6, []),
+                                    BooleanFunction.from_ones(6, []), seed=1)
+    assert v == 1
+
+
+def _scalar_proposals(rng, k, sizes):
+    """k proposals drawn one number per call, as the descent once did."""
+    out = []
+    for _ in range(k):
+        c = int(rng.integers(0, 2))
+        a, b = rng.integers(0, sizes[c], size=2)
+        out.append((c, int(a), int(b)))
+    return out
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_with_zero_output(seed, at):
+    """A PCG64 generator whose raw 64-bit output number ``at`` is 0, so that
+    its 32-bit words 2*at and 2*at + 1 are 0.  numpy rejects the word 0 when
+    drawing below any m that is not a power of two."""
+    bit_gen = np.random.PCG64(seed)
+    inc = bit_gen.state["state"]["inc"]
+    modulus = 1 << 128
+    back = pow(_PCG64_MULTIPLIER, -1, modulus)
+    state = (1 << 64) | 1  # XSL-RR outputs (high ^ low) rotated: 0
+    for _ in range(at + 1):  # the generator steps before each output
+        state = (state - inc) * back % modulus
+    bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_gen)
+
+
+@pytest.mark.parametrize("m", [256, 163])
+@pytest.mark.parametrize("zero_at", [None, 0, 7, 30])
+def test_block_draws_follow_scalar_stream(m, zero_at):
+    sizes = (m, m)
+    for seed in (1, 2):
+        def fresh():
+            if zero_at is None:
+                return np.random.Generator(np.random.PCG64(seed))
+            return _generator_with_zero_output(seed, zero_at)
+
+        if zero_at is not None:
+            words = fresh().integers(0, 1 << 32, size=2 * zero_at + 2, dtype=np.uint32)
+            assert words[-2:].tolist() == [0, 0]
+        ref, blocked = fresh(), fresh()
+        expected = _scalar_proposals(ref, 64, sizes)
+        got = []
+        for k in (1, 16, 47):
+            c, a, b = _draw_proposals(blocked, k, np.array(sizes))
+            got += zip(c.tolist(), a.tolist(), b.tolist())
+        assert got == expected
+        assert blocked.bit_generator.state == ref.bit_generator.state
+        if zero_at is not None:
+            # the scalar draws consumed more than 3 words per proposal
+            # exactly when m is not a power of two
+            plain = fresh()
+            plain.integers(0, 1 << 32, size=3 * 64, dtype=np.uint32)
+            assert (plain.bit_generator.state == ref.bit_generator.state) == (m == 256)
 
 
 def test_typical_fraction_examples():
