@@ -306,16 +306,18 @@ def cmd_search(args) -> int:
             header = f"best avg stretch = {value}"
     except ValueError as e:
         raise UsageError(str(e)) from None
-    print(header)
     table = witness.table()
     witness_lines = [f"{Point(x, args.n)} → {Point(int(table[x]), args.n)}"
                      for x in range(1 << args.n)]
+    # the file first: a bad path then exits 2 before the header is out
     if args.out is not None:
         _write_text(args.out, header + "\n" + "\n".join(witness_lines) + "\n")
-    elif args.n <= 4:
-        print("\n".join(witness_lines))
-    else:
-        print(f"witness omitted ({1 << args.n} lines); use --out FILE", file=sys.stderr)
+    print(header)
+    if args.out is None:
+        if args.n <= 4:
+            print("\n".join(witness_lines))
+        else:
+            print(f"witness omitted ({1 << args.n} lines); use --out FILE", file=sys.stderr)
     return 0
 
 

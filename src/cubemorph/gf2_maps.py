@@ -1,12 +1,17 @@
 """GF(2) linear bijections on the cube, built from rooted trees.
 
 The tree map is I + M where M is the parent-to-child adjacency matrix of a
-complete arity-ary tree labeled in level order (root 1, children of i are
-arity*(i-1)+2 ... arity*(i-1)+arity+1, truncated at n).  Every row then has
+complete arity-ary tree labeled in level order: root 1, and parent[j] =
+(j - 2) // arity + 1 for every other vertex j up to n.  Every row then has
 weight at most arity+1 and every column at most 2, the first column has odd
 weight and the rest even, so the map is 2-Lipschitz and sends the dictator
 function to parity.  Its inverse is the descendant-indicator matrix, whose
 column j is the ancestor chain of j, so the inverse is (height+1)-Lipschitz.
+
+The parent array is the one form of the tree: the matrix's entries, the
+structural inverse check and the inverse map's columns all derive from it.
+A SparseGF2Matrix holds its nonzero entries as two sorted index arrays,
+and its weights, bitmaps and text form derive from those.
 
 Also here: the adjacent-sums map (x1+x2, x2+x3, ..., xn) and the
 parity-head map (XOR(x), x2, ..., xn), the two textbook bijections from
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,111 +41,84 @@ _INVERSE_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
-# trees
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeLabeling:
-    """Level-order labeling of the complete arity-ary tree on n vertices."""
-
-    n: int
-    arity: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("tree needs at least one vertex")
-        if self.arity < 2:
-            raise ValueError("arity must be at least 2")
-
-    def parent(self, j: int) -> int:
-        if not 2 <= j <= self.n:
-            raise ValueError(f"vertex {j} has no parent")
-        return (j - 2) // self.arity + 1
-
-    def children(self, i: int) -> range:
-        lo = self.arity * (i - 1) + 2
-        hi = min(self.arity * i + 1, self.n)
-        return range(lo, hi + 1)
-
-    def parents(self) -> np.ndarray:
-        """parent[j] for j = 1..n as an int array; 0 at the root and at the
-        unused index 0."""
-        parent = (np.arange(self.n + 1, dtype=np.int32) - 2) // self.arity + 1
-        parent[:2] = 0
-        return parent
-
-    def depths(self) -> list[int]:
-        """depth[j] for j = 1..n (index 0 unused); root depth 0."""
-        d = [0] * (self.n + 1)
-        for j in range(2, self.n + 1):
-            d[j] = d[(j - 2) // self.arity + 1] + 1
-        return d
-
-    def height(self) -> int:
-        return self.depths()[self.n] if self.n > 1 else 0
-
-    def ancestors(self, j: int) -> list[int]:
-        """j, parent(j), ..., root."""
-        out = [j]
-        while j != 1:
-            j = (j - 2) // self.arity + 1
-            out.append(j)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _or_bits(n: int, at: np.ndarray, bit: np.ndarray) -> list[int]:
+    """n int bitmaps; entry k sets bit bit[k]-1 of bitmap at[k]-1."""
+    masks = [0] * n
+    for i, b in zip(at.tolist(), bit.tolist()):
+        masks[i - 1] |= 1 << (b - 1)
+    return masks
+
+
+@dataclass(frozen=True, eq=False)
 class SparseGF2Matrix:
-    """Square 0/1 matrix stored as per-row sorted 1-based column indices."""
+    """Square 0/1 matrix stored as its nonzero entries (rows[k], cols[k]),
+    1-based and sorted by row, then column.
+
+    A matrix built from a tree also carries the tree: parent[j] is the
+    parent of vertex j, 0 at the root and at the unused index 0.  arity
+    sets the row-weight bound arity + 1 that verify_conditions applies.
+    """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
-    tree: TreeLabeling | None = None
+    rows: np.ndarray
+    cols: np.ndarray
+    parent: np.ndarray | None = None
+    arity: int = 2
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        for r, cols in enumerate(self.rows, start=1):
-            if list(cols) != sorted(set(cols)):
-                raise ValueError(f"row {r} columns must be strictly sorted")
-            if cols and not (1 <= cols[0] and cols[-1] <= self.n):
-                raise ValueError(f"row {r} has a column index outside 1..{self.n}")
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError(f"row and column indices differ in shape: "
+                             f"{rows.shape} vs {cols.shape}")
+        if rows.size and (min(rows.min(), cols.min()) < 1
+                          or max(rows.max(), cols.max()) > self.n):
+            raise ValueError(f"an entry index is outside 1..{self.n}")
+        if (np.diff((rows - 1) * self.n + cols) <= 0).any():
+            raise ValueError("entries must be strictly sorted by row, then column")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
-    def row_weights(self) -> list[int]:
-        return [len(r) for r in self.rows]
+    def row_weights(self) -> np.ndarray:
+        return np.bincount(self.rows, minlength=self.n + 1)[1:]
 
-    def col_weights(self) -> list[int]:
-        w = [0] * self.n
-        for cols in self.rows:
-            for c in cols:
-                w[c - 1] += 1
-        return w
+    def col_weights(self) -> np.ndarray:
+        return np.bincount(self.cols, minlength=self.n + 1)[1:]
 
     def row_masks(self) -> list[int]:
         """Rows as int bitmaps; column j is bit j-1."""
-        return [sum(1 << (c - 1) for c in cols) for cols in self.rows]
+        return _or_bits(self.n, self.rows, self.cols)
 
     def col_masks(self) -> list[int]:
         """Columns as int bitmaps indexed 0..n-1; row i is bit i-1."""
-        masks = [0] * self.n
-        for i, cols in enumerate(self.rows):
-            for c in cols:
-                masks[c - 1] |= 1 << i
-        return masks
+        return _or_bits(self.n, self.cols, self.rows)
 
     def to_text(self) -> str:
         """One line per row: the row's column indices, space separated."""
-        return "\n".join(" ".join(str(c) for c in cols) for cols in self.rows)
+        cols = self.cols.tolist()
+        ends = np.cumsum(self.row_weights()).tolist()
+        return "\n".join(" ".join(map(str, cols[lo:hi]))
+                         for lo, hi in zip([0, *ends], ends))
 
 
 def build_tree_matrix(n: int, arity: int = 2) -> SparseGF2Matrix:
     """I + parent-to-child adjacency of the level-order arity-ary tree."""
-    tree = TreeLabeling(n, arity)
-    rows = tuple(tuple(sorted([i, *tree.children(i)])) for i in range(1, n + 1))
-    return SparseGF2Matrix(n, rows, tree)
+    if n < 1:
+        raise ValueError("tree needs at least one vertex")
+    if arity < 2:
+        raise ValueError("arity must be at least 2")
+    parent = (np.arange(n + 1) - 2) // arity + 1
+    parent[:2] = 0
+    vertices = np.arange(1, n + 1)
+    # The diagonal entries come first and children follow their parent in
+    # level order, so a stable sort by row leaves each row's columns sorted.
+    rows = np.concatenate([vertices, parent[2:]])
+    cols = np.concatenate([vertices, vertices[1:]])
+    order = np.argsort(rows, kind="stable")
+    return SparseGF2Matrix(n, rows[order], cols[order], parent, arity)
 
 
 # -- fast whole-word path for the binary tree -------------------------------
@@ -204,27 +181,7 @@ def gf2_inverse_rows(rows: list[int], n: int) -> list[int] | None:
     return [w >> n for w in work]
 
 
-def _column_major_keys(a: SparseGF2Matrix) -> np.ndarray:
-    """a's entries as sorted keys (column - 1) * n + (row - 1), so that
-    column v is the run of keys in [(v - 1) * n, v * n).  Built a block of
-    rows at a time; 32 bits hold the keys up to n = 2^16."""
-    n = a.n
-    keys = np.empty(sum(map(len, a.rows)), dtype=np.uint32 if n <= 1 << 16 else np.int64)
-    at = 0
-    for lo in range(0, n, _INVERSE_CHUNK):
-        rows = a.rows[lo:lo + _INVERSE_CHUNK]
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        part = keys[at:at + lengths.sum()]
-        part[:] = np.fromiter(chain.from_iterable(rows), dtype=keys.dtype, count=part.size)
-        part -= 1
-        part *= n
-        part += np.repeat(np.arange(lo, lo + len(rows), dtype=keys.dtype), lengths)
-        at += part.size
-    keys.sort()
-    return keys
-
-
-def _tree_inverse_consistent(a: SparseGF2Matrix, parent: np.ndarray) -> bool:
+def _tree_inverse_consistent(a: SparseGF2Matrix, parent: np.ndarray) -> int | None:
     """Check that the ancestor-indicator matrix of a tree inverts a.
 
     parent[j] is the parent of vertex j and 0 at the root (index 0 is
@@ -233,35 +190,43 @@ def _tree_inverse_consistent(a: SparseGF2Matrix, parent: np.ndarray) -> bool:
     along that chain.  Chunks of columns walk their chains together, one
     level per pass, and keep the entries collected an odd number of times
     so far; at the end exactly the diagonal must be left.
+
+    Returns the longest chain, which is the inverse's largest column
+    weight, or None if the check fails.
     """
     n = a.n
     if parent.shape != (n + 1,) or parent.min() < 0 or parent.max() > n:
-        return False
+        return None
     up = parent.copy()  # by pointer doubling, the 2^k-th ancestor, 0 past a root
     up[0] = 0
     for _ in range(n.bit_length()):
         up = up[up]
     if up.any():  # a chain that never reaches a root
-        return False
+        return None
     del up
-    keys = _column_major_keys(a)
-    key_type = keys.dtype
+    # a's entries column by column: column v's rows - 1 are col_rows[end[v-1]:end[v]]
+    col_rows = a.rows[np.argsort(a.cols, kind="stable")] - 1
+    end = np.cumsum(np.bincount(a.cols, minlength=n + 1))
+    longest = 0
     for lo in range(1, n + 1, _INVERSE_CHUNK):
         cols = np.arange(lo, min(lo + _INVERSE_CHUNK, n + 1))
         owner, vs = cols - lo, cols
         odd = np.empty(0, dtype=np.int64)  # product entries owner * n + row - 1
+        levels = 0
         while vs.size:
-            first = np.searchsorted(keys, ((vs - 1) * n).astype(key_type))
-            count = np.searchsorted(keys, (vs * n - 1).astype(key_type), side="right") - first
+            levels += 1
+            first = end[vs - 1]
+            count = end[vs] - first
             at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
             # the columns' entries are distinct within one level
-            odd = np.setxor1d(odd, np.repeat(owner * n, count) + keys[at] % n,
+            odd = np.setxor1d(odd, np.repeat(owner * n, count) + col_rows[at],
                               assume_unique=True)
-            vs = parent[vs].astype(np.int64)
+            vs = parent[vs]
             owner, vs = owner[vs > 0], vs[vs > 0]
         if not np.array_equal(odd, (cols - lo) * n + cols - 1):
-            return False
-    return True
+            return None
+        longest = max(longest, levels)
+    return longest
 
 
 @dataclass(frozen=True)
@@ -296,51 +261,39 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
     and the two must agree.
     """
     n = a.n
-    arity = a.tree.arity if a.tree else 2
-    inv_col_w: int | None = None
-    if a.tree is not None:
-        invertible = _tree_inverse_consistent(a, a.tree.parents())
-        inv_col_w = a.tree.height() + 1
-        method = "structural"
-        if cross_check:
-            if n > ELIMINATION_MAX_N:
-                raise ValueError(f"elimination cross-check capped at n={ELIMINATION_MAX_N}")
-            inv_rows = gf2_inverse_rows(a.row_masks(), n)
-            elim_invertible = inv_rows is not None
-            if elim_invertible != invertible:
-                raise AssertionError("elimination and structural paths disagree on invertibility")
-            if inv_rows is not None:
-                elim_w = max(
-                    sum((r >> c) & 1 for r in inv_rows) for c in range(n))
-                if elim_w != inv_col_w:
-                    raise AssertionError(
-                        f"inverse column weight: structural {inv_col_w} vs elimination {elim_w}")
-            method = "both"
-    else:
-        if n > ELIMINATION_MAX_N:
-            raise ValueError(f"elimination capped at n={ELIMINATION_MAX_N}")
+    structural = a.parent is not None
+    eliminate = cross_check or not structural
+    if eliminate and n > ELIMINATION_MAX_N:
+        raise ValueError(f"elimination{' cross-check' if structural else ''} "
+                         f"capped at n={ELIMINATION_MAX_N}")
+    inv_col_w = _tree_inverse_consistent(a, a.parent) if structural else None
+    if eliminate:
         inv_rows = gf2_inverse_rows(a.row_masks(), n)
-        invertible = inv_rows is not None
-        if inv_rows is not None:
-            inv_col_w = max(sum((r >> c) & 1 for r in inv_rows) for c in range(n))
-        method = "elimination"
+        elim_w = None if inv_rows is None else max(
+            sum((r >> c) & 1 for r in inv_rows) for c in range(n))
+        if not structural:
+            inv_col_w = elim_w
+        elif elim_w != inv_col_w:  # None on either side: not invertible
+            raise AssertionError(f"inverse column weight: structural {inv_col_w} "
+                                 f"vs elimination {elim_w}")
 
-    max_row_w = max(map(len, a.rows))
+    max_row_w = int(a.row_weights().max())
     col_w = a.col_weights()
-    parity_ok = col_w[0] % 2 == 1 and all(w % 2 == 0 for w in col_w[1:])
+    parity_ok = bool(col_w[0] % 2 == 1 and not (col_w[1:] % 2).any())
+    max_col_w = int(col_w.max())
     log_bound = max(n, 1).bit_length()  # floor(log2 n) + 1 for n >= 1
     return ConditionReport(
         n=n,
-        arity=arity,
-        invertible=invertible,
+        arity=a.arity,
+        invertible=inv_col_w is not None,
         parity_ok=parity_ok,
         max_row_weight=max_row_w,
-        max_col_weight=max(col_w),
+        max_col_weight=max_col_w,
         max_inverse_col_weight=inv_col_w,
-        row_weight_ok=max_row_w <= arity + 1,
-        col_weight_ok=max(col_w) <= 2,
+        row_weight_ok=max_row_w <= a.arity + 1,
+        col_weight_ok=max_col_w <= 2,
         inverse_weight_ok=inv_col_w is not None and inv_col_w <= log_bound,
-        method=method,
+        method=("both" if cross_check else "structural") if structural else "elimination",
     )
 
 
@@ -398,9 +351,10 @@ class LinearMap(Mapping):
 def tree_mapping(n: int, arity: int = 2) -> LinearMap:
     """The tree map; its inverse's column j is the ancestor chain of j."""
     a = build_tree_matrix(n, arity)
-    inverse_cols = [sum(1 << (v - 1) for v in a.tree.ancestors(j))
-                    for j in range(1, n + 1)]
-    return LinearMap(n, a.col_masks(), inverse_cols,
+    chains = [0] * (n + 1)  # parents precede their children in level order
+    for j, p in enumerate(a.parent.tolist()[1:], start=1):
+        chains[j] = 1 << (j - 1) | chains[p]
+    return LinearMap(n, a.col_masks(), chains[1:],
                      name=f"tree{arity}" if arity != 2 else "tree")
 
 

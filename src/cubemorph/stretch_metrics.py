@@ -478,6 +478,8 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
     n = f.n
     if n > LOCAL_SEARCH_MAX_N:
         raise ValueError(f"local search capped at n={LOCAL_SEARCH_MAX_N}")
+    if restarts < 1:
+        raise ValueError(f"local search needs at least one restart, got {restarts}")
     f_vals = f.values()
     g_vals = g.values()
     sources = [np.flatnonzero(f_vals == c) for c in (0, 1)]

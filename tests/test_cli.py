@@ -172,12 +172,16 @@ def test_analyze_sampled_nonpositive_samples_exit2(capsys, samples):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("flag", ["--out", "--histogram-csv"])
-def test_write_into_missing_directory_exit2(tmp_path, capsys, flag):
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--mapping", "prefix", "--n", "3", "--out"),
+    ("analyze", "--mapping", "prefix", "--n", "3", "--histogram-csv"),
+    ("search", "--from", "dict", "--to", "maj", "--n", "3", "--mode", "exhaustive", "--out"),
+], ids=["--out", "--histogram-csv", "search-out"])
+def test_write_into_missing_directory_exit2(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "file.txt"
-    assert run_cli("analyze", "--mapping", "prefix", "--n", "3", flag, str(target)) == 2
+    assert run_cli(*argv, str(target)) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""  # no report precedes the error
+    assert captured.out == ""  # no report or header precedes the error
     assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
 
@@ -253,8 +257,13 @@ def test_search_local_identity(capsys):
 
 
 def test_search_local_needs_seed(capsys):
-    assert run_cli("search", "--from", "xor", "--to", "xor", "--n", "3",
-                   "--mode", "local") == 2
+    # without a seed, or with no restart to run
+    for extra in ((), ("--seed", "1", "--restarts", "0"), ("--seed", "1", "--restarts", "-2")):
+        assert run_cli("search", "--from", "xor", "--to", "xor", "--n", "3",
+                       "--mode", "local", *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_search_infeasible_pair_exit2(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -5,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubemorph.checks import tree_size_grid
 from cubemorph.cube_core import BooleanFunction, Point, parse_point
 from cubemorph.gf2_maps import (
     SparseGF2Matrix,
-    TreeLabeling,
     _tree_inverse_consistent,
     build_tree_matrix,
     extract_even_bits,
@@ -38,11 +40,18 @@ def _row_parity_apply(rows, x):
     return sum((bin(r & x).count("1") & 1) << i for i, r in enumerate(rows))
 
 
+def _naive_children(i, n, arity):
+    """Children of vertex i in the level-order arity-ary tree on n vertices."""
+    return range(arity * (i - 1) + 2, min(arity * i + 1, n) + 1)
+
+
 def test_tree_matrix_examples():
     a = build_tree_matrix(3, 2)
-    assert a.rows == ((1, 2, 3), (2,), (3,))
-    assert build_tree_matrix(1, 2).rows == ((1,),)
-    assert build_tree_matrix(7, 2).rows[1] == (2, 4, 5)
+    assert a.rows.tolist() == [1, 1, 1, 2, 3]
+    assert a.cols.tolist() == [1, 2, 3, 2, 3]
+    assert a.to_text().splitlines() == ["1 2 3", "2", "3"]
+    assert build_tree_matrix(1, 2).to_text() == "1"
+    assert build_tree_matrix(7, 2).to_text().splitlines()[1] == "2 4 5"
 
 
 def test_tree_matrix_rejects_bad_arity():
@@ -51,15 +60,23 @@ def test_tree_matrix_rejects_bad_arity():
 
 
 def test_tree_labeling():
-    t = TreeLabeling(7, 2)
-    assert t.parent(2) == t.parent(3) == 1
-    assert t.parent(6) == 3
-    assert list(t.children(2)) == [4, 5]
-    assert t.height() == 2
-    assert t.ancestors(7) == [7, 3, 1]
-    for arity in (2, 3, 5):
-        t = TreeLabeling(40, arity)
-        assert t.parents().tolist() == [0, 0] + [t.parent(j) for j in range(2, 41)]
+    # the entries and parent array against the per-vertex children formula
+    for arity in range(2, 7):
+        for n in tree_size_grid(300, 9):
+            a = build_tree_matrix(n, arity)
+            rows, cols, parent = [], [], [0] * (n + 1)
+            for i in range(1, n + 1):
+                children = _naive_children(i, n, arity)
+                rows += [i] * (len(children) + 1)
+                cols += [i, *children]
+                for c in children:
+                    parent[c] = i
+            assert a.rows.tolist() == rows, (n, arity)
+            assert a.cols.tolist() == cols, (n, arity)
+            assert a.parent.tolist() == parent, (n, arity)
+            assert a.arity == arity
+    with pytest.raises(ValueError):
+        build_tree_matrix(0, 2)
 
 
 def test_apply_examples():
@@ -192,7 +209,7 @@ def test_verify_conditions_examples():
     assert r.max_inverse_col_weight == 2
     assert r.method == "both"
 
-    rid = verify_conditions(SparseGF2Matrix(4, ((1,), (2,), (3,), (4,))))
+    rid = verify_conditions(SparseGF2Matrix(4, [1, 2, 3, 4], [1, 2, 3, 4]))
     assert rid.invertible
     assert not rid.parity_ok
     assert not rid.all_pass
@@ -203,11 +220,12 @@ def test_verify_conditions_examples():
 
 
 def test_tree_inverse_check_rejects_corruption():
-    # 70001 needs 64-bit entry keys
-    for n, arity in ((1, 2), (2, 2), (100, 2), (100, 3), (5000, 2), (70001, 2)):
+    # 70001 lies past the 2^16 of the condition grid
+    for n, arity, height in ((1, 2, 0), (2, 2, 1), (100, 2, 6), (100, 3, 4), (5000, 2, 12),
+                             (70001, 2, 16)):
         a = build_tree_matrix(n, arity)
-        parent = a.tree.parents()
-        assert _tree_inverse_consistent(a, parent)
+        parent = a.parent
+        assert _tree_inverse_consistent(a, parent) == height + 1
         if n < 3:
             continue
         j = n // 2 + 1
@@ -219,11 +237,12 @@ def test_tree_inverse_check_rejects_corruption():
                         n + 1):                  # no such vertex
             bad = parent.copy()
             bad[j] = corrupt
-            assert not _tree_inverse_consistent(a, bad), (n, arity, corrupt)
+            assert _tree_inverse_consistent(a, bad) is None, (n, arity, corrupt)
         # the matrix loses the entry that ties j to its parent
-        rows = list(a.rows)
-        rows[parent[j] - 1] = tuple(c for c in rows[parent[j] - 1] if c != j)
-        assert not _tree_inverse_consistent(SparseGF2Matrix(n, tuple(rows)), parent)
+        keep = (a.rows != parent[j]) | (a.cols != j)
+        assert keep.sum() == a.rows.size - 1
+        assert _tree_inverse_consistent(
+            SparseGF2Matrix(n, a.rows[keep], a.cols[keep]), parent) is None
 
 
 def test_structural_and_elimination_agree():
@@ -294,15 +313,61 @@ def test_xor_head_self_inverse():
 
 def test_matrix_text_export():
     assert build_tree_matrix(3, 2).to_text() == "1 2 3\n2\n3"
+    assert SparseGF2Matrix(3, [1, 3], [1, 3]).to_text() == "1\n\n3"  # an empty row
+
+
+# sha256 of build_tree_matrix(n, arity).to_text(), recorded from the earlier
+# tuple-of-rows implementation
+_TEXT_SHA256 = {
+    (1, 2): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (1, 3): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (3, 2): "9998bbfa168fd9d9f1729d66f19176a344e18ab139c7400b0b36f7f1239e86bc",
+    (3, 3): "9998bbfa168fd9d9f1729d66f19176a344e18ab139c7400b0b36f7f1239e86bc",
+    (100, 2): "cb2aea96a9fee9b31041e8b29b9e7dc0c5cf3aed29b83afbf0185f610951eba4",
+    (100, 3): "074daa532138fbde52cb145014b4d5bb9dd7c85ebfab1b5de94dd350759de703",
+    (4097, 2): "877272d6a0b9bd8477712f09cf95e8e0b08d0a1a81b10cd1858d25707ecc5cdd",
+    (4097, 3): "2b2b85b6ff4364cd098b5bc33e8550a3baf98cc9331012716032990bc8935384",
+    (1 << 16, 2): "944972c5f03836c62e9b36449e36ba8cba71c8f57835d002daab26a3325c9338",
+    (1 << 16, 3): "3d5917f5f2eaa2ea235e3741d49e1682de2799a81ce5f5b3ebd2f141a042925f",
+}
+
+
+def test_matrix_text_pinned():
+    for (n, arity), digest in _TEXT_SHA256.items():
+        text = build_tree_matrix(n, arity).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, arity)
+
+
+# max_inverse_col_weight over tree_size_grid(64, 7), run-length encoded as
+# (weight, number of consecutive sizes), recorded when the weight was still
+# computed as the tree height plus one
+_INVERSE_WEIGHT_RUNS = {
+    2: [(1, 1), (2, 2), (3, 4), (4, 8), (5, 16), (6, 32), (7, 2), (8, 3), (9, 3), (10, 3),
+        (11, 3), (12, 3), (13, 3), (14, 3), (15, 3), (16, 3), (17, 1)],
+    3: [(1, 1), (2, 3), (3, 9), (4, 27), (5, 24), (6, 6), (7, 6), (8, 3), (9, 6), (10, 3),
+        (11, 5)],
+    4: [(1, 1), (2, 4), (3, 16), (4, 43), (5, 6), (6, 6), (7, 6), (8, 6), (9, 5)],
+    5: [(1, 1), (2, 5), (3, 25), (4, 36), (5, 6), (6, 6), (7, 9), (8, 5)],
+    6: [(1, 1), (2, 6), (3, 36), (4, 27), (5, 6), (6, 9), (7, 6), (8, 2)],
+}
+
+
+def test_inverse_col_weight_pinned():
+    for arity, runs in _INVERSE_WEIGHT_RUNS.items():
+        weights = [verify_conditions(build_tree_matrix(n, arity)).max_inverse_col_weight
+                   for n in tree_size_grid(64, 7)]
+        assert [(w, len(list(g))) for w, g in itertools.groupby(weights)] == runs, arity
 
 
 def test_sparse_matrix_validation():
-    with pytest.raises(ValueError):
-        SparseGF2Matrix(2, ((1,),))
-    with pytest.raises(ValueError):
-        SparseGF2Matrix(2, ((2, 1), (2,)))
-    with pytest.raises(ValueError):
-        SparseGF2Matrix(2, ((1, 3), (2,)))
+    for rows, cols in (([1], [1, 2]),              # index arrays of different lengths
+                       ([1, 1, 2], [2, 1, 2]),     # a row's columns out of order
+                       ([1, 1, 2], [1, 3, 2]),     # column 3 outside 1..2
+                       ([0, 1, 2], [1, 1, 2]),     # row 0 outside 1..2
+                       ([1, 1, 2], [1, 1, 2])):    # a duplicate entry
+        with pytest.raises(ValueError):
+            SparseGF2Matrix(2, rows, cols)
+    assert SparseGF2Matrix(2, [1, 2], [2, 1]).row_masks() == [0b10, 0b01]
 
 
 def test_dimension_mismatch_errors():
