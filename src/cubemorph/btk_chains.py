@@ -24,12 +24,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .cube_core import Point, format_bits, popcount, popcount_array
+from .cube_core import (EDGE_SCAN_MAX_N, PARTITION_MAX_N, Point, check_n, format_bits,
+                        popcount, popcount_array)
 
 GAP = "_"
 
-PARTITION_MAX_N = 24
-EDGE_SCAN_MAX_N = 16  # chain elements are held as uint16
 _EDGE_BLOCK = 2048  # edges per block of the edge scan
 
 
@@ -306,8 +305,7 @@ def enumerate_partition(n: int) -> Iterator[Chain]:
     needs room to close later.  Exactly the canonical signatures survive,
     so each point of the cube lands in exactly one emitted chain.
     """
-    if not 1 <= n <= PARTITION_MAX_N:
-        raise ValueError(f"partition enumeration capped at n={PARTITION_MAX_N}")
+    check_n(n, PARTITION_MAX_N)
 
     def rec(pos: int, balance: int, bits: int, mask: int) -> Iterator[Signature]:
         if pos == n:
@@ -380,8 +378,7 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     Hausdorff distance between the two chains.  The edges of one direction
     are scanned a block at a time.
     """
-    if n > EDGE_SCAN_MAX_N:
-        raise ValueError(f"edge scan capped at n={EDGE_SCAN_MAX_N}")
+    check_n(n, EDGE_SCAN_MAX_N, low=0)
     size = 1 << n
     points = np.arange(size, dtype=np.uint64)
     masks = mark_masks(points, n)
@@ -406,6 +403,7 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
 
 def partition_covers_cube(n: int) -> tuple[int, int]:
     """(chains, points) if the partition tiles the cube exactly; raises otherwise."""
+    check_n(n, PARTITION_MAX_N)  # enumerate_partition checks only once iterated
     size = 1 << n
     seen = bytearray(size)
     chains = points = 0

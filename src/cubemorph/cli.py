@@ -25,19 +25,17 @@ from .chain_mappings import (
     majority_to_xor_map,
 )
 from .checks import Check
-from .cube_core import BooleanFunction, Point, parse_point
+from .cube_core import (CHAINS_DUMP_MAX_N, MATCHING_MAX_N, TABLE_MAX_N, BooleanFunction,
+                        Point, check_n, parse_point)
 from .gf2_maps import build_tree_matrix, prefix_xor_mapping, tree_mapping, xor_head_mapping
-from .random_matching import MATCHING_MAX_N, dict_to_random_trial, recursion_curve
+from .random_matching import dict_to_random_trial, recursion_curve
 from .stretch_metrics import (
-    TABLE_MAX_N,
     Mapping,
     exhaustive_min_avg_stretch,
     exhaustive_min_max_stretch,
     local_search_min_stretch,
     stretch_report,
 )
-
-CHAINS_DUMP_MAX_N = 20
 
 MAP_NAMES = ("maj2dict", "dict2maj", "maj2xor", "tree", "prefix", "xorhead")
 ANALYZE_NAMES = ("identity",) + MAP_NAMES
@@ -60,10 +58,7 @@ def _build_mapping(name: str, n: int, arity: int = 2) -> Mapping:
 
 
 def _parse_point_arg(s: str, n: int) -> Point:
-    try:
-        x = parse_point(s)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    x = parse_point(s)
     if x.n != n:
         raise UsageError(f"point {s!r} has {x.n} coordinates, expected {n}")
     return x
@@ -113,10 +108,7 @@ def cmd_chains(args) -> int:
         x = _parse_point_arg(args.point, args.n)
         print(_chain_line(signature(x)))
         return 0
-    if args.n > CHAINS_DUMP_MAX_N:
-        raise UsageError(
-            f"a full dump of the {args.n}-cube is too large; the cap is "
-            f"n={CHAINS_DUMP_MAX_N} (use --point for a single chain)")
+    check_n(args.n, CHAINS_DUMP_MAX_N, what="--n", note=" without --point")
     for chain in enumerate_partition(args.n):
         print(_chain_line(chain.signature))
     return 0
@@ -135,10 +127,7 @@ def cmd_map(args) -> int:
             return 0
     if args.x is None:
         raise UsageError("--x is required")
-    try:
-        mapping = _build_mapping(args.mapping, args.n, args.arity)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    mapping = _build_mapping(args.mapping, args.n, args.arity)
     x = _parse_point_arg(args.x, args.n)
     out = mapping.inverse_bits(x.bits) if args.inverse else mapping.apply_bits(x.bits)
     print(str(Point(out, args.n)))
@@ -151,20 +140,14 @@ def cmd_map(args) -> int:
 
 def cmd_analyze(args) -> int:
     workers = _workers(args)
-    try:
-        mapping = _build_mapping(args.mapping, args.n, args.arity)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    mapping = _build_mapping(args.mapping, args.n, args.arity)
     if args.inverse:
         mapping = mapping.inverse_mapping()
     if args.mode == "sampled":
         if args.samples is None or args.seed is None:
             raise UsageError("sampled mode requires --samples and --seed")
-    try:
-        report = stretch_report(mapping, mode=args.mode, samples=args.samples,
-                                seed=args.seed, workers=workers)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    report = stretch_report(mapping, mode=args.mode, samples=args.samples,
+                            seed=args.seed, workers=workers)
     # the histogram first: a bad path then exits 2 before any report is out
     if args.histogram_csv is not None:
         _write_text(args.histogram_csv, report.histogram_csv())
@@ -259,9 +242,10 @@ def cmd_verify(args) -> int:
 
 def cmd_random(args) -> int:
     # without --curve every trial also takes exhaustive stretch statistics
-    cap = MATCHING_MAX_N if args.curve else TABLE_MAX_N
-    if not 2 <= args.n <= cap:
-        raise UsageError(f"--n must be in 2..{cap}" + ("" if args.curve else " without --curve"))
+    if args.curve:
+        check_n(args.n, MATCHING_MAX_N, low=2, what="--n")
+    else:
+        check_n(args.n, TABLE_MAX_N, low=2, what="--n", note=" without --curve")
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     lines = []
@@ -288,24 +272,21 @@ def cmd_random(args) -> int:
 def cmd_search(args) -> int:
     f = FUNCTION_NAMES[args.source](args.n)
     g = FUNCTION_NAMES[args.target](args.n)
-    try:
-        if args.mode == "exhaustive":
-            if args.metric == "max":
-                value, witness = exhaustive_min_max_stretch(f, g)
-                header = f"min max stretch = {value}"
-            else:
-                value, witness = exhaustive_min_avg_stretch(f, g)
-                header = f"min avg stretch = {value}"
+    if args.mode == "exhaustive":
+        if args.metric == "max":
+            value, witness = exhaustive_min_max_stretch(f, g)
+            header = f"min max stretch = {value}"
         else:
-            if args.seed is None:
-                raise UsageError("local mode requires --seed")
-            if args.metric == "max":
-                raise UsageError("local mode only supports the avg metric")
-            value, witness = local_search_min_stretch(f, g, seed=args.seed,
-                                                      restarts=args.restarts)
-            header = f"best avg stretch = {value}"
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+            value, witness = exhaustive_min_avg_stretch(f, g)
+            header = f"min avg stretch = {value}"
+    else:
+        if args.seed is None:
+            raise UsageError("local mode requires --seed")
+        if args.metric == "max":
+            raise UsageError("local mode only supports the avg metric")
+        value, witness = local_search_min_stretch(f, g, seed=args.seed,
+                                                  restarts=args.restarts)
+        header = f"best avg stretch = {value}"
     table = witness.table()
     witness_lines = [f"{Point(x, args.n)} → {Point(int(table[x]), args.n)}"
                      for x in range(1 << args.n)]

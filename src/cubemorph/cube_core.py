@@ -6,9 +6,8 @@ LEFTMOST, so ``parse_point("100")`` has coordinate 1 set and equals int 1;
 the codec owns this reversal and nothing else in the package needs to know
 about it.
 
-Size caps: exhaustive operations stop at n = 30 (2**30 table entries);
-formula-only evaluation is allowed up to n = 63 so points always fit a
-machine word.
+The module also holds the size caps of the whole package and check_n, the
+one check that enforces them.
 """
 
 from __future__ import annotations
@@ -17,8 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EXHAUSTIVE_MAX_N = 30
-FORMULA_MAX_N = 63
+# Size caps: the largest n each kind of work accepts, and why.  Every entry
+# point calls check_n with its cap before it allocates anything that grows
+# with n.
+FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
+EXHAUSTIVE_MAX_N = 30  # memory: a truth table unpacks to 2^n uint8 values, 1 GiB at n = 30
+MATCHING_MAX_N = 26  # memory: a dictator-to-random table is 2^n int64, 512 MB at n = 26
+TABLE_MAX_N = 24  # memory: a 2^n int64 table is 128 MB at n = 24; analyze there peaks at 295 MB
+PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
+CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20
+LOCAL_SEARCH_MAX_N = 20  # run time: ~2.2x per unit of n, 5 s for two restarts at n = 13
+EDGE_SCAN_MAX_N = 16  # dtype: chain elements are held as uint16
+ORACLE_MAX_N = 3  # run time: at n = 4 a balanced pair has (8!)^2 = 1.6e9 bijections to search
+ELIMINATION_MAX_N = 4096  # run time: n^2 XORs of 2n-bit rows, 7 s at n = 4096
+TYPICAL_MAX_N = 10 ** 6  # run time: exact sums of n-bit binomials, 15 s at n = 10^6
 
 _TABLE_MAGIC = b"CMBF"
 _TABLE_VERSION = 1
@@ -41,8 +52,7 @@ class Point:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= FORMULA_MAX_N:
-            raise ValueError(f"dimension must be in 1..{FORMULA_MAX_N}, got {self.n}")
+        check_n(self.n, FORMULA_MAX_N)
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
 
@@ -93,9 +103,10 @@ def flip(x: Point, i: int) -> Point:
     return Point(x.bits ^ (1 << (i - 1)), x.n)
 
 
-def _check_exhaustive(n: int, cap: int = EXHAUSTIVE_MAX_N) -> None:
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the exhaustive cap of {cap}")
+def check_n(n: int, cap: int, low: int = 1, what: str = "n", note: str = "") -> None:
+    """Raise ValueError unless low <= n <= cap, naming the range and n."""
+    if not low <= n <= cap:
+        raise ValueError(f"{what} must be in {low}..{cap}{note}, got {n}")
 
 
 class BooleanFunction:
@@ -115,12 +126,11 @@ class BooleanFunction:
                 raise ValueError(f"unknown formula {name!r}")
             if table is not None:
                 raise ValueError("give either a formula name or a table, not both")
-            if not 1 <= n <= FORMULA_MAX_N:
-                raise ValueError(f"formula dimension must be in 1..{FORMULA_MAX_N}")
+            check_n(n, FORMULA_MAX_N)
         else:
             if table is None:
                 raise ValueError("table-backed function needs a table")
-            _check_exhaustive(n)
+            check_n(n, EXHAUSTIVE_MAX_N)
             expected = ((1 << n) + 7) // 8
             if table.dtype != np.uint8 or table.size != expected:
                 raise ValueError(f"packed table must be {expected} uint8 bytes")
@@ -148,7 +158,7 @@ class BooleanFunction:
     @classmethod
     def from_values(cls, n: int, values, balanced: bool = False) -> "BooleanFunction":
         """Build from an iterable/array of 2^n bits indexed by packed point."""
-        _check_exhaustive(n)
+        check_n(n, EXHAUSTIVE_MAX_N)
         arr = np.asarray(values, dtype=np.uint8)
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {arr.size}")
@@ -158,6 +168,7 @@ class BooleanFunction:
     @classmethod
     def from_ones(cls, n: int, ones, balanced: bool = False) -> "BooleanFunction":
         """Build from the set of packed points mapped to 1."""
+        check_n(n, EXHAUSTIVE_MAX_N)
         vals = np.zeros(1 << n, dtype=np.uint8)
         vals[list(ones)] = 1
         return cls.from_values(n, vals, balanced=balanced)
@@ -182,7 +193,7 @@ class BooleanFunction:
 
     def values(self) -> np.ndarray:
         """Full truth table as a uint8 array of 2^n entries (cached)."""
-        _check_exhaustive(self.n)
+        check_n(self.n, EXHAUSTIVE_MAX_N)
         if self._unpacked is None:
             if self._packed is not None:
                 self._unpacked = np.unpackbits(
@@ -216,7 +227,6 @@ class BooleanFunction:
 
     def to_bytes(self) -> bytes:
         """8-byte header (magic, version, n, padding) + little-endian bitmap."""
-        _check_exhaustive(self.n)
         if self._packed is not None:
             packed = self._packed
         else:
@@ -248,7 +258,7 @@ def random_balanced(n: int, seed: int) -> BooleanFunction:
     in place by numpy's PCG64 generator, so the result is identical
     across platforms for a given seed.
     """
-    _check_exhaustive(n)
+    check_n(n, EXHAUSTIVE_MAX_N)
     rng = np.random.Generator(np.random.PCG64(seed))
     vals = np.zeros(1 << n, dtype=np.uint8)
     vals[: 1 << (n - 1)] = 1
@@ -261,7 +271,7 @@ def random_subset_function(n: int, seed: int | np.random.SeedSequence) -> Boolea
 
     The seed is an int or a SeedSequence; either one fixes the result.
     """
-    _check_exhaustive(n)
+    check_n(n, EXHAUSTIVE_MAX_N)
     rng = np.random.Generator(np.random.PCG64(seed))
     nbytes = ((1 << n) + 7) // 8
     packed = rng.integers(0, 256, size=nbytes, dtype=np.uint8)

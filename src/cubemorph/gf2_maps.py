@@ -31,10 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cube_core import FORMULA_MAX_N
+from .cube_core import ELIMINATION_MAX_N, FORMULA_MAX_N, check_n
 from .stretch_metrics import Mapping
 
-ELIMINATION_MAX_N = 4096
 _CHUNK_BITS = 8
 # Inverse columns composed per array pass in the tree-inverse check.
 _INVERSE_CHUNK = 2048
@@ -263,9 +262,8 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
     n = a.n
     structural = a.parent is not None
     eliminate = cross_check or not structural
-    if eliminate and n > ELIMINATION_MAX_N:
-        raise ValueError(f"elimination{' cross-check' if structural else ''} "
-                         f"capped at n={ELIMINATION_MAX_N}")
+    if eliminate:
+        check_n(n, ELIMINATION_MAX_N, what="n for Gaussian elimination")
     inv_col_w = _tree_inverse_consistent(a, a.parent) if structural else None
     if eliminate:
         inv_rows = gf2_inverse_rows(a.row_masks(), n)
@@ -329,15 +327,15 @@ class LinearMap(Mapping):
 
     cols[b] is the image of the unit vector with bit b set, inverse_cols[b]
     its preimage; the two lists must be mutually inverse, which is not
-    checked.  Both evaluators, and so the table, derive from them.
+    checked.  Both evaluators, and so the table, derive from them.  The
+    builders below check n before they compute the masks, which take
+    O(n^2) bits.
     """
 
     def __init__(self, n: int, cols: Sequence[int], inverse_cols: Sequence[int],
                  name: str = ""):
         if len(cols) != n or len(inverse_cols) != n:
             raise ValueError(f"a linear map of the {n}-cube needs {n} columns each way")
-        if n > FORMULA_MAX_N:  # checked before the uint64 chunk tables are built
-            raise ValueError(f"dimension must be in 1..{FORMULA_MAX_N}, got {n}")
         self.cols = tuple(cols)
         self.inverse_cols = tuple(inverse_cols)
         super().__init__(n, _linear_evaluator(self.cols), _linear_evaluator(self.inverse_cols),
@@ -350,6 +348,7 @@ class LinearMap(Mapping):
 
 def tree_mapping(n: int, arity: int = 2) -> LinearMap:
     """The tree map; its inverse's column j is the ancestor chain of j."""
+    check_n(n, FORMULA_MAX_N)
     a = build_tree_matrix(n, arity)
     chains = [0] * (n + 1)  # parents precede their children in level order
     for j, p in enumerate(a.parent.tolist()[1:], start=1):
@@ -363,11 +362,13 @@ def prefix_xor_mapping(n: int) -> LinearMap:
 
     The inverse recovers x via suffix parities: x_i = y_i + ... + y_n.
     """
+    check_n(n, FORMULA_MAX_N)
     return LinearMap(n, [(3 << b) >> 1 for b in range(n)],
                      [(2 << b) - 1 for b in range(n)], name="prefix")
 
 
 def xor_head_mapping(n: int) -> LinearMap:
     """(XOR(x), x2, ..., xn): a self-inverse 2-bi-Lipschitz bijection."""
+    check_n(n, FORMULA_MAX_N)
     cols = [(1 << b) | 1 for b in range(n)]
     return LinearMap(n, cols, cols, name="xorhead")

@@ -30,15 +30,16 @@ from fractions import Fraction
 import numpy as np
 
 from .cube_core import (
+    MATCHING_MAX_N,
+    TABLE_MAX_N,
     BooleanFunction,
     Point,
+    check_n,
     popcount_array,
     random_balanced,
     random_subset_function,
 )
 from .stretch_metrics import Mapping, stretch_report
-
-MATCHING_MAX_N = 26
 
 
 class Status(IntEnum):
@@ -105,10 +106,7 @@ def run_matching(a: BooleanFunction) -> MatchState:
     round state, so all matches in a round happen simultaneously.
     """
     n = a.n
-    if n < 2:
-        raise ValueError("matching needs n >= 2")
-    if n > MATCHING_MAX_N:
-        raise ValueError(f"matching capped at n={MATCHING_MAX_N}")
+    check_n(n, MATCHING_MAX_N, low=2)
     vals = a.values()
     half = 1 << (n - 1)
     in_low = vals[:half].astype(bool)
@@ -204,8 +202,7 @@ def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if n > MATCHING_MAX_N:
-        raise ValueError(f"curve capped at n={MATCHING_MAX_N}")
+    check_n(n, MATCHING_MAX_N, low=2)
     children = np.random.SeedSequence(seed).spawn(trials)
     rounds = (n - 1) // 2
     half = 1 << (n - 1)
@@ -267,11 +264,10 @@ class DictToRandomResult:
 
 def build_dict_to_random_details(f: BooleanFunction, seed=None) -> DictToRandomResult:
     """build_dict_to_random together with the repair counts per class."""
+    n = f.n
+    check_n(n, MATCHING_MAX_N, low=2)
     if not f.is_balanced():
         raise ValueError("target function must be balanced")
-    n = f.n
-    if n > MATCHING_MAX_N:
-        raise ValueError(f"construction capped at n={MATCHING_MAX_N}")
     vals = f.values()
     rng = np.random.Generator(np.random.PCG64(seed)) if seed is not None else None
     table = np.empty(1 << n, dtype=np.int64)
@@ -316,6 +312,7 @@ class DictToRandomTrial:
 def dict_to_random_trial(n: int, seed) -> DictToRandomTrial:
     """Draw a balanced f from the seed, build dictator -> f, and measure the
     fraction of points it moves by at most 2 and its average stretch both ways."""
+    check_n(n, TABLE_MAX_N, low=2)
     f = random_balanced(n, seed)
     details = build_dict_to_random_details(f)
     phi = details.mapping

@@ -24,14 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from .cube_core import FORMULA_MAX_N, BooleanFunction, Point, popcount, popcount_array
+from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_MAX_N,
+                        TYPICAL_MAX_N, BooleanFunction, Point, check_n, popcount,
+                        popcount_array)
 
-TABLE_MAX_N = 24  # mapping tables (int64, 2^n entries) and exhaustive statistics
-ORACLE_MAX_N = 3
-LOCAL_SEARCH_MAX_N = 20
 # Proposals drawn and scored per numpy pass in the local search.
 _PROPOSAL_BLOCK = 256
-TYPICAL_MAX_N = 10 ** 6
 # Table builds call forward on slices of this many points, so evaluator
 # temporaries stay small at any n.
 _TABLE_SLICE = 1 << 14
@@ -47,8 +45,7 @@ class Mapping:
 
     def __init__(self, n: int, forward: Callable[[np.ndarray], np.ndarray],
                  inverse: Callable[[np.ndarray], np.ndarray], name: str = ""):
-        if not 1 <= n <= FORMULA_MAX_N:
-            raise ValueError(f"dimension must be in 1..{FORMULA_MAX_N}, got {n}")
+        check_n(n, FORMULA_MAX_N)
         self.n = n
         self.name = name
         self.forward = forward
@@ -82,8 +79,7 @@ class Mapping:
 
     def table(self) -> np.ndarray:
         if self._table is None:
-            if self.n > TABLE_MAX_N:
-                raise ValueError(f"cannot materialize a table beyond n={TABLE_MAX_N}")
+            check_n(self.n, TABLE_MAX_N)
             size = 1 << self.n
             table = np.empty(size, dtype=np.int64)
             for lo in range(0, size, _TABLE_SLICE):
@@ -140,8 +136,7 @@ def is_mapping_between(phi: Mapping, f: BooleanFunction, g: BooleanFunction) -> 
     if not (phi.n == f.n == g.n):
         raise ValueError(
             f"dimension mismatch: mapping n={phi.n}, f n={f.n}, g n={g.n}")
-    if phi.n > TABLE_MAX_N:
-        raise ValueError(f"exhaustive check capped at n={TABLE_MAX_N}")
+    check_n(phi.n, TABLE_MAX_N)  # a table-backed phi skips table()'s check
     t = phi.table()
     if not phi.is_permutation():
         return False
@@ -234,8 +229,7 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
     """
     n = phi.n
     if mode == "exhaustive":
-        if n > TABLE_MAX_N:
-            raise ValueError(f"exhaustive mode capped at n={TABLE_MAX_N}")
+        check_n(n, TABLE_MAX_N)  # a table-backed phi skips table()'s check
         table = phi.table()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -282,8 +276,7 @@ def directional_avg_stretch(phi: Mapping, i: int) -> Fraction:
     n = phi.n
     if not 1 <= i <= n:
         raise ValueError(f"direction {i} out of range 1..{n}")
-    if n > TABLE_MAX_N:
-        raise ValueError(f"exhaustive mode capped at n={TABLE_MAX_N}")
+    check_n(n, TABLE_MAX_N)  # a table-backed phi skips table()'s check
     s, _ = _direction_stats_exhaustive(phi.table(), i - 1)
     return Fraction(s, 1 << (n - 1))
 
@@ -296,8 +289,7 @@ def _class_lists(f: BooleanFunction, g: BooleanFunction) -> tuple[list[int], lis
     n = f.n
     if g.n != n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"bijection enumeration capped at n={ORACLE_MAX_N}")
+    check_n(n, ORACLE_MAX_N)
     f_vals = [f.value(x) for x in range(1 << n)]
     targets0 = [x for x in range(1 << n) if g.value(x) == 0]
     targets1 = [x for x in range(1 << n) if g.value(x) == 1]
@@ -476,8 +468,7 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
     drawn and scored on its own.
     """
     n = f.n
-    if n > LOCAL_SEARCH_MAX_N:
-        raise ValueError(f"local search capped at n={LOCAL_SEARCH_MAX_N}")
+    check_n(n, LOCAL_SEARCH_MAX_N)
     if restarts < 1:
         raise ValueError(f"local search needs at least one restart, got {restarts}")
     f_vals = f.values()
@@ -543,8 +534,7 @@ def typical_fraction(n: int, c) -> Fraction:
     Floats are interpreted decimally (0.01 means 1/100).  The comparison
     |w - n/2| > c*sqrt(n) is squared into integers, so no rounding occurs.
     """
-    if not 1 <= n <= TYPICAL_MAX_N:
-        raise ValueError(f"n must be in 1..{TYPICAL_MAX_N}")
+    check_n(n, TYPICAL_MAX_N)
     if isinstance(c, float):
         c = Fraction(str(c))
     else:

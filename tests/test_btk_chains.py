@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorph.btk_chains import (
-    EDGE_SCAN_MAX_N,
     Signature,
     _mark_mask,
     adjacent_chain_scan,
@@ -22,7 +21,7 @@ from cubemorph.btk_chains import (
     signature,
     signature_distance,
 )
-from cubemorph.cube_core import Point, parse_point, weight
+from cubemorph.cube_core import EDGE_SCAN_MAX_N, Point, parse_point, weight
 
 
 def test_mark_worked_example():

@@ -1,0 +1,133 @@
+"""The size caps: one table in cube_core, one check per entry point, and the
+README's copy of the table."""
+
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cubemorph import cli, cube_core
+from cubemorph.btk_chains import adjacent_chain_scan, enumerate_partition, partition_covers_cube
+from cubemorph.cube_core import BooleanFunction, Point, random_balanced, random_subset_function
+from cubemorph.gf2_maps import (
+    SparseGF2Matrix,
+    prefix_xor_mapping,
+    tree_mapping,
+    verify_conditions,
+    xor_head_mapping,
+)
+from cubemorph.random_matching import (
+    build_dict_to_random,
+    dict_to_random_trial,
+    recursion_curve,
+    run_matching,
+)
+from cubemorph.stretch_metrics import (
+    Mapping,
+    directional_avg_stretch,
+    exhaustive_min_avg_stretch,
+    exhaustive_min_max_stretch,
+    is_mapping_between,
+    local_search_min_stretch,
+    stretch_report,
+    typical_fraction,
+)
+
+CAPS = {name: value for name, value in vars(cube_core).items() if name.endswith("_MAX_N")}
+xor = BooleanFunction.xor
+
+
+def _identity_matrix(n):
+    return SparseGF2Matrix(n, np.arange(1, n + 1), np.arange(1, n + 1))
+
+
+# (cap, lowest accepted n, entry point): each entry point must reject n
+# outside low..cap before it allocates anything that grows with n.
+GUARDS = [
+    ("EXHAUSTIVE_MAX_N", 1, lambda n: random_balanced(n, seed=0)),
+    ("EXHAUSTIVE_MAX_N", 1, lambda n: random_subset_function(n, seed=0)),
+    ("EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_values(n, [])),
+    ("EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_ones(n, [])),
+    ("EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction(n, table=np.zeros(1, np.uint8))),
+    ("EXHAUSTIVE_MAX_N", 1, lambda n: xor(n).values()),
+    ("FORMULA_MAX_N", 1, lambda n: Point(0, n)),
+    ("FORMULA_MAX_N", 1, BooleanFunction.majority),
+    ("FORMULA_MAX_N", 1, Mapping.identity),
+    ("FORMULA_MAX_N", 1, tree_mapping),
+    ("FORMULA_MAX_N", 1, prefix_xor_mapping),
+    ("FORMULA_MAX_N", 1, xor_head_mapping),
+    ("TABLE_MAX_N", 1, lambda n: Mapping.identity(n).table()),
+    ("TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n))),
+    ("TABLE_MAX_N", 1, lambda n: directional_avg_stretch(Mapping.identity(n), 1)),
+    ("TABLE_MAX_N", 1, lambda n: is_mapping_between(Mapping.identity(n), xor(n), xor(n))),
+    ("TABLE_MAX_N", 2, lambda n: dict_to_random_trial(n, seed=0)),
+    ("MATCHING_MAX_N", 2, lambda n: run_matching(xor(n))),
+    ("MATCHING_MAX_N", 2, lambda n: recursion_curve(n, trials=1, seed=0)),
+    ("MATCHING_MAX_N", 2, lambda n: build_dict_to_random(xor(n))),
+    ("PARTITION_MAX_N", 1, lambda n: next(enumerate_partition(n))),
+    ("PARTITION_MAX_N", 1, partition_covers_cube),
+    ("LOCAL_SEARCH_MAX_N", 1, lambda n: local_search_min_stretch(xor(n), xor(n), seed=1)),
+    ("EDGE_SCAN_MAX_N", 0, adjacent_chain_scan),
+    ("ORACLE_MAX_N", 1, lambda n: exhaustive_min_avg_stretch(xor(n), xor(n))),
+    ("ORACLE_MAX_N", 1, lambda n: exhaustive_min_max_stretch(xor(n), xor(n))),
+    ("ELIMINATION_MAX_N", 1, lambda n: verify_conditions(_identity_matrix(n))),
+    ("TYPICAL_MAX_N", 1, lambda n: typical_fraction(n, 0.01)),
+]
+
+# (cap, lowest accepted n, subcommand arguments before --n's value, after it)
+CLI_GUARDS = [
+    ("CHAINS_DUMP_MAX_N", 1, ("chains", "--n"), ()),
+    ("TABLE_MAX_N", 2, ("random", "--n"), ("--trials", "1", "--seed", "1")),
+    ("MATCHING_MAX_N", 2, ("random", "--n"), ("--trials", "1", "--seed", "1", "--curve")),
+]
+
+
+def test_every_cap_is_guarded():
+    assert {cap for cap, _, _ in GUARDS} | {cap for cap, *_ in CLI_GUARDS} == set(CAPS)
+
+
+@pytest.mark.parametrize("cap,low,entry", GUARDS,
+                         ids=[f"{cap}-{i}" for i, (cap, _, _) in enumerate(GUARDS)])
+def test_entry_point_rejects_n_outside_its_range(cap, low, entry):
+    high = CAPS[cap]
+    with pytest.raises(ValueError, match=rf"must be in {low}\.\.{high}\b.*, got {high + 1}$"):
+        entry(high + 1)
+    # below the floor the input's own constructor may be the one that refuses
+    for n in (low - 1, -5):
+        with pytest.raises(ValueError, match=rf"must be in \d+\.\.\d+.*, got {n}$"):
+            entry(n)
+
+
+@pytest.mark.parametrize("cap,low,before,after", CLI_GUARDS,
+                         ids=[cap for cap, *_ in CLI_GUARDS])
+def test_cli_rejects_n_outside_its_range(capsys, cap, low, before, after):
+    high = CAPS[cap]
+    for n in (high + 1, low - 1):
+        assert cli.main([*before, str(n), *after]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: --n must be in {low}\.\.{high}\b.*, got {n}\n",
+                            captured.err)
+
+
+@pytest.mark.parametrize("build", [tree_mapping, prefix_xor_mapping, xor_head_mapping])
+def test_linear_maps_reject_large_n_before_building_masks(build):
+    # the O(n^2)-bit column masks used to be built before n was checked
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="got 20000$"):
+            build(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_readme_quotes_the_cap_table():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Size caps\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([A-Z_]+_MAX_N)` \| ([\d,]+) \|", section, flags=re.M)
+    assert len(rows) == len(CAPS)
+    assert {name: int(value.replace(",", "")) for name, value in rows} == CAPS

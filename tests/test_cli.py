@@ -65,7 +65,7 @@ def test_chains_full_dump_n2(capsys):
 
 def test_chains_cap_is_usage_error(capsys):
     assert run_cli("chains", "--n", "21") == 2
-    assert "cap" in capsys.readouterr().err
+    assert "--n must be in 1..20 without --point" in capsys.readouterr().err
 
 
 def test_map_golden_block(capsys):
