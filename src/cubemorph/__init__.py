@@ -38,12 +38,10 @@ from .stretch_metrics import (
 from .random_matching import (
     MatchState,
     Status,
-    build_dict_to_random,
+    build_dict_to_random_details,
     build_random_to_random,
-    classify,
     recursion_curve,
     run_matching,
-    unmatched_poor_fraction,
 )
 
 __version__ = "0.1.0"
@@ -59,6 +57,6 @@ __all__ = [
     "Mapping", "StretchReport", "directional_avg_stretch",
     "exhaustive_min_avg_stretch", "is_mapping_between", "local_search_min_stretch",
     "middle_binomial_check", "stretch_report", "typical_fraction",
-    "MatchState", "Status", "build_dict_to_random", "build_random_to_random",
-    "classify", "recursion_curve", "run_matching", "unmatched_poor_fraction",
+    "MatchState", "Status", "build_dict_to_random_details", "build_random_to_random",
+    "recursion_curve", "run_matching",
 ]

@@ -119,18 +119,21 @@ def cmd_chains(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_map(args) -> int:
-    if args.matrix_out is not None:
-        if args.mapping != "tree":
-            raise UsageError("--matrix-out only applies to the tree mapping")
-        _write_text(args.matrix_out, build_tree_matrix(args.n, args.arity).to_text() + "\n")
-        if args.x is None:
-            return 0
-    if args.x is None:
+    if args.matrix_out is not None and args.mapping != "tree":
+        raise UsageError("--matrix-out only applies to the tree mapping")
+    if args.matrix_out is None and args.x is None:
         raise UsageError("--x is required")
-    mapping = _build_mapping(args.mapping, args.n, args.arity)
-    x = _parse_point_arg(args.x, args.n)
-    out = mapping.inverse_bits(x.bits) if args.inverse else mapping.apply_bits(x.bits)
-    print(str(Point(out, args.n)))
+    # the mapping and the point are checked before anything is written
+    image = None
+    if args.x is not None:
+        mapping = _build_mapping(args.mapping, args.n, args.arity)
+        x = _parse_point_arg(args.x, args.n)
+        out = mapping.inverse_bits(x.bits) if args.inverse else mapping.apply_bits(x.bits)
+        image = Point(out, args.n)
+    if args.matrix_out is not None:
+        _write_text(args.matrix_out, build_tree_matrix(args.n, args.arity).to_text() + "\n")
+    if image is not None:
+        print(str(image))
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 # point calls check_n with its cap before it allocates anything that grows
 # with n.
 FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
-EXHAUSTIVE_MAX_N = 30  # memory: a truth table unpacks to 2^n uint8 values, 1 GiB at n = 30
+EXHAUSTIVE_MAX_N = 30  # memory: a truth table is 2^n uint8 values, 1 GiB at n = 30
 MATCHING_MAX_N = 26  # memory: a dictator-to-random table is 2^n int64, 512 MB at n = 26
 TABLE_MAX_N = 24  # memory: a 2^n int64 table is 128 MB at n = 24; analyze there peaks at 295 MB
 PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
@@ -113,8 +113,8 @@ class BooleanFunction:
     """A function {0,1}^n -> {0,1}, formula-backed or table-backed.
 
     Named formulas evaluate directly from the packed point; table-backed
-    functions store the truth table as a packed little-endian bitmap
-    (bit x of the function sits at byte x>>3, bit x&7).
+    functions hold their truth table, 2^n uint8 values of 0 or 1 indexed by
+    packed point.  The bitmap form exists only in to_bytes/from_bytes.
     """
 
     _FORMULAS = ("majority", "dictator", "xor")
@@ -131,13 +131,11 @@ class BooleanFunction:
             if table is None:
                 raise ValueError("table-backed function needs a table")
             check_n(n, EXHAUSTIVE_MAX_N)
-            expected = ((1 << n) + 7) // 8
-            if table.dtype != np.uint8 or table.size != expected:
-                raise ValueError(f"packed table must be {expected} uint8 bytes")
+            if table.dtype != np.uint8 or table.shape != (1 << n,) or table.max() > 1:
+                raise ValueError(f"table must be {1 << n} uint8 values of 0 or 1")
         self.n = n
         self.name = name
-        self._packed = table
-        self._unpacked: np.ndarray | None = None
+        self._values = table
         if balanced and self.ones_count() != 1 << (n - 1):
             raise ValueError("function marked balanced is not balanced")
 
@@ -157,13 +155,13 @@ class BooleanFunction:
 
     @classmethod
     def from_values(cls, n: int, values, balanced: bool = False) -> "BooleanFunction":
-        """Build from an iterable/array of 2^n bits indexed by packed point."""
+        """Build from an iterable/array of 2^n values indexed by packed point;
+        any nonzero value counts as 1."""
         check_n(n, EXHAUSTIVE_MAX_N)
-        arr = np.asarray(values, dtype=np.uint8)
+        arr = np.asarray(values).ravel()
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {arr.size}")
-        packed = np.packbits(arr, bitorder="little")
-        return cls(n, table=packed, balanced=balanced)
+        return cls(n, table=(arr != 0).view(np.uint8), balanced=balanced)
 
     @classmethod
     def from_ones(cls, n: int, ones, balanced: bool = False) -> "BooleanFunction":
@@ -171,7 +169,7 @@ class BooleanFunction:
         check_n(n, EXHAUSTIVE_MAX_N)
         vals = np.zeros(1 << n, dtype=np.uint8)
         vals[list(ones)] = 1
-        return cls.from_values(n, vals, balanced=balanced)
+        return cls(n, table=vals, balanced=balanced)
 
     # -- evaluation ---------------------------------------------------
 
@@ -184,7 +182,7 @@ class BooleanFunction:
             return bits & 1
         if self.name == "xor":
             return popcount(bits) & 1
-        return int((self._packed[bits >> 3] >> (bits & 7)) & 1)
+        return int(self._values[bits])
 
     def __call__(self, x: Point) -> int:
         if x.n != self.n:
@@ -192,21 +190,18 @@ class BooleanFunction:
         return self.value(x.bits)
 
     def values(self) -> np.ndarray:
-        """Full truth table as a uint8 array of 2^n entries (cached)."""
-        check_n(self.n, EXHAUSTIVE_MAX_N)
-        if self._unpacked is None:
-            if self._packed is not None:
-                self._unpacked = np.unpackbits(
-                    self._packed, count=1 << self.n, bitorder="little")
+        """Full truth table as a uint8 array of 2^n entries (a formula's is
+        built on first use)."""
+        if self._values is None:
+            check_n(self.n, EXHAUSTIVE_MAX_N)
+            idx = np.arange(1 << self.n, dtype=np.uint64)
+            if self.name == "majority":
+                self._values = (2 * popcount_array(idx) > self.n).astype(np.uint8)
+            elif self.name == "dictator":
+                self._values = (idx & 1).astype(np.uint8)
             else:
-                idx = np.arange(1 << self.n, dtype=np.uint64)
-                if self.name == "majority":
-                    self._unpacked = (2 * popcount_array(idx) > self.n).astype(np.uint8)
-                elif self.name == "dictator":
-                    self._unpacked = (idx & 1).astype(np.uint8)
-                else:
-                    self._unpacked = (popcount_array(idx) & 1).astype(np.uint8)
-        return self._unpacked
+                self._values = (popcount_array(idx) & 1).astype(np.uint8)
+        return self._values
 
     def ones_count(self) -> int:
         if self.name == "majority":
@@ -214,7 +209,7 @@ class BooleanFunction:
             return sum(comb(self.n, w) for w in range(self.n // 2 + 1, self.n + 1))
         if self.name in ("dictator", "xor"):
             return 1 << (self.n - 1)
-        return int(popcount_array(self._packed.astype(np.uint8)).sum())
+        return int(np.count_nonzero(self._values))
 
     def is_balanced(self) -> bool:
         return self.ones_count() == 1 << (self.n - 1)
@@ -226,11 +221,9 @@ class BooleanFunction:
     # -- serialization ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """8-byte header (magic, version, n, padding) + little-endian bitmap."""
-        if self._packed is not None:
-            packed = self._packed
-        else:
-            packed = np.packbits(self.values(), bitorder="little")
+        """8-byte header (magic, version, n, padding) + little-endian bitmap
+        (bit x of the function sits at byte x>>3, bit x&7)."""
+        packed = np.packbits(self.values(), bitorder="little")
         return _TABLE_MAGIC + bytes([_TABLE_VERSION, self.n, 0, 0]) + packed.tobytes()
 
     @classmethod
@@ -240,11 +233,15 @@ class BooleanFunction:
         version, n = data[4], data[5]
         if version != _TABLE_VERSION:
             raise ValueError(f"unsupported table version {version}")
+        check_n(n, EXHAUSTIVE_MAX_N)
         body = np.frombuffer(data[8:], dtype=np.uint8)
         expected = ((1 << n) + 7) // 8
         if body.size != expected:
             raise ValueError(f"expected {expected} bitmap bytes, got {body.size}")
-        return cls(n, table=body.copy())
+        bits = np.unpackbits(body, bitorder="little")
+        if bits[1 << n:].any():
+            raise ValueError("bitmap padding bits past point 2^n - 1 must be 0")
+        return cls(n, table=bits[: 1 << n])
 
     def __repr__(self) -> str:
         kind = self.name if self.name else "table"
@@ -263,7 +260,7 @@ def random_balanced(n: int, seed: int) -> BooleanFunction:
     vals = np.zeros(1 << n, dtype=np.uint8)
     vals[: 1 << (n - 1)] = 1
     rng.shuffle(vals)
-    return BooleanFunction.from_values(n, vals, balanced=True)
+    return BooleanFunction(n, table=vals, balanced=True)
 
 
 def random_subset_function(n: int, seed: int | np.random.SeedSequence) -> BooleanFunction:
@@ -273,8 +270,5 @@ def random_subset_function(n: int, seed: int | np.random.SeedSequence) -> Boolea
     """
     check_n(n, EXHAUSTIVE_MAX_N)
     rng = np.random.Generator(np.random.PCG64(seed))
-    nbytes = ((1 << n) + 7) // 8
-    packed = rng.integers(0, 256, size=nbytes, dtype=np.uint8)
-    if (1 << n) % 8:
-        packed[-1] &= (1 << ((1 << n) % 8)) - 1
-    return BooleanFunction(n, table=packed)
+    draw = rng.integers(0, 256, size=((1 << n) + 7) // 8, dtype=np.uint8)
+    return BooleanFunction(n, table=np.unpackbits(draw, count=1 << n, bitorder="little"))

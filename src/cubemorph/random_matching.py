@@ -33,7 +33,6 @@ from .cube_core import (
     MATCHING_MAX_N,
     TABLE_MAX_N,
     BooleanFunction,
-    Point,
     check_n,
     popcount_array,
     random_balanced,
@@ -48,12 +47,6 @@ class Status(IntEnum):
     POOR = 2
 
 
-@dataclass(frozen=True)
-class VertexStatus:
-    kind: Status
-    matched_with: int | None
-
-
 @dataclass
 class MatchState:
     """Outcome of the matching rounds over the (n-1)-cube."""
@@ -61,7 +54,6 @@ class MatchState:
     n: int
     kinds: np.ndarray
     matched_dir: np.ndarray
-    in_low: np.ndarray
     in_high: np.ndarray
     round_stats: list[tuple[int, int]]
 
@@ -73,25 +65,8 @@ class MatchState:
     def rounds(self) -> int:
         return len(self.round_stats) - 1
 
-    def status_of(self, x: int) -> VertexStatus:
-        d = int(self.matched_dir[x])
-        return VertexStatus(Status(int(self.kinds[x])), d if d else None)
-
     def poor_unmatched_count(self) -> int:
         return self.round_stats[-1][0]
-
-
-def classify(a: BooleanFunction, x: Point) -> Status:
-    """Rich, poor or mixed according to which extensions of x lie in a."""
-    if a.n != x.n + 1:
-        raise ValueError(f"set dimension {a.n} must be point dimension + 1 = {x.n + 1}")
-    low = a.value(x.bits)
-    high = a.value(x.bits | (1 << x.n))
-    if low and high:
-        return Status.RICH
-    if not low and not high:
-        return Status.POOR
-    return Status.MIXED
 
 
 def _xor_partner(arr: np.ndarray, b: int) -> np.ndarray:
@@ -109,8 +84,8 @@ def run_matching(a: BooleanFunction) -> MatchState:
     check_n(n, MATCHING_MAX_N, low=2)
     vals = a.values()
     half = 1 << (n - 1)
-    in_low = vals[:half].astype(bool)
-    in_high = vals[half:].astype(bool)
+    in_low = vals[:half].view(bool)
+    in_high = vals[half:].view(bool)
     rich = in_low & in_high
     poor = ~in_low & ~in_high
     kinds = np.zeros(half, dtype=np.uint8)
@@ -130,7 +105,7 @@ def run_matching(a: BooleanFunction) -> MatchState:
         rich_un &= ~match_rich
         stats.append((int(poor_un.sum()), int(rich_un.sum())))
     return MatchState(n=n, kinds=kinds, matched_dir=matched_dir,
-                      in_low=vals[:half], in_high=vals[half:], round_stats=stats)
+                      in_high=vals[half:], round_stats=stats)
 
 
 def build_injection(state: MatchState) -> np.ndarray:
@@ -145,7 +120,7 @@ def build_injection(state: MatchState) -> np.ndarray:
     kinds = state.kinds
     matched = state.matched_dir != 0
     img = x.copy()
-    mixed_high = (kinds == Status.MIXED) & state.in_high.astype(bool)
+    mixed_high = (kinds == Status.MIXED) & state.in_high.view(bool)
     img[mixed_high] += top
     rich_free = (kinds == Status.RICH) & ~matched
     img[rich_free] += top
@@ -168,10 +143,6 @@ def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
     x = np.arange(half, dtype=np.int64)
     prefix_dist = popcount_array((x ^ (img & (half - 1))).astype(np.uint64))
     return bool((prefix_dist <= 1).all())
-
-
-def unmatched_poor_fraction(state: MatchState) -> Fraction:
-    return Fraction(state.poor_unmatched_count(), state.size)
 
 
 @dataclass(frozen=True)
@@ -216,36 +187,20 @@ def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
     return CurveResult(n=n, trials=trials, p_hat=p, q_hat=q)
 
 
-def _rotated_class_table(vals: np.ndarray, n: int, cls: int) -> BooleanFunction:
-    """Indicator of f^{-1}(cls) with coordinates rotated one step left.
-
-    In rotated labels coordinate 1 of the original cube becomes the top
-    coordinate, which is the one the matching construction extends.
-    """
-    idx = np.arange(1 << n, dtype=np.int64)
-    mask = (1 << n) - 1
-    unrot = ((idx << 1) & mask) | (idx >> (n - 1))
-    rotated = (vals[unrot] == cls).astype(np.uint8)
-    return BooleanFunction.from_values(n, rotated)
-
-
-def _half_cube_images(f_vals: np.ndarray, n: int, cls: int,
-                      rng: np.random.Generator | None) -> tuple[np.ndarray, int]:
+def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray, int]:
     """Images for sources u = coordinates 2..n of the cls half, plus the
     count of repaired sources (= the unmatched poor of that half)."""
-    a_rot = _rotated_class_table(f_vals, n, cls)
-    state = run_matching(a_rot)
-    img_rot = build_injection(state)
+    # f^{-1}(cls) with coordinates rotated one step left: coordinate 1 of the
+    # cube becomes the top coordinate, the one the matching extends
+    rotated = np.concatenate([f_vals[0::2], f_vals[1::2]]) == cls
+    img_rot = build_injection(run_matching(BooleanFunction.from_values(n, rotated)))
     mask = (1 << n) - 1
     img = ((img_rot << 1) & mask) | (img_rot >> (n - 1))
     good = f_vals[img] == cls
     bad_sources = np.flatnonzero(~good)
     used = np.zeros(1 << n, dtype=bool)
     used[img[good]] = True
-    free = np.flatnonzero((f_vals == cls) & ~used)
-    if rng is not None:
-        free = rng.permutation(free)
-    img[bad_sources] = free
+    img[bad_sources] = np.flatnonzero((f_vals == cls) & ~used)
     return img, bad_sources.size
 
 
@@ -262,34 +217,25 @@ class DictToRandomResult:
         return Fraction(self.repaired[0] + self.repaired[1], 2 * half)
 
 
-def build_dict_to_random_details(f: BooleanFunction, seed=None) -> DictToRandomResult:
-    """build_dict_to_random together with the repair counts per class."""
+def build_dict_to_random_details(f: BooleanFunction) -> DictToRandomResult:
+    """Bijection phi with dictator(x) = f(phi(x)) everywhere, together with
+    the repair counts per class.  Leftover sources are repaired in ascending
+    order onto the uncovered targets, also ascending."""
     n = f.n
     check_n(n, MATCHING_MAX_N, low=2)
     if not f.is_balanced():
         raise ValueError("target function must be balanced")
     vals = f.values()
-    rng = np.random.Generator(np.random.PCG64(seed)) if seed is not None else None
     table = np.empty(1 << n, dtype=np.int64)
     half = 1 << (n - 1)
     u = np.arange(half, dtype=np.int64)
     repaired = []
     for cls in (1, 0):
-        img, nbad = _half_cube_images(vals, n, cls, rng)
+        img, nbad = _half_cube_images(vals, n, cls)
         table[(u << 1) | cls] = img
         repaired.append(nbad)
     mapping = Mapping.from_table(n, table, name="dict2random")
     return DictToRandomResult(mapping=mapping, repaired=(repaired[0], repaired[1]))
-
-
-def build_dict_to_random(f: BooleanFunction, seed=None) -> Mapping:
-    """Bijection phi with dictator(x) = f(phi(x)) everywhere.
-
-    The construction is deterministic; a seed (int or SeedSequence) only
-    randomizes the repair pairing of the leftover O(1/n) fraction
-    (default: ascending order).
-    """
-    return build_dict_to_random_details(f, seed=seed).mapping
 
 
 def displacements(phi: Mapping) -> np.ndarray:
@@ -323,17 +269,13 @@ def dict_to_random_trial(n: int, seed) -> DictToRandomTrial:
         avg_stretch_inv=float(stretch_report(phi.inverse_mapping()).avg))
 
 
-def build_random_to_random(f: BooleanFunction, g: BooleanFunction,
-                           seed=None) -> Mapping:
+def build_random_to_random(f: BooleanFunction, g: BooleanFunction) -> Mapping:
     """Bijection from f to g: the g-construction composed with the inverse
     of the f-construction."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    if seed is not None:
-        sf, sg = np.random.SeedSequence(seed).spawn(2)
-    else:
-        sf = sg = None
-    phi_f = build_dict_to_random(f, seed=sf)
-    phi_g = build_dict_to_random(g, seed=sg)
+    check_n(f.n, TABLE_MAX_N, low=2)
+    phi_f = build_dict_to_random_details(f).mapping
+    phi_g = build_dict_to_random_details(g).mapping
     table = phi_g.table()[phi_f.inverse_mapping().table()]
     return Mapping.from_table(f.n, table, name="rand2rand")

@@ -57,10 +57,9 @@ class Mapping:
         arr = np.asarray(table, dtype=np.int64)
         if arr.size != 1 << n:
             raise ValueError(f"table must have {1 << n} entries, got {arr.size}")
-        mapping = _TableMapping(n, arr, None, name)
-        if not mapping.is_permutation():
+        if not _is_permutation(arr):
             raise ValueError("table is not a permutation of the cube")
-        return mapping
+        return _TableMapping(n, arr, None, name)
 
     @classmethod
     def identity(cls, n: int) -> "Mapping":
@@ -78,8 +77,8 @@ class Mapping:
         return Point(self.apply_bits(x.bits), self.n)
 
     def table(self) -> np.ndarray:
+        check_n(self.n, TABLE_MAX_N)  # also for a table given to from_table
         if self._table is None:
-            check_n(self.n, TABLE_MAX_N)
             size = 1 << self.n
             table = np.empty(size, dtype=np.int64)
             for lo in range(0, size, _TABLE_SLICE):
@@ -92,12 +91,15 @@ class Mapping:
         return Mapping(self.n, self.inverse, self.forward, _inverse_name(self.name))
 
     def is_permutation(self) -> bool:
-        t = self.table()
-        counts = np.bincount(t, minlength=1 << self.n)
-        return bool(counts.max(initial=0) == 1 and counts.min() == 1)
+        return _is_permutation(self.table())
 
     def __repr__(self) -> str:
         return f"Mapping(n={self.n}, name={self.name!r})"
+
+
+def _is_permutation(t: np.ndarray) -> bool:
+    counts = np.bincount(t, minlength=t.size)
+    return bool(counts.max(initial=0) == 1 and counts.min() == 1)
 
 
 def _inverse_name(name: str) -> str:
@@ -136,9 +138,8 @@ def is_mapping_between(phi: Mapping, f: BooleanFunction, g: BooleanFunction) -> 
     if not (phi.n == f.n == g.n):
         raise ValueError(
             f"dimension mismatch: mapping n={phi.n}, f n={f.n}, g n={g.n}")
-    check_n(phi.n, TABLE_MAX_N)  # a table-backed phi skips table()'s check
     t = phi.table()
-    if not phi.is_permutation():
+    if not _is_permutation(t):
         return False
     return bool(np.array_equal(f.values(), g.values()[t]))
 
@@ -229,7 +230,6 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
     """
     n = phi.n
     if mode == "exhaustive":
-        check_n(n, TABLE_MAX_N)  # a table-backed phi skips table()'s check
         table = phi.table()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -276,7 +276,6 @@ def directional_avg_stretch(phi: Mapping, i: int) -> Fraction:
     n = phi.n
     if not 1 <= i <= n:
         raise ValueError(f"direction {i} out of range 1..{n}")
-    check_n(n, TABLE_MAX_N)  # a table-backed phi skips table()'s check
     s, _ = _direction_stats_exhaustive(phi.table(), i - 1)
     return Fraction(s, 1 << (n - 1))
 

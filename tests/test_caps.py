@@ -19,7 +19,8 @@ from cubemorph.gf2_maps import (
     xor_head_mapping,
 )
 from cubemorph.random_matching import (
-    build_dict_to_random,
+    build_dict_to_random_details,
+    build_random_to_random,
     dict_to_random_trial,
     recursion_curve,
     run_matching,
@@ -65,7 +66,7 @@ GUARDS = [
     ("TABLE_MAX_N", 2, lambda n: dict_to_random_trial(n, seed=0)),
     ("MATCHING_MAX_N", 2, lambda n: run_matching(xor(n))),
     ("MATCHING_MAX_N", 2, lambda n: recursion_curve(n, trials=1, seed=0)),
-    ("MATCHING_MAX_N", 2, lambda n: build_dict_to_random(xor(n))),
+    ("MATCHING_MAX_N", 2, lambda n: build_dict_to_random_details(xor(n))),
     ("PARTITION_MAX_N", 1, lambda n: next(enumerate_partition(n))),
     ("PARTITION_MAX_N", 1, partition_covers_cube),
     ("LOCAL_SEARCH_MAX_N", 1, lambda n: local_search_min_stretch(xor(n), xor(n), seed=1)),
@@ -74,6 +75,7 @@ GUARDS = [
     ("ORACLE_MAX_N", 1, lambda n: exhaustive_min_max_stretch(xor(n), xor(n))),
     ("ELIMINATION_MAX_N", 1, lambda n: verify_conditions(_identity_matrix(n))),
     ("TYPICAL_MAX_N", 1, lambda n: typical_fraction(n, 0.01)),
+    ("TABLE_MAX_N", 2, lambda n: build_random_to_random(xor(n), xor(n))),
 ]
 
 # (cap, lowest accepted n, subcommand arguments before --n's value, after it)

@@ -103,6 +103,19 @@ def test_map_matrix_export(capsys):
     assert len(rows) == 100 and rows[0] == "1 2 3" and rows[49] == "50 100" and rows[99] == "100"
 
 
+@pytest.mark.parametrize("n,x", [("64", "0"), ("3", "01a"), ("3", "0110")])
+def test_map_matrix_out_refused_point_writes_nothing(capsys, n, x):
+    # the mapping and --x are checked before the matrix goes to stdout
+    assert run_cli("map", "--mapping", "tree", "--n", n, "--matrix-out", "-", "--x", x) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_map_matrix_out_with_point(capsys):
+    assert run_cli("map", "--mapping", "tree", "--n", "3", "--matrix-out", "-",
+                   "--x", "001") == 0
+    assert capsys.readouterr().out == "1 2 3\n2\n3\n101\n"
+
+
 def test_map_tree_arity3(capsys):
     assert run_cli("map", "--mapping", "tree", "--n", "5", "--arity", "3",
                    "--matrix-out", "-") == 0

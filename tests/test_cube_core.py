@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,34 @@ def test_from_bytes_rejects_garbage():
         BooleanFunction.from_bytes(b"CMBF\x01\x05\x00\x00")
 
 
+def test_from_bytes_rejects_set_padding_bits():
+    # n = 2 uses bits 0..3 of the one bitmap byte; bit 4 is padding
+    with pytest.raises(ValueError, match="padding"):
+        BooleanFunction.from_bytes(b"CMBF\x01\x02\x00\x00\x11")
+    assert BooleanFunction.from_bytes(b"CMBF\x01\x02\x00\x00\x01").values().tolist() == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_serialization_roundtrip_partial_byte(n):
+    for seed in range(4):
+        f = random_subset_function(n, seed)
+        data = f.to_bytes()
+        assert len(data) == 9
+        g = BooleanFunction.from_bytes(data)
+        assert g.n == n and np.array_equal(g.values(), f.values())
+        assert g.to_bytes() == data
+
+
+def test_table_holds_zeros_and_ones():
+    f = BooleanFunction.from_values(2, [0, 2, 255, 0])
+    assert f.values().tolist() == [0, 1, 1, 0]
+    assert f.is_balanced() and f.value(2) == 1
+    with pytest.raises(ValueError):
+        BooleanFunction(2, table=np.array([0, 2, 1, 0], dtype=np.uint8))
+    with pytest.raises(ValueError):
+        BooleanFunction(2, table=np.zeros(5, dtype=np.uint8))
+
+
 def test_balanced_flag_enforced():
     with pytest.raises(ValueError):
         BooleanFunction.from_values(3, [1, 0, 0, 0, 0, 0, 0, 0], balanced=True)
@@ -172,3 +202,18 @@ def test_exhaustive_caps():
         random_balanced(31, seed=0)
     with pytest.raises(ValueError):
         BooleanFunction.from_values(31, [])
+
+
+# sha256 of random_subset_function(n, seed)'s truth table; n <= 2 draws one
+# byte of which only 2^n bits are used, n = 3 exactly one byte
+SUBSET_PINS = [
+    (1, 5, "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7"),
+    (2, 6, "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae"),
+    (3, 7, "29ca6fca9f9ebb1d333c81ce76b51f4b0132ad06b9a0b88a5ef01a4358742545"),
+    (12, 8, "6769093f9985742e876ecf559846fed8282347e3de58e0c281750815cbe0773a"),
+]
+
+
+@pytest.mark.parametrize("n,seed,digest", SUBSET_PINS, ids=[f"n{n}" for n, *_ in SUBSET_PINS])
+def test_random_subset_function_pinned(n, seed, digest):
+    assert hashlib.sha256(random_subset_function(n, seed).values().tobytes()).hexdigest() == digest

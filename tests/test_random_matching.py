@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,27 +14,23 @@ from cubemorph.cube_core import (
 )
 from cubemorph.random_matching import (
     Status,
-    build_dict_to_random,
     build_dict_to_random_details,
     build_injection,
     build_random_to_random,
-    classify,
     injection_is_valid,
     recursion_curve,
     run_matching,
-    unmatched_poor_fraction,
 )
 from cubemorph.stretch_metrics import is_mapping_between, stretch_report
 
 
 def test_classify_definitions():
-    a = BooleanFunction.from_ones(3, [0, 4, 1, 7])
-    assert classify(a, parse_point("00")) is Status.RICH
-    assert classify(a, parse_point("01")) is Status.POOR
-    assert classify(a, parse_point("10")) is Status.MIXED
-    assert classify(a, parse_point("11")) is Status.MIXED
-    with pytest.raises(ValueError):
-        classify(a, parse_point("000"))
+    # x is rich when both x|0 and x|1 lie in the set, poor when neither does
+    kinds = run_matching(BooleanFunction.from_ones(3, [0, 4, 1, 7])).kinds
+    assert kinds[parse_point("00").bits] == Status.RICH
+    assert kinds[parse_point("01").bits] == Status.POOR
+    assert kinds[parse_point("10").bits] == Status.MIXED
+    assert kinds[parse_point("11").bits] == Status.MIXED
 
 
 def test_matching_hand_trace():
@@ -41,16 +39,16 @@ def test_matching_hand_trace():
     a = BooleanFunction.from_ones(3, [0, 4, 1, 7])
     st = run_matching(a)
     assert st.round_stats == [(1, 1), (1, 1)]
-    assert st.status_of(parse_point("01").bits).kind is Status.POOR
-    assert st.status_of(parse_point("01").bits).matched_with is None
-    assert st.status_of(parse_point("00").bits).kind is Status.RICH
+    assert st.kinds[parse_point("01").bits] == Status.POOR
+    assert st.matched_dir[parse_point("01").bits] == 0
+    assert st.kinds[parse_point("00").bits] == Status.RICH
 
 
 def test_matching_trivial_sets():
     full = BooleanFunction.from_values(3, np.ones(8, dtype=np.uint8))
     empty = BooleanFunction.from_values(3, np.zeros(8, dtype=np.uint8))
-    assert unmatched_poor_fraction(run_matching(full)) == 0
-    assert unmatched_poor_fraction(run_matching(empty)) == 1
+    assert run_matching(full).poor_unmatched_count() == 0
+    assert run_matching(empty).poor_unmatched_count() == 4
 
 
 def test_matched_pairs_are_poor_rich_adjacent():
@@ -171,7 +169,7 @@ def test_unmatched_poor_mean_below_2_over_n():
 def test_dict_to_random_on_dictator_itself():
     f = BooleanFunction.from_values(
         10, BooleanFunction.dictator(10).values(), balanced=True)
-    phi = build_dict_to_random(f)
+    phi = build_dict_to_random_details(f).mapping
     assert is_mapping_between(phi, BooleanFunction.dictator(10), f)
     t = phi.table()
     d = popcount_array((t ^ np.arange(1 << 10)).astype(np.uint64))
@@ -191,18 +189,7 @@ def test_dict_to_random_law_and_distance():
 
 def test_dict_to_random_requires_balanced():
     with pytest.raises(ValueError):
-        build_dict_to_random(BooleanFunction.from_ones(4, [0, 1, 2]))
-
-
-def test_dict_to_random_seeded_repair_still_valid():
-    n = 12
-    f = random_balanced(n, seed=5)
-    base = build_dict_to_random(f)
-    seeded = build_dict_to_random(f, seed=99)
-    for phi in (base, seeded):
-        assert is_mapping_between(phi, BooleanFunction.dictator(n), f)
-    again = build_dict_to_random(f, seed=99)
-    assert np.array_equal(seeded.table(), again.table())
+        build_dict_to_random_details(BooleanFunction.from_ones(4, [0, 1, 2]))
 
 
 def test_random_to_random_composition():
@@ -221,3 +208,22 @@ def test_random_to_random_same_function():
     f = random_balanced(10, seed=8)
     comp = build_random_to_random(f, f)
     assert is_mapping_between(comp, f, f)
+
+
+# sha256 of the dictator -> f table and the per-class repair counts for
+# f = random_balanced(n, seed); pinned so a change of representation can
+# not move a single image
+DICT_TO_RANDOM_PINS = [
+    (2, 1, "bbcefeebda2cbf31bb9b51748a1548a3d6be1cdd2c4cdef976c0a0bc99b79e47", (1, 1)),
+    (3, 2, "0cb2946799983234cb50560e63770aab7c78db9c50158ab9d435760f76b6199a", (1, 1)),
+    (9, 3, "29a841f12a12917b6871eb42318c9203cbdde59317abd195206f1b638f93c21d", (27, 27)),
+    (14, 4, "9384659859d9b9e88ca41f25346c7642afa259efcb7834996cc8859c40b4b694", (727, 727)),
+]
+
+
+@pytest.mark.parametrize("n,seed,digest,repaired", DICT_TO_RANDOM_PINS,
+                         ids=[f"n{n}" for n, *_ in DICT_TO_RANDOM_PINS])
+def test_dict_to_random_tables_pinned(n, seed, digest, repaired):
+    res = build_dict_to_random_details(random_balanced(n, seed))
+    assert hashlib.sha256(res.mapping.table().tobytes()).hexdigest() == digest
+    assert res.repaired == repaired

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from cubemorph import stretch_metrics
 from cubemorph.chain_mappings import majority_to_dictator_map
 from cubemorph.cube_core import BooleanFunction, popcount
 from cubemorph.gf2_maps import prefix_xor_mapping, tree_mapping
@@ -337,6 +338,17 @@ def test_mapping_table_roundtrip_and_inverse():
         assert inv.apply_bits(int(table[x])) == x
     tbl_map = Mapping.from_table(5, table)
     assert tbl_map.inverse_mapping().apply_bits(int(table[7])) == 7
+
+
+def test_given_table_is_held_to_the_table_cap(monkeypatch):
+    # from_table takes any n, but exhaustive statistics on it obey TABLE_MAX_N
+    monkeypatch.setattr(stretch_metrics, "TABLE_MAX_N", 3)
+    phi = Mapping.from_table(4, np.arange(16)[::-1])
+    xor4 = BooleanFunction.xor(4)
+    for use in (stretch_report, lambda p: is_mapping_between(p, xor4, xor4),
+                lambda p: directional_avg_stretch(p, 1), Mapping.table):
+        with pytest.raises(ValueError, match=r"must be in 1\.\.3, got 4$"):
+            use(phi)
 
 
 def test_from_table_rejects_non_permutation():
