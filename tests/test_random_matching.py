@@ -227,3 +227,34 @@ def test_dict_to_random_tables_pinned(n, seed, digest, repaired):
     res = build_dict_to_random_details(random_balanced(n, seed))
     assert hashlib.sha256(res.mapping.table().tobytes()).hexdigest() == digest
     assert res.repaired == repaired
+
+
+# sha256 of build_injection(run_matching(random_subset_function(n, seed)))
+# as little-endian int64, and the round counts.  n = 3 and 7 put the
+# half-cube in one padded 64-bit word, n = 8 fills one word exactly, n = 16
+# and 20 span many words; pinned so a change of the matching state's
+# representation can not move a single image
+INJECTION_PINS = [
+    (3, 5, "a7fbafa59b1fde7864900ff3c46ac4221f1ded606d973f8bc51c10d2028389b3",
+     [(2, 1), (1, 0)]),
+    (7, 2, "cf47f30f2aedc5e250e37070bcf5ec05a54f0b7f6e134b33e34445627f4b797c",
+     [(19, 17), (12, 10), (11, 9), (11, 9)]),
+    (8, 3, "8e3f2770c07b7cbd98bf32acf85e08688f785fddf700e851529381b4163b5ea2",
+     [(28, 33), (20, 25), (15, 20), (13, 18)]),
+    (16, 4, "e32947bc10c535ae85a26f509a5fd8e3c4eb5053f198d689b15cedb85d6ca5bb",
+     [(8186, 8314), (6098, 6226), (4932, 5060), (4191, 4319), (3666, 3794),
+      (3255, 3383), (2924, 3052), (2656, 2784)]),
+    (20, 5, "911c8bba3717ac1592e9dc15cce6cf5634499f2ecdd403674431d30190aa03b7",
+     [(131008, 130715), (98230, 97937), (79825, 79532), (67736, 67443),
+      (59147, 58854), (52548, 52255), (47295, 47002), (43172, 42879),
+      (39660, 39367), (36745, 36452)]),
+]
+
+
+@pytest.mark.parametrize("n,seed,digest,round_stats", INJECTION_PINS,
+                         ids=[f"n{n}" for n, *_ in INJECTION_PINS])
+def test_injection_tables_pinned(n, seed, digest, round_stats):
+    state = run_matching(random_subset_function(n, seed))
+    assert state.round_stats == round_stats
+    img = build_injection(state)
+    assert hashlib.sha256(img.astype("<i8").tobytes()).hexdigest() == digest
