@@ -37,7 +37,6 @@ from .stretch_metrics import (
 )
 from .random_matching import (
     MatchState,
-    Status,
     build_dict_to_random_details,
     build_random_to_random,
     recursion_curve,
@@ -57,6 +56,6 @@ __all__ = [
     "Mapping", "StretchReport", "directional_avg_stretch",
     "exhaustive_min_avg_stretch", "is_mapping_between", "local_search_min_stretch",
     "middle_binomial_check", "stretch_report", "typical_fraction",
-    "MatchState", "Status", "build_dict_to_random_details", "build_random_to_random",
+    "MatchState", "build_dict_to_random_details", "build_random_to_random",
     "recursion_curve", "run_matching",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 # with n.
 FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
 EXHAUSTIVE_MAX_N = 30  # memory: a truth table is 2^n uint8 values, 1 GiB at n = 30
-MATCHING_MAX_N = 26  # memory: a dictator-to-random table is 2^n int64, 512 MB at n = 26
+MATCHING_MAX_N = 26  # memory: run_matching's 2^n uint8 values and 2^(n-1)-bit bitsets; 168 MB peak at n = 26
 TABLE_MAX_N = 24  # memory: a 2^n int64 table is 128 MB at n = 24; analyze there peaks at 295 MB
 PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
 CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20

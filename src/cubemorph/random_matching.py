@@ -15,6 +15,14 @@ inside A, an unconsumed rich vertex to x|1, a consumed rich vertex to x|0
 without leaving A), a matched poor vertex to its partner's upper extension,
 and an unmatched poor vertex to x|0, the only case that exits A.
 
+The matching state is a handful of bitsets over the (n-1)-cube, one bit per
+point in little-endian uint64 words (point x is bit x & 63 of word x >> 6;
+below n = 7 the one word is padded with zero bits): the two halves of A's
+truth table, the rich points left unmatched, and each round's matched poor
+points.  A round's matched rich points are the partners of its matched poor
+ones, so they are not stored.  The partner bitset of direction b < 6 is a
+masked shift swap inside each word, and of b >= 6 a swap of whole words.
+
 For a balanced f the dictator-to-f bijection runs this construction once
 per class of f, with coordinates rotated so the extension coordinate is
 coordinate 1; whatever the matching could not place (an O(1/n) fraction)
@@ -24,7 +32,6 @@ is repaired by pairing leftover sources with uncovered targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -40,21 +47,26 @@ from .cube_core import (
 )
 from .stretch_metrics import Mapping, stretch_report
 
-
-class Status(IntEnum):
-    MIXED = 0
-    RICH = 1
-    POOR = 2
+_WORD = np.dtype("<u8")
+# _SWAP_MASKS[b]: the bit positions p of a word with bit b of p clear
+_SWAP_MASKS = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1))
+                    for b in range(6))
 
 
 @dataclass
 class MatchState:
-    """Outcome of the matching rounds over the (n-1)-cube."""
+    """Outcome of the matching rounds over the (n-1)-cube, as bitsets.
+
+    low and high hold the set's two halves (x|0 and x|1 in A), rich_unmatched
+    the rich points no round consumed, and matched_poor[i - 1] the poor
+    points matched in round i, each to its direction-i neighbor.
+    """
 
     n: int
-    kinds: np.ndarray
-    matched_dir: np.ndarray
-    in_high: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    rich_unmatched: np.ndarray
+    matched_poor: list[np.ndarray]
     round_stats: list[tuple[int, int]]
 
     @property
@@ -69,9 +81,29 @@ class MatchState:
         return self.round_stats[-1][0]
 
 
-def _xor_partner(arr: np.ndarray, b: int) -> np.ndarray:
-    """arr reindexed by x -> x ^ (1 << b)."""
-    return arr.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(arr.shape)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """0/1 uint8 values as a bitset of uint64 words, zero-padded to one word."""
+    packed = np.packbits(bits, bitorder="little")
+    words = np.zeros(max(1, packed.size // 8), dtype=_WORD)
+    words.view(np.uint8)[:packed.size] = packed
+    return words
+
+
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of a bitset as 0/1 uint8 values."""
+    return np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+
+
+def _partner(words: np.ndarray, b: int) -> np.ndarray:
+    """The bitset reindexed by x -> x ^ (1 << b)."""
+    if b < 6:
+        s, m = 1 << b, _SWAP_MASKS[b]
+        return ((words & m) << s) | ((words >> s) & m)
+    return words.reshape(-1, 2, 1 << (b - 6))[:, ::-1, :].reshape(words.shape)
+
+
+def _count(words: np.ndarray) -> int:
+    return int(popcount_array(words).sum(dtype=np.int64))
 
 
 def run_matching(a: BooleanFunction) -> MatchState:
@@ -84,28 +116,22 @@ def run_matching(a: BooleanFunction) -> MatchState:
     check_n(n, MATCHING_MAX_N, low=2)
     vals = a.values()
     half = 1 << (n - 1)
-    in_low = vals[:half].view(bool)
-    in_high = vals[half:].view(bool)
-    rich = in_low & in_high
-    poor = ~in_low & ~in_high
-    kinds = np.zeros(half, dtype=np.uint8)
-    kinds[rich] = Status.RICH
-    kinds[poor] = Status.POOR
-    matched_dir = np.zeros(half, dtype=np.int8)
-    poor_un = poor.copy()
-    rich_un = rich.copy()
-    stats = [(int(poor_un.sum()), int(rich_un.sum()))]
-    for i in range(1, (n - 1) // 2 + 1):
-        b = i - 1
-        match_poor = poor_un & _xor_partner(rich_un, b)
-        match_rich = _xor_partner(match_poor, b)
-        matched_dir[match_poor] = i
-        matched_dir[match_rich] = i
-        poor_un &= ~match_poor
-        rich_un &= ~match_rich
-        stats.append((int(poor_un.sum()), int(rich_un.sum())))
-    return MatchState(n=n, kinds=kinds, matched_dir=matched_dir,
-                      in_high=vals[half:], round_stats=stats)
+    low = _pack(vals[:half])
+    high = _pack(vals[half:])
+    poor_un = ~(low | high)
+    if half < 64:
+        poor_un &= np.uint64((1 << half) - 1)
+    rich_un = low & high
+    stats = [(_count(poor_un), _count(rich_un))]
+    matched_poor = []
+    for b in range((n - 1) // 2):
+        match_poor = poor_un & _partner(rich_un, b)
+        poor_un ^= match_poor
+        rich_un ^= _partner(match_poor, b)
+        matched_poor.append(match_poor)
+        stats.append((_count(poor_un), _count(rich_un)))
+    return MatchState(n=n, low=low, high=high, rich_unmatched=rich_un,
+                      matched_poor=matched_poor, round_stats=stats)
 
 
 def build_injection(state: MatchState) -> np.ndarray:
@@ -115,18 +141,28 @@ def build_injection(state: MatchState) -> np.ndarray:
     consumed rich -> x|0; matched poor -> partner|1; unmatched poor -> x|0.
     """
     half = state.size
-    top = half
-    x = np.arange(half, dtype=np.int64)
-    kinds = state.kinds
-    matched = state.matched_dir != 0
-    img = x.copy()
-    mixed_high = (kinds == Status.MIXED) & state.in_high.view(bool)
-    img[mixed_high] += top
-    rich_free = (kinds == Status.RICH) & ~matched
-    img[rich_free] += top
-    poor_matched = (kinds == Status.POOR) & matched
-    dirs = state.matched_dir[poor_matched].astype(np.int64)
-    img[poor_matched] = (x[poor_matched] ^ (1 << (dirs - 1))) + top
+    top = (state.high & ~state.low) | state.rich_unmatched
+    for match_poor in state.matched_poor:
+        top |= match_poor
+    # code of a point: bit 0 its top bit, bits 1.. the round that matched it
+    # as a poor point (0: none); planes[k] is the bitset of code bit k
+    planes = [top]
+    for k in range(state.rounds.bit_length()):
+        plane = np.zeros_like(top)
+        for i, match_poor in enumerate(state.matched_poor, 1):
+            if i >> k & 1:
+                plane |= match_poor
+        planes.append(plane)
+    code = np.zeros(half, dtype=np.uint8)
+    for k, plane in enumerate(planes):
+        bits = _unpack(plane, half)
+        bits <<= k
+        code |= bits
+    # the image is x XOR this table at x's code
+    lut = np.array([top_bit * half | (1 << (i - 1) if i else 0)
+                    for i in range(state.rounds + 1) for top_bit in (0, 1)], dtype=np.int64)
+    img = lut[code]
+    img ^= np.arange(half, dtype=np.int64)
     return img
 
 
@@ -140,9 +176,9 @@ def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
     seen[img] = True
     if np.count_nonzero(seen) != half:
         return False
-    x = np.arange(half, dtype=np.int64)
-    prefix_dist = popcount_array((x ^ (img & (half - 1))).astype(np.uint64))
-    return bool((prefix_dist <= 1).all())
+    diff = img & (half - 1)
+    diff ^= np.arange(half, dtype=np.int64)
+    return bool((popcount_array(diff.view(np.uint64)) <= 1).all())
 
 
 @dataclass(frozen=True)
@@ -222,7 +258,7 @@ def build_dict_to_random_details(f: BooleanFunction) -> DictToRandomResult:
     the repair counts per class.  Leftover sources are repaired in ascending
     order onto the uncovered targets, also ascending."""
     n = f.n
-    check_n(n, MATCHING_MAX_N, low=2)
+    check_n(n, TABLE_MAX_N, low=2)
     if not f.is_balanced():
         raise ValueError("target function must be balanced")
     vals = f.values()
@@ -240,8 +276,8 @@ def build_dict_to_random_details(f: BooleanFunction) -> DictToRandomResult:
 
 def displacements(phi: Mapping) -> np.ndarray:
     """Hamming distance from each point to its image."""
-    t = phi.table()
-    return popcount_array((t ^ np.arange(t.size, dtype=np.int64)).astype(np.uint64))
+    d = phi.table() ^ np.arange(1 << phi.n, dtype=np.int64)
+    return popcount_array(d.view(np.uint64))
 
 
 @dataclass(frozen=True)

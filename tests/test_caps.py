@@ -66,7 +66,7 @@ GUARDS = [
     ("TABLE_MAX_N", 2, lambda n: dict_to_random_trial(n, seed=0)),
     ("MATCHING_MAX_N", 2, lambda n: run_matching(xor(n))),
     ("MATCHING_MAX_N", 2, lambda n: recursion_curve(n, trials=1, seed=0)),
-    ("MATCHING_MAX_N", 2, lambda n: build_dict_to_random_details(xor(n))),
+    ("TABLE_MAX_N", 2, lambda n: build_dict_to_random_details(xor(n))),
     ("PARTITION_MAX_N", 1, lambda n: next(enumerate_partition(n))),
     ("PARTITION_MAX_N", 1, partition_covers_cube),
     ("LOCAL_SEARCH_MAX_N", 1, lambda n: local_search_min_stretch(xor(n), xor(n), seed=1)),

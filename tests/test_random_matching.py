@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubemorph.cube_core import (
@@ -13,7 +13,6 @@ from cubemorph.cube_core import (
     random_subset_function,
 )
 from cubemorph.random_matching import (
-    Status,
     build_dict_to_random_details,
     build_injection,
     build_random_to_random,
@@ -24,13 +23,21 @@ from cubemorph.random_matching import (
 from cubemorph.stretch_metrics import is_mapping_between, stretch_report
 
 
+def _bits(words, count):
+    """The first count points of a bitset as a list of 0/1."""
+    return [int(words[x >> 6]) >> (x & 63) & 1 for x in range(count)]
+
+
 def test_classify_definitions():
     # x is rich when both x|0 and x|1 lie in the set, poor when neither does
-    kinds = run_matching(BooleanFunction.from_ones(3, [0, 4, 1, 7])).kinds
-    assert kinds[parse_point("00").bits] == Status.RICH
-    assert kinds[parse_point("01").bits] == Status.POOR
-    assert kinds[parse_point("10").bits] == Status.MIXED
-    assert kinds[parse_point("11").bits] == Status.MIXED
+    st = run_matching(BooleanFunction.from_ones(3, [0, 4, 1, 7]))
+    low, high = _bits(st.low, 4), _bits(st.high, 4)
+    kind = {x: "rich" if low[x] and high[x] else "mixed" if low[x] or high[x] else "poor"
+            for x in range(4)}
+    assert kind[parse_point("00").bits] == "rich"
+    assert kind[parse_point("01").bits] == "poor"
+    assert kind[parse_point("10").bits] == "mixed"
+    assert kind[parse_point("11").bits] == "mixed"
 
 
 def test_matching_hand_trace():
@@ -39,9 +46,10 @@ def test_matching_hand_trace():
     a = BooleanFunction.from_ones(3, [0, 4, 1, 7])
     st = run_matching(a)
     assert st.round_stats == [(1, 1), (1, 1)]
-    assert st.kinds[parse_point("01").bits] == Status.POOR
-    assert st.matched_dir[parse_point("01").bits] == 0
-    assert st.kinds[parse_point("00").bits] == Status.RICH
+    x01, x00 = parse_point("01").bits, parse_point("00").bits
+    assert _bits(st.low, 4)[x01] == _bits(st.high, 4)[x01] == 0
+    assert [_bits(m, 4)[x01] for m in st.matched_poor] == [0]
+    assert _bits(st.rich_unmatched, 4)[x00] == 1
 
 
 def test_matching_trivial_sets():
@@ -56,14 +64,70 @@ def test_matched_pairs_are_poor_rich_adjacent():
         a = random_subset_function(12, seed=seed)
         st = run_matching(a)
         half = st.size
-        for x in range(half):
-            d = int(st.matched_dir[x])
-            if not d:
-                continue
-            y = x ^ (1 << (d - 1))
-            assert int(st.matched_dir[y]) == d
-            kx, ky = Status(int(st.kinds[x])), Status(int(st.kinds[y]))
-            assert {kx, ky} == {Status.POOR, Status.RICH}
+        low, high = _bits(st.low, half), _bits(st.high, half)
+        rich_free = _bits(st.rich_unmatched, half)
+        seen_poor, seen_rich = set(), set()
+        for d, match_poor in enumerate(st.matched_poor, 1):
+            xs = [x for x, m in enumerate(_bits(match_poor, half)) if m]
+            assert st.round_stats[d - 1][0] - st.round_stats[d][0] == len(xs)
+            for x in xs:
+                y = x ^ (1 << (d - 1))
+                assert not low[x] and not high[x]
+                assert low[y] and high[y] and not rich_free[y]
+                assert x not in seen_poor and y not in seen_rich
+                seen_poor.add(x)
+                seen_rich.add(y)
+
+
+def _matching_reference(a):
+    """The rounds and the injection point by point, as the module docstring
+    states them: round i matches x to y = x ^ (1 << (i - 1)) when x is poor,
+    y is rich and both are unmatched at the end of round i - 1."""
+    n, vals = a.n, a.values()
+    half = 1 << (n - 1)
+    low = [int(vals[x]) for x in range(half)]
+    high = [int(vals[half + x]) for x in range(half)]
+    poor_un = {x for x in range(half) if not low[x] and not high[x]}
+    rich_un = {x for x in range(half) if low[x] and high[x]}
+    stats = [(len(poor_un), len(rich_un))]
+    pairs = {}  # matched poor x -> (its rich partner, the round)
+    for i in range(1, (n - 1) // 2 + 1):
+        found = [(x, x ^ (1 << (i - 1))) for x in sorted(poor_un)
+                 if x ^ (1 << (i - 1)) in rich_un]
+        for x, y in found:
+            poor_un.remove(x)
+            rich_un.remove(y)
+            pairs[x] = (y, i)
+        stats.append((len(poor_un), len(rich_un)))
+    img = []
+    for x in range(half):
+        if low[x] != high[x]:  # mixed: the extension inside the set
+            img.append(x + half * high[x])
+        elif low[x]:  # rich: x|1 while unconsumed, else x|0
+            img.append(x + half if x in rich_un else x)
+        elif x in pairs:  # matched poor: the partner's upper extension
+            img.append(pairs[x][0] + half)
+        else:  # unmatched poor
+            img.append(x)
+    return stats, pairs, img
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 32))
+@example(15, 1)  # round 7 swaps whole 64-bit words
+def test_matching_matches_per_point_reference(n, seed):
+    a = random_subset_function(n, seed=seed)
+    stats, pairs, img = _matching_reference(a)
+    state = run_matching(a)
+    half = state.size
+    assert state.round_stats == stats
+    got = {}
+    for i, match_poor in enumerate(state.matched_poor, 1):
+        for x, m in enumerate(_bits(match_poor, half)):
+            if m:
+                got[x] = (x ^ (1 << (i - 1)), i)
+    assert got == pairs
+    assert build_injection(state).tolist() == img
 
 
 def test_poor_unmatched_nonincreasing():
@@ -225,14 +289,14 @@ DICT_TO_RANDOM_PINS = [
                          ids=[f"n{n}" for n, *_ in DICT_TO_RANDOM_PINS])
 def test_dict_to_random_tables_pinned(n, seed, digest, repaired):
     res = build_dict_to_random_details(random_balanced(n, seed))
-    assert hashlib.sha256(res.mapping.table().tobytes()).hexdigest() == digest
+    assert hashlib.sha256(res.mapping.table().astype("<i8").tobytes()).hexdigest() == digest
     assert res.repaired == repaired
 
 
 # sha256 of build_injection(run_matching(random_subset_function(n, seed)))
-# as little-endian int64, and the round counts.  n = 3 and 7 put the
-# half-cube in one padded 64-bit word, n = 8 fills one word exactly, n = 16
-# and 20 span many words; pinned so a change of the matching state's
+# as little-endian int64, and the round counts.  n = 3 puts the half-cube
+# in one padded 64-bit word, n = 7 fills one word exactly, n = 8, 16 and 20
+# span several words; pinned so a change of the matching state's
 # representation can not move a single image
 INJECTION_PINS = [
     (3, 5, "a7fbafa59b1fde7864900ff3c46ac4221f1ded606d973f8bc51c10d2028389b3",
