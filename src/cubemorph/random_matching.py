@@ -141,22 +141,13 @@ def build_injection(state: MatchState) -> np.ndarray:
     consumed rich -> x|0; matched poor -> partner|1; unmatched poor -> x|0.
     """
     half = state.size
-    top = (state.high & ~state.low) | state.rich_unmatched
-    for match_poor in state.matched_poor:
-        top |= match_poor
-    # code of a point: bit 0 its top bit, bits 1.. the round that matched it
-    # as a poor point (0: none); planes[k] is the bitset of code bit k
-    planes = [top]
-    for k in range(state.rounds.bit_length()):
-        plane = np.zeros_like(top)
-        for i, match_poor in enumerate(state.matched_poor, 1):
-            if i >> k & 1:
-                plane |= match_poor
-        planes.append(plane)
-    code = np.zeros(half, dtype=np.uint8)
-    for k, plane in enumerate(planes):
-        bits = _unpack(plane, half)
-        bits <<= k
+    # code of a point: its image's top bit plus twice the round that matched
+    # it as a poor point (0: none); the rounds' matched poor sets are
+    # disjoint, and each of their points goes to the top half
+    code = _unpack((state.high & ~state.low) | state.rich_unmatched, half)
+    for i, match_poor in enumerate(state.matched_poor, 1):
+        bits = _unpack(match_poor, half)
+        bits *= 2 * i + 1
         code |= bits
     # the image is x XOR this table at x's code
     lut = np.array([top_bit * half | (1 << (i - 1) if i else 0)
