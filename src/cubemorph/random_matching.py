@@ -47,7 +47,6 @@ from .cube_core import (
 )
 from .stretch_metrics import Mapping, stretch_report
 
-_WORD = np.dtype("<u8")
 # _SWAP_MASKS[b]: the bit positions p of a word with bit b of p clear
 _SWAP_MASKS = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1))
                     for b in range(6))
@@ -84,7 +83,7 @@ class MatchState:
 def _pack(bits: np.ndarray) -> np.ndarray:
     """0/1 uint8 values as a bitset of uint64 words, zero-padded to one word."""
     packed = np.packbits(bits, bitorder="little")
-    words = np.zeros(max(1, packed.size // 8), dtype=_WORD)
+    words = np.zeros(max(1, packed.size // 8), dtype="<u8")
     words.view(np.uint8)[:packed.size] = packed
     return words
 
