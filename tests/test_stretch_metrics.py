@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -358,3 +359,33 @@ def test_from_table_rejects_non_permutation():
         Mapping.from_table(2, [0, 1, 2])
     with pytest.raises(ValueError):
         Mapping.from_table(2, [0, 1, 2, 4])
+
+
+def _dict_to_random(n, seed):
+    from cubemorph.cube_core import random_balanced
+    from cubemorph.random_matching import build_dict_to_random_details
+    return build_dict_to_random_details(random_balanced(n, seed)).mapping
+
+
+# sha256 of the sorted-key JSON of stretch_report(phi) for tables large enough
+# to put directions both inside and across the exhaustive pass's blocks.
+REPORT_PINS = [
+    (lambda: majority_to_dictator_map(17),
+     "3ac2d26e8a5c6fdfb465c0e4e1e9b4e2fb54daf670149a5c28043e96894fe664"),
+    (lambda: majority_to_dictator_map(17).inverse_mapping(),
+     "e497330ee2e1a7a058e50afa8c597eac2c55db57770d9b1745a97b6dabfb45e8"),
+    (lambda: tree_mapping(16),
+     "802b75d2a54681315abf221d34e6344ee71fa0e8816269c4eb9ed84fd735f81a"),
+    (lambda: _dict_to_random(18, 3),
+     "be264fb5163a9f4032a1312d15d9e15441abd62f180840f7ce2ff586ec217f50"),
+    (lambda: _dict_to_random(18, 3).inverse_mapping(),
+     "0f1ee6c9ee1e5aee4e71d7be5dc2de773ee1d2583f26f98651628817648ce701"),
+]
+
+
+@pytest.mark.parametrize("build, digest", REPORT_PINS,
+                         ids=["maj2dict17", "maj2dict17-inv", "tree16", "dict2random18",
+                              "dict2random18-inv"])
+def test_exhaustive_report_pinned(build, digest):
+    rep = stretch_report(build()).to_json_dict()
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
