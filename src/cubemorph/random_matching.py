@@ -253,12 +253,10 @@ def build_dict_to_random_details(f: BooleanFunction) -> DictToRandomResult:
         raise ValueError("target function must be balanced")
     vals = f.values()
     table = np.empty(1 << n, dtype=np.int64)
-    half = 1 << (n - 1)
-    u = np.arange(half, dtype=np.int64)
     repaired = []
     for cls in (1, 0):
         img, nbad = _half_cube_images(vals, n, cls)
-        table[(u << 1) | cls] = img
+        table[cls::2] = img
         repaired.append(nbad)
     mapping = Mapping.from_table(n, table, name="dict2random")
     return DictToRandomResult(mapping=mapping, repaired=(repaired[0], repaired[1]))

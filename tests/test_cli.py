@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -367,3 +368,34 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "_1100_10 : 01100010 01100110 11100110\n"
+
+
+_STARTUP = """
+import os
+import cubemorph
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(tasks, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _import_in_subprocess(blas_threads):
+    """(threads after `import cubemorph` or "None" without /proc, the
+    OPENBLAS_NUM_THREADS it leaves in os.environ) in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+                          capture_output=True, text=True, check=True)
+    return tuple(proc.stdout.split())
+
+
+def test_import_starts_no_blas_threads_and_leaves_no_variable():
+    tasks, blas_threads = _import_in_subprocess(None)
+    assert blas_threads == "None"
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count threads")
+    assert tasks == "1"
+
+
+def test_import_keeps_the_users_blas_setting():
+    assert _import_in_subprocess("2")[1] == "2"

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubemorph import stretch_metrics
 from cubemorph.chain_mappings import majority_to_dictator_map
@@ -108,13 +110,54 @@ def test_avg_stretch_at_least_one_for_bijections():
         assert rep.avg >= 1
 
 
-def test_workers_do_not_change_results():
-    phi = majority_to_dictator_map(9)
+@pytest.mark.parametrize("n", [9, 17])  # one block, four blocks
+def test_workers_do_not_change_results(n):
+    phi = majority_to_dictator_map(n)
     base = stretch_report(phi, workers=1)
     for k in (2, 3, 7):
         rep = stretch_report(phi, workers=k)
-        assert rep.avg == base.avg
+        assert rep == base
         assert rep.histogram == base.histogram
+
+
+def _per_edge_rows(table, n):
+    """Distance histogram per direction, one gather per direction over the
+    lower ends of its edges."""
+    xs = np.arange(1 << n)
+    rows = []
+    for b in range(n):
+        lo = xs[(xs >> b) & 1 == 0]
+        d = np.bitwise_count((table[lo] ^ table[lo | 1 << b]).astype(np.uint64))
+        rows.append(np.bincount(d, minlength=n + 1))
+    return rows
+
+
+def _check_against_per_edge(table, n, workers=1):
+    rep = stretch_report(Mapping.from_table(n, table), workers=workers)
+    rows = _per_edge_rows(table, n)
+    half = 1 << (n - 1)
+    assert rep.per_direction == tuple(
+        Fraction(int(r @ np.arange(n + 1)), half) for r in rows)
+    total = sum(rows)
+    assert rep.histogram == {d: int(c) for d, c in enumerate(total) if c}
+    assert rep.avg == Fraction(int(total @ np.arange(n + 1)), n * half)
+    assert rep.max_stretch == max(rep.histogram)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2 ** 32), st.integers(1, 3))
+@example(10, 0, 3)
+def test_exhaustive_pass_matches_per_edge_reference(n, seed, workers):
+    # blocks of 8 entries, so directions 4..n pair whole blocks
+    table = np.random.Generator(np.random.PCG64(seed)).permutation(1 << n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stretch_metrics, "_BLOCK", 1 << 3)
+        _check_against_per_edge(table, n, workers)
+
+
+def test_exhaustive_pass_matches_per_edge_reference_at_block_size():
+    n = 17  # directions 16 and 17 pair whole blocks
+    _check_against_per_edge(np.random.Generator(np.random.PCG64(17)).permutation(1 << n), n)
 
 
 def test_sampled_matches_exhaustive_within_3_se():
@@ -350,6 +393,16 @@ def test_given_table_is_held_to_the_table_cap(monkeypatch):
                 lambda p: directional_avg_stretch(p, 1), Mapping.table):
         with pytest.raises(ValueError, match=r"must be in 1\.\.3, got 4$"):
             use(phi)
+
+
+@pytest.mark.parametrize("table, ok", [
+    ([2, 0, 3, 1], True),
+    ([2, 0, -1, 1], False),  # negative entry
+    ([2, 0, 4, 1], False),   # entry >= size
+    ([2, 0, 2, 1], False),   # duplicate
+])
+def test_is_permutation_cases(table, ok):
+    assert stretch_metrics._is_permutation(np.array(table, dtype=np.int64)) is ok
 
 
 def test_from_table_rejects_non_permutation():
