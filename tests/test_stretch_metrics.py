@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from cubemorph import stretch_metrics
 from cubemorph.chain_mappings import majority_to_dictator_map
-from cubemorph.cube_core import BooleanFunction, popcount
+from cubemorph.cube_core import BooleanFunction, popcount, random_balanced
 from cubemorph.gf2_maps import prefix_xor_mapping, tree_mapping
+from cubemorph.random_matching import build_dict_to_random_details
 from cubemorph.stretch_metrics import (
     Mapping,
     _draw_proposals,
@@ -415,8 +416,6 @@ def test_from_table_rejects_non_permutation():
 
 
 def _dict_to_random(n, seed):
-    from cubemorph.cube_core import random_balanced
-    from cubemorph.random_matching import build_dict_to_random_details
     return build_dict_to_random_details(random_balanced(n, seed)).mapping
 
 
