@@ -111,14 +111,14 @@ def test_avg_stretch_at_least_one_for_bijections():
         assert rep.avg >= 1
 
 
-@pytest.mark.parametrize("n", [9, 17])  # one block, four blocks
-def test_workers_do_not_change_results(n):
-    phi = majority_to_dictator_map(n)
-    base = stretch_report(phi, workers=1)
-    for k in (2, 3, 7):
-        rep = stretch_report(phi, workers=k)
-        assert rep == base
-        assert rep.histogram == base.histogram
+def test_workers_do_not_change_results():
+    for n in (9, 17):  # one block, four blocks
+        phi = majority_to_dictator_map(n)
+        base = stretch_report(phi, workers=1)
+        for k in (2, 3, 7):
+            rep = stretch_report(phi, workers=k)
+            assert rep == base
+            assert rep.histogram == base.histogram
 
 
 def _per_edge_rows(table, n):
