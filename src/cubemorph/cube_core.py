@@ -22,7 +22,7 @@ import numpy as np
 FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
 EXHAUSTIVE_MAX_N = 30  # memory: a truth table is 2^n uint8 values, 1 GiB at n = 30
 MATCHING_MAX_N = 26  # memory: run_matching's 2^n uint8 values and 2^(n-1)-bit bitsets; 168 MB peak at n = 26
-TABLE_MAX_N = 24  # memory: a 2^n int64 table is 128 MB at n = 24; analyze there peaks at 295 MB
+TABLE_MAX_N = 24  # memory: a 2^n uint32 table (n <= 32) is 64 MB at n = 24; analyze peaks at 95 MB, random at 200 MB
 PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
 CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20
 LOCAL_SEARCH_MAX_N = 20  # run time: ~2.2x per unit of n, 5 s for two restarts at n = 13
@@ -30,6 +30,13 @@ EDGE_SCAN_MAX_N = 16  # dtype: chain elements are held as uint16
 ORACLE_MAX_N = 3  # run time: at n = 4 a balanced pair has (8!)^2 = 1.6e9 bijections to search
 ELIMINATION_MAX_N = 4096  # run time: n^2 XORs of 2n-bit rows, 7 s at n = 4096
 TYPICAL_MAX_N = 10 ** 6  # run time: exact sums of n-bit binomials, 15 s at n = 10^6
+
+# Every mapping table holds its images in this dtype, which fits a point of
+# the n-cube up to n = 32.
+TABLE_DTYPE = np.dtype(np.uint32)
+# Passes over a whole table work on slices of this many entries, so their
+# temporaries stay well under 1 MB at any n.
+SLICE = 1 << 16
 
 _TABLE_MAGIC = b"CMBF"
 _TABLE_VERSION = 1
@@ -101,6 +108,11 @@ def flip(x: Point, i: int) -> Point:
     if not 1 <= i <= x.n:
         raise ValueError(f"direction {i} out of range 1..{x.n}")
     return Point(x.bits ^ (1 << (i - 1)), x.n)
+
+
+def slices(size: int, step: int = SLICE):
+    """(lo, hi) bounds of the consecutive step-entry slices of range(size)."""
+    return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
 def check_n(n: int, cap: int, low: int = 1, what: str = "n", note: str = "") -> None:

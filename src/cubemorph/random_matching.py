@@ -27,6 +27,11 @@ For a balanced f the dictator-to-f bijection runs this construction once
 per class of f, with coordinates rotated so the extension coordinate is
 coordinate 1; whatever the matching could not place (an O(1/n) fraction)
 is repaired by pairing leftover sources with uncovered targets.
+
+Images and tables are uint32 (``TABLE_DTYPE``).  The injection, its check,
+the rotation back, the composition and the displacements work on slices
+of ``SLICE`` points, so beyond their bitmaps and results none makes a
+temporary the size of a table.
 """
 
 from __future__ import annotations
@@ -38,12 +43,14 @@ import numpy as np
 
 from .cube_core import (
     MATCHING_MAX_N,
+    TABLE_DTYPE,
     TABLE_MAX_N,
     BooleanFunction,
     check_n,
     popcount_array,
     random_balanced,
     random_subset_function,
+    slices,
 )
 from .stretch_metrics import Mapping, stretch_report
 
@@ -140,35 +147,45 @@ def build_injection(state: MatchState) -> np.ndarray:
     consumed rich -> x|0; matched poor -> partner|1; unmatched poor -> x|0.
     """
     half = state.size
-    # code of a point: its image's top bit plus twice the round that matched
-    # it as a poor point (0: none); the rounds' matched poor sets are
-    # disjoint, and each of their points goes to the top half
-    code = _unpack((state.high & ~state.low) | state.rich_unmatched, half)
-    for i, match_poor in enumerate(state.matched_poor, 1):
-        bits = _unpack(match_poor, half)
-        bits *= 2 * i + 1
-        code |= bits
-    # the image is x XOR this table at x's code
+    # the image of x is x XOR this table at x's code: the image's top bit
+    # plus twice the round that matched x as a poor point (0: none); the
+    # rounds' matched poor sets are disjoint, and each of their points goes
+    # to the top half
     lut = np.array([top_bit * half | (1 << (i - 1) if i else 0)
-                    for i in range(state.rounds + 1) for top_bit in (0, 1)], dtype=np.int64)
-    img = lut[code]
-    img ^= np.arange(half, dtype=np.int64)
+                    for i in range(state.rounds + 1) for top_bit in (0, 1)], dtype=TABLE_DTYPE)
+    top = (state.high & ~state.low) | state.rich_unmatched
+    img = np.empty(half, dtype=TABLE_DTYPE)
+    for lo, hi in slices(half):
+        words = slice(lo >> 6, (hi + 63) >> 6)  # a slice starts on a word
+        code = _unpack(top[words], hi - lo)
+        for i, match_poor in enumerate(state.matched_poor, 1):
+            bits = _unpack(match_poor[words], hi - lo)
+            bits *= 2 * i + 1
+            code |= bits
+        part = img[lo:hi]
+        np.take(lut, code, out=part)
+        part ^= np.arange(lo, hi, dtype=TABLE_DTYPE)
     return img
 
 
 def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
-    """Injectivity plus the one-coordinate condition on the first n-1 bits."""
+    """Injectivity plus the one-coordinate condition on the first n-1 bits,
+    checked slice by slice for an integer image of any dtype."""
     half = state.size
     if img.size != half or img.min() < 0 or img.max() >= 2 * half:
         return False
     # a bitmap of the images, not a sort: np.unique takes seconds at n = 24
     seen = np.zeros(2 * half, dtype=bool)
-    seen[img] = True
+    for lo, hi in slices(half):
+        seen[img[lo:hi]] = True
     if np.count_nonzero(seen) != half:
         return False
-    diff = img & (half - 1)
-    diff ^= np.arange(half, dtype=np.int64)
-    return bool((popcount_array(diff.view(np.uint64)) <= 1).all())
+    for lo, hi in slices(half):
+        diff = img[lo:hi] & (half - 1)
+        diff ^= np.arange(lo, hi, dtype=diff.dtype)
+        if (popcount_array(diff) > 1).any():
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -218,15 +235,24 @@ def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray,
     count of repaired sources (= the unmatched poor of that half)."""
     # f^{-1}(cls) with coordinates rotated one step left: coordinate 1 of the
     # cube becomes the top coordinate, the one the matching extends
-    rotated = np.concatenate([f_vals[0::2], f_vals[1::2]]) == cls
-    img_rot = build_injection(run_matching(BooleanFunction.from_values(n, rotated)))
+    rotated = np.concatenate([f_vals[0::2], f_vals[1::2]])
+    rotated ^= 1 - cls  # the indicator of class cls
+    img = build_injection(run_matching(BooleanFunction(n, table=rotated)))
+    del rotated
+    # rotate each image back, in place, and mark the targets of the ones
+    # that land in the class
     mask = (1 << n) - 1
-    img = ((img_rot << 1) & mask) | (img_rot >> (n - 1))
-    good = f_vals[img] == cls
+    good = np.empty(img.size, dtype=bool)
+    taken = np.zeros(1 << n, dtype=bool)
+    for lo, hi in slices(img.size):
+        part = img[lo:hi]
+        part[:] = ((part << 1) & mask) | (part >> (n - 1))
+        good[lo:hi] = f_vals[part] == cls
+        taken[part[good[lo:hi]]] = True
     bad_sources = np.flatnonzero(~good)
-    used = np.zeros(1 << n, dtype=bool)
-    used[img[good]] = True
-    img[bad_sources] = np.flatnonzero((f_vals == cls) & ~used)
+    # every taken target is in the class, so this leaves its untaken ones
+    taken ^= f_vals == cls
+    img[bad_sources] = np.flatnonzero(taken)
     return img, bad_sources.size
 
 
@@ -252,20 +278,22 @@ def build_dict_to_random_details(f: BooleanFunction) -> DictToRandomResult:
     if not f.is_balanced():
         raise ValueError("target function must be balanced")
     vals = f.values()
-    table = np.empty(1 << n, dtype=np.int64)
+    table = np.empty(1 << n, dtype=TABLE_DTYPE)
     repaired = []
     for cls in (1, 0):
-        img, nbad = _half_cube_images(vals, n, cls)
-        table[cls::2] = img
+        table[cls::2], nbad = _half_cube_images(vals, n, cls)
         repaired.append(nbad)
     mapping = Mapping.from_table(n, table, name="dict2random")
     return DictToRandomResult(mapping=mapping, repaired=(repaired[0], repaired[1]))
 
 
 def displacements(phi: Mapping) -> np.ndarray:
-    """Hamming distance from each point to its image."""
-    d = phi.table() ^ np.arange(1 << phi.n, dtype=np.int64)
-    return popcount_array(d.view(np.uint64))
+    """Hamming distance from each point to its image, as uint8."""
+    t = phi.table()
+    out = np.empty(t.size, dtype=np.uint8)
+    for lo, hi in slices(t.size):
+        np.bitwise_count(t[lo:hi] ^ np.arange(lo, hi, dtype=t.dtype), out=out[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)
@@ -301,5 +329,8 @@ def build_random_to_random(f: BooleanFunction, g: BooleanFunction) -> Mapping:
     check_n(f.n, TABLE_MAX_N, low=2)
     phi_f = build_dict_to_random_details(f).mapping
     phi_g = build_dict_to_random_details(g).mapping
-    table = phi_g.table()[phi_f.inverse_mapping().table()]
+    g_table, f_inverse = phi_g.table(), phi_f.inverse_mapping().table()
+    table = np.empty_like(g_table)
+    for lo, hi in slices(table.size):
+        np.take(g_table, f_inverse[lo:hi], out=table[lo:hi])
     return Mapping.from_table(f.n, table, name="rand2rand")

@@ -7,12 +7,15 @@ expectation over a random point and a random direction.  Exhaustive
 reports use exact rationals; sampled reports keep the sample mean exact
 and carry the sample size and a floating standard error.
 
-Exhaustive statistics come from one pass over the table in blocks of
-``_BLOCK`` entries that fill a per-direction distance histogram; a
-direction's distance sum is read off its histogram row.  A direction whose
-edges stay inside a block is paired within it; a longer one pairs a block
-with the block 2^b entries further on.  Each step reuses two buffers the
-size of a block, so the pass makes no table-sized temporaries.
+Tables hold their images as ``TABLE_DTYPE`` (uint32) words, 4 bytes a
+point.  Exhaustive statistics come from one pass over a table's own
+unsigned words in blocks of ``_BLOCK`` entries that fill a per-direction
+distance histogram; a direction's distance sum is read off its histogram
+row.  A direction whose edges stay inside a block is paired within it; a
+longer one pairs a block with the block 2^b entries further on.  Each step
+reuses two buffers the size of a block, so the pass makes no table-sized
+temporaries.  Validation, inversion and the law check likewise work on
+slices of a table.
 
 Also here: brute-force oracles that enumerate every class-preserving
 bijection between two functions at tiny n (the ground truth the heuristics
@@ -30,9 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_MAX_N,
-                        TYPICAL_MAX_N, BooleanFunction, Point, check_n, popcount,
-                        popcount_array)
+from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_DTYPE,
+                        TABLE_MAX_N, TYPICAL_MAX_N, BooleanFunction, Point, check_n,
+                        popcount, popcount_array, slices)
 
 # Proposals drawn and scored per numpy pass in the local search.
 _PROPOSAL_BLOCK = 256
@@ -49,7 +52,8 @@ class Mapping:
 
     ``forward(xs)`` and ``inverse(xs)`` map a uint64 array of packed points
     to the array of their images.  The table, point evaluation and sampled
-    statistics all call them; ``table()`` caches the int64 forward table.
+    statistics all call them; ``table()`` caches the forward table as
+    ``TABLE_DTYPE`` (uint32) images.
     """
 
     def __init__(self, n: int, forward: Callable[[np.ndarray], np.ndarray],
@@ -63,12 +67,15 @@ class Mapping:
 
     @classmethod
     def from_table(cls, n: int, table, name: str = "") -> "Mapping":
-        arr = np.asarray(table, dtype=np.int64)
+        """The permutation with these images.  A contiguous ``TABLE_DTYPE``
+        array is held as it is; any other integer input is checked as it
+        is and then converted."""
+        arr = np.asarray(table)
         if arr.size != 1 << n:
             raise ValueError(f"table must have {1 << n} entries, got {arr.size}")
-        if not _is_permutation(arr):
+        if arr.dtype.kind not in "iu" or not _is_permutation(arr):
             raise ValueError("table is not a permutation of the cube")
-        return _TableMapping(n, arr, None, name)
+        return _TableMapping(n, np.ascontiguousarray(arr, dtype=TABLE_DTYPE), None, name)
 
     @classmethod
     def identity(cls, n: int) -> "Mapping":
@@ -88,10 +95,8 @@ class Mapping:
     def table(self) -> np.ndarray:
         check_n(self.n, TABLE_MAX_N)  # also for a table given to from_table
         if self._table is None:
-            size = 1 << self.n
-            table = np.empty(size, dtype=np.int64)
-            for lo in range(0, size, _TABLE_SLICE):
-                hi = min(lo + _TABLE_SLICE, size)
+            table = np.empty(1 << self.n, dtype=TABLE_DTYPE)
+            for lo, hi in slices(table.size, _TABLE_SLICE):
                 table[lo:hi] = self.forward(np.arange(lo, hi, dtype=np.uint64))
             self._table = table
         return self._table
@@ -107,12 +112,14 @@ class Mapping:
 
 
 def _is_permutation(t: np.ndarray) -> bool:
-    """True iff t holds each of 0..t.size-1 exactly once: every entry is in
-    range and, scattered into a bitmap, the entries cover it."""
+    """True iff the integer array t holds each of 0..t.size-1 exactly once:
+    every entry is in range and, scattered slice by slice into a bitmap,
+    the entries cover it."""
     if not t.size or t.min() < 0 or t.max() >= t.size:
         return False
     seen = np.zeros(t.size, dtype=bool)
-    seen[t] = True
+    for lo, hi in slices(t.size):
+        seen[t[lo:hi]] = True
     return bool(seen.all())
 
 
@@ -139,10 +146,13 @@ class _TableMapping(Mapping):
 
 
 def _inverted(tables: list) -> np.ndarray:
-    """tables[1], scattered from the permutation tables[0] if still None."""
+    """tables[1], scattered slice by slice from the permutation tables[0] if
+    still None."""
     if tables[1] is None:
-        inv = np.empty_like(tables[0])
-        inv[tables[0]] = np.arange(tables[0].size, dtype=np.int64)
+        table = tables[0]
+        inv = np.empty_like(table)
+        for lo, hi in slices(table.size):
+            inv[table[lo:hi]] = np.arange(lo, hi, dtype=inv.dtype)
         tables[1] = inv
     return tables[1]
 
@@ -155,7 +165,8 @@ def is_mapping_between(phi: Mapping, f: BooleanFunction, g: BooleanFunction) -> 
     t = phi.table()
     if not _is_permutation(t):
         return False
-    return bool(np.array_equal(f.values(), g.values()[t]))
+    f_vals, g_vals = f.values(), g.values()
+    return all(np.array_equal(f_vals[lo:hi], g_vals[t[lo:hi]]) for lo, hi in slices(t.size))
 
 
 @dataclass(frozen=True)
@@ -210,9 +221,9 @@ class StretchReport:
 def _block_hist(words: np.ndarray, n: int, block: int, first: int, last: int
                 ) -> np.ndarray:
     """Distance histogram per direction of the edges whose lower end lies
-    in blocks first..last-1 of the uint64 table words."""
+    in blocks first..last-1 of the unsigned table words."""
     hist = np.zeros((n, n + 1), dtype=np.int64)
-    xor = np.empty(block, dtype=np.uint64)
+    xor = np.empty(block, dtype=words.dtype)
     dist = np.empty(block, dtype=np.uint8)
     inner = min(n, block.bit_length() - 1)
     half_xor, half_dist = xor[:block // 2], dist[:block // 2]
@@ -235,9 +246,11 @@ def _block_hist(words: np.ndarray, n: int, block: int, first: int, last: int
 
 def _exhaustive_stats(table: np.ndarray, n: int, workers: int = 1) -> np.ndarray:
     """(n, n+1) int64 histogram: row b counts the 2^(n-1) edges in
-    direction b+1 by image distance.  With workers > 1, threads take ranges
-    of blocks and their histograms are added, which gives the same counts."""
-    words = table.view(np.uint64)
+    direction b+1 by image distance.  The pass reads the table's entries as
+    unsigned words of their own width: a uint32 table as it is, an int64
+    one as uint64.  With workers > 1, threads take ranges of blocks and
+    their histograms are added, which gives the same counts."""
+    words = table.view(f"u{table.itemsize}")
     block = min(_BLOCK, table.size)
     blocks = table.size // block
     if workers > 1 and blocks > 1:

@@ -114,6 +114,10 @@ def test_cli_rejects_n_outside_its_range(capsys, cap, low, before, after):
                             captured.err)
 
 
+def test_table_dtype_holds_every_point_up_to_the_table_cap():
+    assert cube_core.TABLE_MAX_N <= 8 * cube_core.TABLE_DTYPE.itemsize
+
+
 @pytest.mark.parametrize("build", [tree_mapping, prefix_xor_mapping, xor_head_mapping])
 def test_linear_maps_reject_large_n_before_building_masks(build):
     # the O(n^2)-bit column masks used to be built before n was checked

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cubemorph.random_matching import (
     build_dict_to_random_details,
     build_injection,
     build_random_to_random,
+    displacements,
     injection_is_valid,
     recursion_curve,
     run_matching,
@@ -170,7 +172,7 @@ def test_injection_validity_rejects_bad_images():
     assert injection_is_valid(st, img)
     top = 2 * st.size
     for x, bad in ((1, img[0]), (0, top), (0, top + 5), (0, -1)):
-        broken = img.copy()
+        broken = img.astype(np.int64)
         broken[x] = bad
         assert not injection_is_valid(st, broken)
     assert not injection_is_valid(st, img[:-1])
@@ -189,7 +191,7 @@ def _injection_valid_reference(n, img):
 @given(st.integers(2, 9), st.integers(0, 2 ** 16), st.data())
 def test_injection_validity_matches_brute_force(n, seed, data):
     state = run_matching(random_subset_function(n, seed=seed))
-    img = build_injection(state)
+    img = build_injection(state).astype(np.int64)
     half = state.size
     for _ in range(data.draw(st.integers(0, 3))):
         x = data.draw(st.integers(0, half - 1))
@@ -200,7 +202,25 @@ def test_injection_validity_matches_brute_force(n, seed, data):
             img[x] = data.draw(st.integers(-2, 2 * half + 1))
     if data.draw(st.booleans()):
         img = img[:data.draw(st.integers(1, half))]
-    assert injection_is_valid(state, img) == _injection_valid_reference(n, img)
+    expected = _injection_valid_reference(n, img)
+    assert injection_is_valid(state, img) == expected
+    if img.min() >= 0:  # the same image as the uint32 table build_injection returns
+        assert injection_is_valid(state, img.astype(np.uint32)) == expected
+
+
+def test_injection_validity_checks_every_slice():
+    # n = 19: 2^18 images, four slices of 2^16; break only the last one
+    state = run_matching(random_subset_function(19, seed=6))
+    img = build_injection(state)
+    assert injection_is_valid(state, img)
+    dup = img.copy()
+    dup[-1] = dup[-2]
+    assert not injection_is_valid(state, dup)
+    # a swap inside the last slice keeps the images distinct but moves two
+    # prefixes far away
+    far = img.copy()
+    far[[-1, -(1 << 15)]] = far[[-(1 << 15), -1]]
+    assert not injection_is_valid(state, far)
 
 
 def test_curve_statistics_n16():
@@ -249,6 +269,51 @@ def test_dict_to_random_law_and_distance():
     d = popcount_array((t ^ np.arange(1 << n)).astype(np.uint64))
     assert float((d <= 2).mean()) >= 1 - 5 / n
     assert res.unmatched_poor_fraction < 0.2
+
+
+def test_displacements_match_per_point_distances():
+    # n = 18: four slices of 2^16
+    phi = build_dict_to_random_details(random_balanced(18, seed=5)).mapping
+    t = phi.table().astype(np.int64)
+    d = displacements(phi)
+    assert d.dtype == np.uint8
+    assert np.array_equal(d, popcount_array((t ^ np.arange(1 << 18)).astype(np.uint64)))
+
+
+def test_tables_are_uint32():
+    state = run_matching(random_subset_function(9, seed=1))
+    assert build_injection(state).dtype == np.uint32
+    phi = build_dict_to_random_details(random_balanced(9, seed=2)).mapping
+    assert phi.table().dtype == np.uint32
+    comp = build_random_to_random(random_balanced(9, seed=3), random_balanced(9, seed=4))
+    assert comp.table().dtype == np.uint32
+
+
+def _traced_peak(call):
+    """The result of call() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_matching_tables_make_no_table_sized_temporaries():
+    # at n = 20 an int64 temporary of the 2^19 images is 4 MiB, of the 2^20
+    # table entries 8 MiB; each pass may hold only slices beyond its own
+    # bitmaps and results
+    n = 20
+    state = run_matching(random_subset_function(n, seed=7))
+    img, peak = _traced_peak(lambda: build_injection(state))
+    assert peak <= img.nbytes + (1 << n) + (1 << 20)
+    valid, peak = _traced_peak(lambda: injection_is_valid(state, img))
+    assert valid
+    assert peak <= (1 << n) + (1 << 20)
+    phi = build_dict_to_random_details(random_balanced(n, seed=7)).mapping
+    d, peak = _traced_peak(lambda: displacements(phi))
+    assert peak <= d.nbytes + (1 << 20)
 
 
 def test_dict_to_random_requires_balanced():

@@ -63,6 +63,17 @@ def test_is_mapping_between_rejects_non_bijection():
     assert not is_mapping_between(const, BooleanFunction.xor(2), BooleanFunction.xor(2))
 
 
+def test_is_mapping_between_checks_every_slice():
+    # n = 18: the law is checked in four slices of 2^16
+    f = random_balanced(18, seed=4)
+    dic = BooleanFunction.dictator(18)
+    table = build_dict_to_random_details(f).mapping.table().copy()
+    assert is_mapping_between(Mapping.from_table(18, table), dic, f)
+    # the last point is odd, the one before it even: swapped, both break the law
+    table[[-1, -2]] = table[[-2, -1]]
+    assert not is_mapping_between(Mapping.from_table(18, table), dic, f)
+
+
 def test_is_mapping_between_dimension_checks():
     with pytest.raises(ValueError):
         is_mapping_between(Mapping.identity(3), BooleanFunction.xor(3),
@@ -134,8 +145,11 @@ def _per_edge_rows(table, n):
 
 
 def _check_against_per_edge(table, n, workers=1):
-    rep = stretch_report(Mapping.from_table(n, table), workers=workers)
     rows = _per_edge_rows(table, n)
+    # the local search's int64 working table goes through the pass as is
+    assert np.array_equal(stretch_metrics._exhaustive_stats(table.astype(np.int64), n, workers),
+                          rows)
+    rep = stretch_report(Mapping.from_table(n, table.astype(np.uint32)), workers=workers)
     half = 1 << (n - 1)
     assert rep.per_direction == tuple(
         Fraction(int(r @ np.arange(n + 1)), half) for r in rows)
@@ -407,12 +421,50 @@ def test_is_permutation_cases(table, ok):
 
 
 def test_from_table_rejects_non_permutation():
+    for table in ([0, 0, 1, 2],   # duplicate
+                  [0, 1, 2],      # too short
+                  [0, 1, 2, 4],   # entry >= size
+                  [0, 1, -1, 3],  # negative entry
+                  [0, 1, 2, 1 << 33]):
+        for given in (table, np.array(table, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                Mapping.from_table(2, given)
+
+
+def test_from_table_rejects_non_integer_entries():
     with pytest.raises(ValueError):
-        Mapping.from_table(2, [0, 0, 1, 2])
-    with pytest.raises(ValueError):
-        Mapping.from_table(2, [0, 1, 2])
-    with pytest.raises(ValueError):
-        Mapping.from_table(2, [0, 1, 2, 4])
+        Mapping.from_table(2, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_from_table_holds_a_uint32_table_without_copying():
+    table = np.random.Generator(np.random.PCG64(2)).permutation(1 << 18).astype(np.uint32)
+    phi = Mapping.from_table(18, table)
+    assert np.shares_memory(phi.table(), table)
+    assert np.array_equal(phi.table(), table)
+
+
+def test_tables_are_uint32():
+    for phi in (majority_to_dictator_map(5), tree_mapping(6),
+                Mapping.from_table(3, [3, 1, 0, 2, 7, 6, 4, 5]),
+                Mapping.from_table(3, np.arange(8, dtype=np.int64)[::-1])):
+        assert phi.table().dtype == np.uint32
+        inv = phi.inverse_mapping()
+        assert inv.table().dtype == np.uint32
+        assert np.array_equal(inv.table()[phi.table()], np.arange(1 << phi.n))
+
+
+def test_inverse_table_across_slices():
+    # n = 18: the inverse is scattered in four slices of 2^16
+    table = np.random.Generator(np.random.PCG64(3)).permutation(1 << 18)
+    inv = Mapping.from_table(18, table).inverse_mapping().table()
+    assert np.array_equal(inv, np.argsort(table))
+
+
+def test_is_permutation_across_slices():
+    table = np.arange(1 << 18, dtype=np.uint32)
+    assert stretch_metrics._is_permutation(table)
+    table[-1] = 3  # a duplicate in the last slice, so one image is missing
+    assert not stretch_metrics._is_permutation(table)
 
 
 def _dict_to_random(n, seed):
