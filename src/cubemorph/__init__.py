@@ -41,7 +41,6 @@ from .gf2_maps import SparseGF2Matrix, build_tree_matrix, verify_conditions
 from .stretch_metrics import (
     Mapping,
     StretchReport,
-    directional_avg_stretch,
     exhaustive_min_avg_stretch,
     is_mapping_between,
     local_search_min_stretch,
@@ -67,9 +66,8 @@ __all__ = [
     "signature_distance",
     "dict_to_maj", "maj_to_dict", "maj_to_xor",
     "SparseGF2Matrix", "build_tree_matrix", "verify_conditions",
-    "Mapping", "StretchReport", "directional_avg_stretch",
-    "exhaustive_min_avg_stretch", "is_mapping_between", "local_search_min_stretch",
-    "middle_binomial_check", "stretch_report", "typical_fraction",
+    "Mapping", "StretchReport", "exhaustive_min_avg_stretch", "is_mapping_between",
+    "local_search_min_stretch", "middle_binomial_check", "stretch_report", "typical_fraction",
     "MatchState", "build_dict_to_random_details", "build_random_to_random",
     "recursion_curve", "run_matching",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 
@@ -62,24 +61,6 @@ def _parse_point_arg(s: str, n: int) -> Point:
     if x.n != n:
         raise UsageError(f"point {s!r} has {x.n} coordinates, expected {n}")
     return x
-
-
-def _workers(args) -> int:
-    """--workers, else CUBEMORPH_WORKERS, else 1; below 1 is a usage error."""
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    else:
-        env = os.environ.get("CUBEMORPH_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise UsageError(f"CUBEMORPH_WORKERS={env!r} is not an integer") from None
-        source = "CUBEMORPH_WORKERS"
-    if workers < 1:
-        raise UsageError(f"{source} must be at least 1, got {workers}")
-    return workers
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -142,15 +123,13 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    workers = _workers(args)
     mapping = _build_mapping(args.mapping, args.n, args.arity)
     if args.inverse:
         mapping = mapping.inverse_mapping()
     if args.mode == "sampled":
         if args.samples is None or args.seed is None:
             raise UsageError("sampled mode requires --samples and --seed")
-    report = stretch_report(mapping, mode=args.mode, samples=args.samples,
-                            seed=args.seed, workers=workers)
+    report = stretch_report(mapping, mode=args.mode, samples=args.samples, seed=args.seed)
     # the histogram first: a bad path then exits 2 before any report is out
     if args.histogram_csv is not None:
         _write_text(args.histogram_csv, report.histogram_csv())
@@ -339,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=int, help="edges sampled per direction (sampled mode)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--histogram-csv", help="also write the distance,count histogram")
     p.set_defaults(func=cmd_analyze)

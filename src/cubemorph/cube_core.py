@@ -63,11 +63,6 @@ class Point:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
 
-    def coordinate(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range 1..{self.n}")
-        return (self.bits >> (i - 1)) & 1
-
     def __str__(self) -> str:
         return format_point(self)
 
@@ -113,6 +108,18 @@ def flip(x: Point, i: int) -> Point:
 def slices(size: int, step: int = SLICE):
     """(lo, hi) bounds of the consecutive step-entry slices of range(size)."""
     return ((lo, min(lo + step, size)) for lo in range(0, size, step))
+
+
+def distinct_in_range(values: np.ndarray, size: int) -> bool:
+    """True iff every entry of the integer array values lies in 0..size-1
+    and no two are equal: a range check, then a scatter slice by slice into
+    a bitmap of size entries (not a sort) whose set bits are counted."""
+    if values.size and (values.min() < 0 or values.max() >= size):
+        return False
+    seen = np.zeros(size, dtype=bool)
+    for lo, hi in slices(values.size):
+        seen[values[lo:hi]] = True
+    return bool(np.count_nonzero(seen) == values.size)
 
 
 def check_n(n: int, cap: int, low: int = 1, what: str = "n", note: str = "") -> None:

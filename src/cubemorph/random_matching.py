@@ -47,6 +47,7 @@ from .cube_core import (
     TABLE_MAX_N,
     BooleanFunction,
     check_n,
+    distinct_in_range,
     popcount_array,
     random_balanced,
     random_subset_function,
@@ -172,13 +173,7 @@ def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
     """Injectivity plus the one-coordinate condition on the first n-1 bits,
     checked slice by slice for an integer image of any dtype."""
     half = state.size
-    if img.size != half or img.min() < 0 or img.max() >= 2 * half:
-        return False
-    # a bitmap of the images, not a sort: np.unique takes seconds at n = 24
-    seen = np.zeros(2 * half, dtype=bool)
-    for lo, hi in slices(half):
-        seen[img[lo:hi]] = True
-    if np.count_nonzero(seen) != half:
+    if img.size != half or not distinct_in_range(img, 2 * half):
         return False
     for lo, hi in slices(half):
         diff = img[lo:hi] & (half - 1)
@@ -237,21 +232,25 @@ def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray,
     # cube becomes the top coordinate, the one the matching extends
     rotated = np.concatenate([f_vals[0::2], f_vals[1::2]])
     rotated ^= 1 - cls  # the indicator of class cls
-    img = build_injection(run_matching(BooleanFunction(n, table=rotated)))
-    del rotated
-    # rotate each image back, in place, and mark the targets of the ones
-    # that land in the class
+    state = run_matching(BooleanFunction(n, table=rotated))
+    del rotated  # the state holds the set as bitsets
+    img = build_injection(state)
+    del state
+    # rotate each image back, in place, mark the targets of the ones that
+    # land in the class and collect the sources of the rest
     mask = (1 << n) - 1
-    good = np.empty(img.size, dtype=bool)
     taken = np.zeros(1 << n, dtype=bool)
+    bad = []
     for lo, hi in slices(img.size):
         part = img[lo:hi]
         part[:] = ((part << 1) & mask) | (part >> (n - 1))
-        good[lo:hi] = f_vals[part] == cls
-        taken[part[good[lo:hi]]] = True
-    bad_sources = np.flatnonzero(~good)
+        good = f_vals[part] == cls
+        taken[part[good]] = True
+        bad.append(lo + np.flatnonzero(~good))
     # every taken target is in the class, so this leaves its untaken ones
-    taken ^= f_vals == cls
+    for lo, hi in slices(taken.size):
+        taken[lo:hi] ^= f_vals[lo:hi] == cls
+    bad_sources = np.concatenate(bad)
     img[bad_sources] = np.flatnonzero(taken)
     return img, bad_sources.size
 

@@ -7,15 +7,16 @@ expectation over a random point and a random direction.  Exhaustive
 reports use exact rationals; sampled reports keep the sample mean exact
 and carry the sample size and a floating standard error.
 
-Tables hold their images as ``TABLE_DTYPE`` (uint32) words, 4 bytes a
-point.  Exhaustive statistics come from one pass over a table's own
-unsigned words in blocks of ``_BLOCK`` entries that fill a per-direction
-distance histogram; a direction's distance sum is read off its histogram
-row.  A direction whose edges stay inside a block is paired within it; a
-longer one pairs a block with the block 2^b entries further on.  Each step
-reuses two buffers the size of a block, so the pass makes no table-sized
-temporaries.  Validation, inversion and the law check likewise work on
-slices of a table.
+Every table, the local search's working table included, holds its images
+as ``TABLE_DTYPE`` (uint32) words, 4 bytes a point.  Exhaustive statistics
+come from one single-threaded pass over those words in blocks of
+``_BLOCK`` entries that fill a per-direction distance histogram; a
+direction's distance sum is read off its histogram row.  A direction whose
+edges stay inside a block is paired within it; a longer one pairs a block
+with the block 2^b entries further on.  Each step reuses two buffers the
+size of a block, so the pass makes no table-sized temporaries.
+Validation, inversion and the law check likewise work on slices of a
+table.
 
 Also here: brute-force oracles that enumerate every class-preserving
 bijection between two functions at tiny n (the ground truth the heuristics
@@ -35,13 +36,10 @@ import numpy as np
 
 from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_DTYPE,
                         TABLE_MAX_N, TYPICAL_MAX_N, BooleanFunction, Point, check_n,
-                        popcount, popcount_array, slices)
+                        distinct_in_range, popcount, popcount_array, slices)
 
 # Proposals drawn and scored per numpy pass in the local search.
 _PROPOSAL_BLOCK = 256
-# Table builds call forward on slices of this many points, so evaluator
-# temporaries stay small at any n.
-_TABLE_SLICE = 1 << 14
 # Table entries per step of the exhaustive pass; a block and its buffers
 # stay in a core's L2 cache (2^14 to 2^16 time within 5 % of each other).
 _BLOCK = 1 << 15
@@ -96,7 +94,7 @@ class Mapping:
         check_n(self.n, TABLE_MAX_N)  # also for a table given to from_table
         if self._table is None:
             table = np.empty(1 << self.n, dtype=TABLE_DTYPE)
-            for lo, hi in slices(table.size, _TABLE_SLICE):
+            for lo, hi in slices(table.size):
                 table[lo:hi] = self.forward(np.arange(lo, hi, dtype=np.uint64))
             self._table = table
         return self._table
@@ -104,23 +102,13 @@ class Mapping:
     def inverse_mapping(self) -> "Mapping":
         return Mapping(self.n, self.inverse, self.forward, _inverse_name(self.name))
 
-    def is_permutation(self) -> bool:
-        return _is_permutation(self.table())
-
     def __repr__(self) -> str:
         return f"Mapping(n={self.n}, name={self.name!r})"
 
 
 def _is_permutation(t: np.ndarray) -> bool:
-    """True iff the integer array t holds each of 0..t.size-1 exactly once:
-    every entry is in range and, scattered slice by slice into a bitmap,
-    the entries cover it."""
-    if not t.size or t.min() < 0 or t.max() >= t.size:
-        return False
-    seen = np.zeros(t.size, dtype=bool)
-    for lo, hi in slices(t.size):
-        seen[t[lo:hi]] = True
-    return bool(seen.all())
+    """True iff the integer array t holds each of 0..t.size-1 exactly once."""
+    return distinct_in_range(t, t.size)
 
 
 def _inverse_name(name: str) -> str:
@@ -218,17 +206,17 @@ class StretchReport:
         return "\n".join(lines) + "\n"
 
 
-def _block_hist(words: np.ndarray, n: int, block: int, first: int, last: int
-                ) -> np.ndarray:
-    """Distance histogram per direction of the edges whose lower end lies
-    in blocks first..last-1 of the unsigned table words."""
+def _exhaustive_stats(table: np.ndarray, n: int) -> np.ndarray:
+    """(n, n+1) int64 histogram of a ``TABLE_DTYPE`` table: row b counts the
+    2^(n-1) edges in direction b+1 by image distance."""
     hist = np.zeros((n, n + 1), dtype=np.int64)
-    xor = np.empty(block, dtype=words.dtype)
+    block = min(_BLOCK, table.size)
+    xor = np.empty(block, dtype=table.dtype)
     dist = np.empty(block, dtype=np.uint8)
     inner = min(n, block.bit_length() - 1)
     half_xor, half_dist = xor[:block // 2], dist[:block // 2]
-    for lo in range(first * block, last * block, block):
-        blk = words[lo:lo + block]
+    for lo in range(0, table.size, block):
+        blk = table[lo:lo + block]
         for b in range(inner):
             paired = blk.reshape(-1, 2, 1 << b)
             np.bitwise_xor(paired[:, 0, :], paired[:, 1, :],
@@ -238,29 +226,10 @@ def _block_hist(words: np.ndarray, n: int, block: int, first: int, last: int
         for b in range(inner, n):
             if lo & (1 << b):
                 continue
-            np.bitwise_xor(blk, words[lo + (1 << b):lo + (1 << b) + block], out=xor)
+            np.bitwise_xor(blk, table[lo + (1 << b):lo + (1 << b) + block], out=xor)
             np.bitwise_count(xor, out=dist)
             hist[b] += np.bincount(dist, minlength=n + 1)
     return hist
-
-
-def _exhaustive_stats(table: np.ndarray, n: int, workers: int = 1) -> np.ndarray:
-    """(n, n+1) int64 histogram: row b counts the 2^(n-1) edges in
-    direction b+1 by image distance.  The pass reads the table's entries as
-    unsigned words of their own width: a uint32 table as it is, an int64
-    one as uint64.  With workers > 1, threads take ranges of blocks and
-    their histograms are added, which gives the same counts."""
-    words = table.view(f"u{table.itemsize}")
-    block = min(_BLOCK, table.size)
-    blocks = table.size // block
-    if workers > 1 and blocks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        parts = min(workers, blocks)
-        cuts = [blocks * k // parts for k in range(parts + 1)]
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            return sum(pool.map(lambda r: _block_hist(words, n, block, *r),
-                                zip(cuts, cuts[1:])))
-    return _block_hist(words, n, block, 0, blocks)
 
 
 def _distance_sums(hist: np.ndarray) -> list[int]:
@@ -283,8 +252,7 @@ def _direction_hist_sampled(phi: Mapping, rng: np.random.Generator, samples: int
 
 
 def stretch_report(phi: Mapping, mode: str = "exhaustive",
-                   samples: int | None = None, seed: int | None = None,
-                   workers: int = 1) -> StretchReport:
+                   samples: int | None = None, seed: int | None = None) -> StretchReport:
     """Stretch statistics over all edges, or over sampled edges per direction.
 
     Sampled mode needs a per-direction sample count and a seed; the report
@@ -292,7 +260,7 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
     """
     n = phi.n
     if mode == "exhaustive":
-        rows = _exhaustive_stats(phi.table(), n, workers)
+        rows = _exhaustive_stats(phi.table(), n)
         per_edge_count = 1 << (n - 1)
         samples = seed = None
     elif mode == "sampled":
@@ -323,14 +291,6 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
         edges_total=edges_total,
         samples=samples, stderr=stderr, seed=seed,
     )
-
-
-def directional_avg_stretch(phi: Mapping, i: int) -> Fraction:
-    """Average image distance over all edges in direction i (1-based)."""
-    n = phi.n
-    if not 1 <= i <= n:
-        raise ValueError(f"direction {i} out of range 1..{n}")
-    return Fraction(_distance_sums(_exhaustive_stats(phi.table(), n))[i - 1], 1 << (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +508,7 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
     best_sum: int | None = None
     best_table: np.ndarray | None = None
     for r in range(restarts):
-        table = np.empty(size, dtype=np.int64)
+        table = np.empty(size, dtype=TABLE_DTYPE)
         for c in (0, 1):
             table[sources[c]] = targets[c] if r == 0 else rng.permutation(targets[c])
         current = sum(_distance_sums(_exhaustive_stats(table, n)))

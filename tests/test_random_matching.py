@@ -14,6 +14,7 @@ from cubemorph.cube_core import (
     random_subset_function,
 )
 from cubemorph.random_matching import (
+    _half_cube_images,
     build_dict_to_random_details,
     build_injection,
     build_random_to_random,
@@ -314,6 +315,17 @@ def test_matching_tables_make_no_table_sized_temporaries():
     phi = build_dict_to_random_details(random_balanced(n, seed=7)).mapping
     d, peak = _traced_peak(lambda: displacements(phi))
     assert peak <= d.nbytes + (1 << 20)
+
+
+def test_half_cube_images_repair_makes_no_table_sized_temporaries():
+    # at n = 20 the class indicator, a bool mask of the 2^19 sources and one
+    # of the 2^20 targets are 1, 0.5 and 1 MiB; beside its image and the
+    # 2^n-byte bitmap of taken targets only slices and bitsets may be held
+    n = 20
+    f_vals = random_balanced(n, seed=7).values()
+    for cls in (0, 1):
+        (img, _), peak = _traced_peak(lambda: _half_cube_images(f_vals, n, cls))
+        assert peak <= img.nbytes + (1 << n) + (1 << 20)
 
 
 def test_dict_to_random_requires_balanced():

@@ -16,7 +16,6 @@ from cubemorph.random_matching import build_dict_to_random_details
 from cubemorph.stretch_metrics import (
     Mapping,
     _draw_proposals,
-    directional_avg_stretch,
     exhaustive_min_avg_stretch,
     exhaustive_min_directional,
     exhaustive_min_max_stretch,
@@ -106,12 +105,11 @@ def test_per_direction_consistency():
 
 
 def test_directional_examples():
-    assert directional_avg_stretch(Mapping.identity(5), 3) == 1
-    phi = prefix_xor_mapping(3)
-    assert directional_avg_stretch(phi, 1) == 1
-    assert directional_avg_stretch(phi, 3) == 2
-    with pytest.raises(ValueError):
-        directional_avg_stretch(phi, 4)
+    assert stretch_report(Mapping.identity(5)).per_direction[3 - 1] == 1
+    per_direction = stretch_report(prefix_xor_mapping(3)).per_direction
+    assert per_direction[1 - 1] == 1
+    assert per_direction[3 - 1] == 2
+    assert len(per_direction) == 3
 
 
 def test_avg_stretch_at_least_one_for_bijections():
@@ -120,16 +118,6 @@ def test_avg_stretch_at_least_one_for_bijections():
         table = rng.permutation(1 << n)
         rep = stretch_report(Mapping.from_table(n, table))
         assert rep.avg >= 1
-
-
-def test_workers_do_not_change_results():
-    for n in (9, 17):  # one block, four blocks
-        phi = majority_to_dictator_map(n)
-        base = stretch_report(phi, workers=1)
-        for k in (2, 3, 7):
-            rep = stretch_report(phi, workers=k)
-            assert rep == base
-            assert rep.histogram == base.histogram
 
 
 def _per_edge_rows(table, n):
@@ -144,12 +132,11 @@ def _per_edge_rows(table, n):
     return rows
 
 
-def _check_against_per_edge(table, n, workers=1):
+def _check_against_per_edge(table, n):
     rows = _per_edge_rows(table, n)
-    # the local search's int64 working table goes through the pass as is
-    assert np.array_equal(stretch_metrics._exhaustive_stats(table.astype(np.int64), n, workers),
-                          rows)
-    rep = stretch_report(Mapping.from_table(n, table.astype(np.uint32)), workers=workers)
+    table = table.astype(np.uint32)
+    assert np.array_equal(stretch_metrics._exhaustive_stats(table, n), rows)
+    rep = stretch_report(Mapping.from_table(n, table))
     half = 1 << (n - 1)
     assert rep.per_direction == tuple(
         Fraction(int(r @ np.arange(n + 1)), half) for r in rows)
@@ -160,14 +147,14 @@ def _check_against_per_edge(table, n, workers=1):
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2 ** 32), st.integers(1, 3))
-@example(10, 0, 3)
-def test_exhaustive_pass_matches_per_edge_reference(n, seed, workers):
+@given(st.integers(1, 10), st.integers(0, 2 ** 32))
+@example(10, 0)
+def test_exhaustive_pass_matches_per_edge_reference(n, seed):
     # blocks of 8 entries, so directions 4..n pair whole blocks
     table = np.random.Generator(np.random.PCG64(seed)).permutation(1 << n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stretch_metrics, "_BLOCK", 1 << 3)
-        _check_against_per_edge(table, n, workers)
+        _check_against_per_edge(table, n)
 
 
 def test_exhaustive_pass_matches_per_edge_reference_at_block_size():
@@ -224,7 +211,7 @@ def test_oracle_directional_minima():
     for i in (1, 2, 3):
         v, wit = exhaustive_min_directional(xor3, maj3, i)
         assert v == XOR_TO_MAJ_MIN_DIRECTIONAL[i - 1]
-        assert directional_avg_stretch(wit, i) == v
+        assert stretch_report(wit).per_direction[i - 1] == v
 
 
 def test_oracle_dict_to_majority_min_max():
@@ -405,7 +392,7 @@ def test_given_table_is_held_to_the_table_cap(monkeypatch):
     phi = Mapping.from_table(4, np.arange(16)[::-1])
     xor4 = BooleanFunction.xor(4)
     for use in (stretch_report, lambda p: is_mapping_between(p, xor4, xor4),
-                lambda p: directional_avg_stretch(p, 1), Mapping.table):
+                lambda p: stretch_report(p).per_direction[0], Mapping.table):
         with pytest.raises(ValueError, match=r"must be in 1\.\.3, got 4$"):
             use(phi)
 
