@@ -236,23 +236,27 @@ def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray,
     del rotated  # the state holds the set as bitsets
     img = build_injection(state)
     del state
-    # rotate each image back, in place, mark the targets of the ones that
-    # land in the class and collect the sources of the rest
+    # rotate each image back, in place, and mark the targets of the ones
+    # that land in the class
     mask = (1 << n) - 1
     taken = np.zeros(1 << n, dtype=bool)
-    bad = []
     for lo, hi in slices(img.size):
         part = img[lo:hi]
         part[:] = ((part << 1) & mask) | (part >> (n - 1))
-        good = f_vals[part] == cls
-        taken[part[good]] = True
-        bad.append(lo + np.flatnonzero(~good))
-    # every taken target is in the class, so this leaves its untaken ones
+        taken[part[f_vals[part] == cls]] = True
+    # every taken target is in the class, so this leaves its untaken ones;
+    # they go, ascending, to the sources whose image left the class
     for lo, hi in slices(taken.size):
         taken[lo:hi] ^= f_vals[lo:hi] == cls
-    bad_sources = np.concatenate(bad)
-    img[bad_sources] = np.flatnonzero(taken)
-    return img, bad_sources.size
+    free = np.flatnonzero(taken)
+    del taken
+    repaired = 0
+    for lo, hi in slices(img.size):
+        part = img[lo:hi]
+        bad = np.flatnonzero(f_vals[part] != cls)
+        part[bad] = free[repaired:repaired + bad.size]
+        repaired += bad.size
+    return img, repaired
 
 
 @dataclass(frozen=True)
