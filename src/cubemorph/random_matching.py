@@ -249,7 +249,6 @@ def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray,
     for lo, hi in slices(taken.size):
         taken[lo:hi] ^= f_vals[lo:hi] == cls
     free = np.flatnonzero(taken)
-    del taken
     repaired = 0
     for lo, hi in slices(img.size):
         part = img[lo:hi]
