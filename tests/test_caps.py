@@ -43,38 +43,40 @@ def _identity_matrix(n):
     return SparseGF2Matrix(n, np.arange(1, n + 1), np.arange(1, n + 1))
 
 
-# (cap, lowest accepted n, entry point): each entry point must reject n
-# outside low..cap before it allocates anything that grows with n.
+# (row id, cap, lowest accepted n, entry point): each entry point must reject
+# n outside low..cap before it allocates anything that grows with n.  A row
+# keeps its id for good, and a new row takes the next unused one, so the test
+# ids f"{cap}-{row id}" do not move when a row is removed.
 GUARDS = [
-    ("EXHAUSTIVE_MAX_N", 1, lambda n: random_balanced(n, seed=0)),
-    ("EXHAUSTIVE_MAX_N", 1, lambda n: random_subset_function(n, seed=0)),
-    ("EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_values(n, [])),
-    ("EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_ones(n, [])),
-    ("EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction(n, table=np.zeros(1, np.uint8))),
-    ("EXHAUSTIVE_MAX_N", 1, lambda n: xor(n).values()),
-    ("FORMULA_MAX_N", 1, lambda n: Point(0, n)),
-    ("FORMULA_MAX_N", 1, BooleanFunction.majority),
-    ("FORMULA_MAX_N", 1, Mapping.identity),
-    ("FORMULA_MAX_N", 1, tree_mapping),
-    ("FORMULA_MAX_N", 1, prefix_xor_mapping),
-    ("FORMULA_MAX_N", 1, xor_head_mapping),
-    ("TABLE_MAX_N", 1, lambda n: Mapping.identity(n).table()),
-    ("TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n))),
-    ("TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n)).per_direction[0]),
-    ("TABLE_MAX_N", 1, lambda n: is_mapping_between(Mapping.identity(n), xor(n), xor(n))),
-    ("TABLE_MAX_N", 2, lambda n: dict_to_random_trial(n, seed=0)),
-    ("MATCHING_MAX_N", 2, lambda n: run_matching(xor(n))),
-    ("MATCHING_MAX_N", 2, lambda n: recursion_curve(n, trials=1, seed=0)),
-    ("TABLE_MAX_N", 2, lambda n: build_dict_to_random_details(xor(n))),
-    ("PARTITION_MAX_N", 1, lambda n: next(enumerate_partition(n))),
-    ("PARTITION_MAX_N", 1, partition_covers_cube),
-    ("LOCAL_SEARCH_MAX_N", 1, lambda n: local_search_min_stretch(xor(n), xor(n), seed=1)),
-    ("EDGE_SCAN_MAX_N", 0, adjacent_chain_scan),
-    ("ORACLE_MAX_N", 1, lambda n: exhaustive_min_avg_stretch(xor(n), xor(n))),
-    ("ORACLE_MAX_N", 1, lambda n: exhaustive_min_max_stretch(xor(n), xor(n))),
-    ("ELIMINATION_MAX_N", 1, lambda n: verify_conditions(_identity_matrix(n))),
-    ("TYPICAL_MAX_N", 1, lambda n: typical_fraction(n, 0.01)),
-    ("TABLE_MAX_N", 2, lambda n: build_random_to_random(xor(n), xor(n))),
+    (0, "EXHAUSTIVE_MAX_N", 1, lambda n: random_balanced(n, seed=0)),
+    (1, "EXHAUSTIVE_MAX_N", 1, lambda n: random_subset_function(n, seed=0)),
+    (2, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_values(n, [])),
+    (3, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_ones(n, [])),
+    (4, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction(n, table=np.zeros(1, np.uint8))),
+    (5, "EXHAUSTIVE_MAX_N", 1, lambda n: xor(n).values()),
+    (6, "FORMULA_MAX_N", 1, lambda n: Point(0, n)),
+    (7, "FORMULA_MAX_N", 1, BooleanFunction.majority),
+    (8, "FORMULA_MAX_N", 1, Mapping.identity),
+    (9, "FORMULA_MAX_N", 1, tree_mapping),
+    (10, "FORMULA_MAX_N", 1, prefix_xor_mapping),
+    (11, "FORMULA_MAX_N", 1, xor_head_mapping),
+    (12, "TABLE_MAX_N", 1, lambda n: Mapping.identity(n).table()),
+    (13, "TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n))),
+    (14, "TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n)).per_direction[0]),
+    (15, "TABLE_MAX_N", 1, lambda n: is_mapping_between(Mapping.identity(n), xor(n), xor(n))),
+    (16, "TABLE_MAX_N", 2, lambda n: dict_to_random_trial(n, seed=0)),
+    (17, "MATCHING_MAX_N", 2, lambda n: run_matching(xor(n))),
+    (18, "MATCHING_MAX_N", 2, lambda n: recursion_curve(n, trials=1, seed=0)),
+    (19, "TABLE_MAX_N", 2, lambda n: build_dict_to_random_details(xor(n))),
+    (20, "PARTITION_MAX_N", 1, lambda n: next(enumerate_partition(n))),
+    (21, "PARTITION_MAX_N", 1, partition_covers_cube),
+    (22, "LOCAL_SEARCH_MAX_N", 1, lambda n: local_search_min_stretch(xor(n), xor(n), seed=1)),
+    (23, "EDGE_SCAN_MAX_N", 0, adjacent_chain_scan),
+    (24, "ORACLE_MAX_N", 1, lambda n: exhaustive_min_avg_stretch(xor(n), xor(n))),
+    (25, "ORACLE_MAX_N", 1, lambda n: exhaustive_min_max_stretch(xor(n), xor(n))),
+    (26, "ELIMINATION_MAX_N", 1, lambda n: verify_conditions(_identity_matrix(n))),
+    (27, "TYPICAL_MAX_N", 1, lambda n: typical_fraction(n, 0.01)),
+    (28, "TABLE_MAX_N", 2, lambda n: build_random_to_random(xor(n), xor(n))),
 ]
 
 # (cap, lowest accepted n, subcommand arguments before --n's value, after it)
@@ -86,11 +88,15 @@ CLI_GUARDS = [
 
 
 def test_every_cap_is_guarded():
-    assert {cap for cap, _, _ in GUARDS} | {cap for cap, *_ in CLI_GUARDS} == set(CAPS)
+    assert {cap for _, cap, _, _ in GUARDS} | {cap for cap, *_ in CLI_GUARDS} == set(CAPS)
 
 
-@pytest.mark.parametrize("cap,low,entry", GUARDS,
-                         ids=[f"{cap}-{i}" for i, (cap, _, _) in enumerate(GUARDS)])
+def test_guard_row_ids_are_unique():
+    assert len({row for row, *_ in GUARDS}) == len(GUARDS)
+
+
+@pytest.mark.parametrize("cap,low,entry", [row[1:] for row in GUARDS],
+                         ids=[f"{cap}-{row}" for row, cap, _, _ in GUARDS])
 def test_entry_point_rejects_n_outside_its_range(cap, low, entry):
     high = CAPS[cap]
     with pytest.raises(ValueError, match=rf"must be in {low}\.\.{high}\b.*, got {high + 1}$"):
