@@ -21,8 +21,8 @@ import numpy as np
 # with n.
 FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
 EXHAUSTIVE_MAX_N = 30  # memory: a truth table is 2^n uint8 values, 1 GiB at n = 30
-MATCHING_MAX_N = 26  # memory: run_matching's 2^n uint8 values and 2^(n-1)-bit bitsets; 168 MB peak at n = 26
-TABLE_MAX_N = 24  # memory: a 2^n uint32 table (n <= 32) is 64 MB at n = 24; analyze peaks at 95 MB, random at 200 MB
+MATCHING_MAX_N = 26  # memory: run_matching's 2^n-bit set bitmap and 2^(n-1)-bit bitsets; 104 MB peak at n = 26
+TABLE_MAX_N = 24  # memory: a 2^n uint32 table (n <= 32) is 64 MB at n = 24; analyze peaks at 95 MB, random at 180 MB
 PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
 CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20
 LOCAL_SEARCH_MAX_N = 20  # run time: ~2.2x per unit of n, 5 s for two restarts at n = 13
@@ -131,30 +131,41 @@ def check_n(n: int, cap: int, low: int = 1, what: str = "n", note: str = "") -> 
 class BooleanFunction:
     """A function {0,1}^n -> {0,1}, formula-backed or table-backed.
 
-    Named formulas evaluate directly from the packed point; table-backed
-    functions hold their truth table, 2^n uint8 values of 0 or 1 indexed by
-    packed point.  The bitmap form exists only in to_bytes/from_bytes.
+    Named formulas evaluate directly from the packed point.  A table-backed
+    function holds its truth table in one of two forms, or both: values(),
+    2^n uint8 values of 0 or 1 indexed by packed point, and bitmap(), the
+    same bits little-endian in ((2^n + 7) // 8) bytes (point x is bit x & 7
+    of byte x >> 3, and the padding bits past point 2^n - 1 are 0).  The
+    form it lacks is derived on first use, as a formula's table is.
     """
 
     _FORMULAS = ("majority", "dictator", "xor")
 
-    def __init__(self, n: int, *, name: str | None = None,
-                 table: np.ndarray | None = None, balanced: bool = False):
+    def __init__(self, n: int, *, name: str | None = None, table: np.ndarray | None = None,
+                 bitmap: np.ndarray | None = None, balanced: bool = False):
         if name is not None:
             if name not in self._FORMULAS:
                 raise ValueError(f"unknown formula {name!r}")
-            if table is not None:
+            if table is not None or bitmap is not None:
                 raise ValueError("give either a formula name or a table, not both")
             check_n(n, FORMULA_MAX_N)
         else:
-            if table is None:
-                raise ValueError("table-backed function needs a table")
+            if (table is None) == (bitmap is None):
+                raise ValueError("a table-backed function needs one of a table and a bitmap")
             check_n(n, EXHAUSTIVE_MAX_N)
-            if table.dtype != np.uint8 or table.shape != (1 << n,) or table.max() > 1:
+            if table is not None and (table.dtype != np.uint8 or table.shape != (1 << n,)
+                                      or table.max() > 1):
                 raise ValueError(f"table must be {1 << n} uint8 values of 0 or 1")
+            size = ((1 << n) + 7) // 8
+            if bitmap is not None and (bitmap.dtype != np.uint8 or bitmap.shape != (size,)
+                                       or not bitmap.flags.c_contiguous):
+                raise ValueError(f"bitmap must be {size} contiguous uint8 bytes")
+            if bitmap is not None and n < 3 and bitmap[0] >> (1 << n):
+                raise ValueError("bitmap padding bits past point 2^n - 1 must be 0")
         self.n = n
         self.name = name
         self._values = table
+        self._bitmap = bitmap
         if balanced and self.ones_count() != 1 << (n - 1):
             raise ValueError("function marked balanced is not balanced")
 
@@ -201,7 +212,7 @@ class BooleanFunction:
             return bits & 1
         if self.name == "xor":
             return popcount(bits) & 1
-        return int(self._values[bits])
+        return int(self.values()[bits])
 
     def __call__(self, x: Point) -> int:
         if x.n != self.n:
@@ -210,8 +221,10 @@ class BooleanFunction:
 
     def values(self) -> np.ndarray:
         """Full truth table as a uint8 array of 2^n entries (a formula's is
-        built on first use)."""
-        if self._values is None:
+        built, a bitmap's unpacked, on first use)."""
+        if self._values is None and self._bitmap is not None:
+            self._values = np.unpackbits(self._bitmap, count=1 << self.n, bitorder="little")
+        elif self._values is None:
             check_n(self.n, EXHAUSTIVE_MAX_N)
             idx = np.arange(1 << self.n, dtype=np.uint64)
             if self.name == "majority":
@@ -222,12 +235,21 @@ class BooleanFunction:
                 self._values = (popcount_array(idx) & 1).astype(np.uint8)
         return self._values
 
+    def bitmap(self) -> np.ndarray:
+        """The truth table as a little-endian uint8 bitmap of (2^n + 7) // 8
+        bytes, zero past point 2^n - 1 (packed from values() on first use)."""
+        if self._bitmap is None:
+            self._bitmap = np.packbits(self.values(), bitorder="little")
+        return self._bitmap
+
     def ones_count(self) -> int:
         if self.name == "majority":
             from math import comb
             return sum(comb(self.n, w) for w in range(self.n // 2 + 1, self.n + 1))
         if self.name in ("dictator", "xor"):
             return 1 << (self.n - 1)
+        if self._values is None:
+            return int(popcount_array(self._bitmap).sum(dtype=np.int64))
         return int(np.count_nonzero(self._values))
 
     def is_balanced(self) -> bool:
@@ -242,8 +264,7 @@ class BooleanFunction:
     def to_bytes(self) -> bytes:
         """8-byte header (magic, version, n, padding) + little-endian bitmap
         (bit x of the function sits at byte x>>3, bit x&7)."""
-        packed = np.packbits(self.values(), bitorder="little")
-        return _TABLE_MAGIC + bytes([_TABLE_VERSION, self.n, 0, 0]) + packed.tobytes()
+        return _TABLE_MAGIC + bytes([_TABLE_VERSION, self.n, 0, 0]) + self.bitmap().tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BooleanFunction":
@@ -253,14 +274,7 @@ class BooleanFunction:
         if version != _TABLE_VERSION:
             raise ValueError(f"unsupported table version {version}")
         check_n(n, EXHAUSTIVE_MAX_N)
-        body = np.frombuffer(data[8:], dtype=np.uint8)
-        expected = ((1 << n) + 7) // 8
-        if body.size != expected:
-            raise ValueError(f"expected {expected} bitmap bytes, got {body.size}")
-        bits = np.unpackbits(body, bitorder="little")
-        if bits[1 << n:].any():
-            raise ValueError("bitmap padding bits past point 2^n - 1 must be 0")
-        return cls(n, table=bits[: 1 << n])
+        return cls(n, bitmap=np.frombuffer(data[8:], dtype=np.uint8))
 
     def __repr__(self) -> str:
         kind = self.name if self.name else "table"
@@ -285,9 +299,14 @@ def random_balanced(n: int, seed: int) -> BooleanFunction:
 def random_subset_function(n: int, seed: int | np.random.SeedSequence) -> BooleanFunction:
     """Each point independently mapped to 1 with probability 1/2.
 
-    The seed is an int or a SeedSequence; either one fixes the result.
+    The seed is an int or a SeedSequence; either one fixes the result.  The
+    function holds the draw itself, (2^n + 7) // 8 uniform PCG64 bytes, as
+    its bitmap: point x is bit x & 7 of byte x >> 3.  Below n = 3 the one
+    byte's bits past point 2^n - 1 are cleared.
     """
     check_n(n, EXHAUSTIVE_MAX_N)
     rng = np.random.Generator(np.random.PCG64(seed))
     draw = rng.integers(0, 256, size=((1 << n) + 7) // 8, dtype=np.uint8)
-    return BooleanFunction(n, table=np.unpackbits(draw, count=1 << n, bitorder="little"))
+    if n < 3:
+        draw &= (1 << (1 << n)) - 1
+    return BooleanFunction(n, bitmap=draw)

@@ -19,9 +19,11 @@ The matching state is a handful of bitsets over the (n-1)-cube, one bit per
 point in little-endian uint64 words (point x is bit x & 63 of word x >> 6;
 below n = 7 the one word is padded with zero bits): the two halves of A's
 truth table, the rich points left unmatched, and each round's matched poor
-points.  A round's matched rich points are the partners of its matched poor
-ones, so they are not stored.  The partner bitset of direction b < 6 is a
-masked shift swap inside each word, and of b >= 6 a swap of whole words.
+points.  From n = 7 on each half is a whole number of words, and the two
+are uint64 views of A's bitmap (``BooleanFunction.bitmap``), not copies.  A
+round's matched rich points are the partners of its matched poor ones, so
+they are not stored.  The partner bitset of direction b < 6 is a masked
+shift swap inside each word, and of b >= 6 a swap of whole words.
 
 For a balanced f the dictator-to-f bijection runs this construction once
 per class of f, with coordinates rotated so the extension coordinate is
@@ -88,14 +90,6 @@ class MatchState:
         return self.round_stats[-1][0]
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """0/1 uint8 values as a bitset of uint64 words, zero-padded to one word."""
-    packed = np.packbits(bits, bitorder="little")
-    words = np.zeros(max(1, packed.size // 8), dtype="<u8")
-    words.view(np.uint8)[:packed.size] = packed
-    return words
-
-
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     """The first count bits of a bitset as 0/1 uint8 values."""
     return np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
@@ -121,10 +115,15 @@ def run_matching(a: BooleanFunction) -> MatchState:
     """
     n = a.n
     check_n(n, MATCHING_MAX_N, low=2)
-    vals = a.values()
     half = 1 << (n - 1)
-    low = _pack(vals[:half])
-    high = _pack(vals[half:])
+    bitmap = a.bitmap()
+    if half >= 64:  # each half is whole words of the bitmap: view them in place
+        words = bitmap.view("<u8")
+        low, high = words[:half >> 6], words[half >> 6:]
+    else:  # each half in one zero-padded word
+        whole = int.from_bytes(bitmap.tobytes(), "little")
+        low = np.array([whole & ((1 << half) - 1)], dtype="<u8")
+        high = np.array([whole >> half], dtype="<u8")
     poor_un = ~(low | high)
     if half < 64:
         poor_un &= np.uint64((1 << half) - 1)
@@ -164,7 +163,9 @@ def build_injection(state: MatchState) -> np.ndarray:
             bits *= 2 * i + 1
             code |= bits
         part = img[lo:hi]
-        np.take(lut, code, out=part)
+        # "clip" writes straight into part, where "raise" buffers it; every
+        # code is below lut.size, so nothing clips
+        np.take(lut, code, out=part, mode="clip")
         part ^= np.arange(lo, hi, dtype=TABLE_DTYPE)
     return img
 
@@ -334,5 +335,6 @@ def build_random_to_random(f: BooleanFunction, g: BooleanFunction) -> Mapping:
     g_table, f_inverse = phi_g.table(), phi_f.inverse_mapping().table()
     table = np.empty_like(g_table)
     for lo, hi in slices(table.size):
-        np.take(g_table, f_inverse[lo:hi], out=table[lo:hi])
+        # f_inverse is a permutation, so "clip" (no buffered out) never clips
+        np.take(g_table, f_inverse[lo:hi], out=table[lo:hi], mode="clip")
     return Mapping.from_table(f.n, table, name="rand2rand")

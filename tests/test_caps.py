@@ -62,7 +62,6 @@ GUARDS = [
     (11, "FORMULA_MAX_N", 1, xor_head_mapping),
     (12, "TABLE_MAX_N", 1, lambda n: Mapping.identity(n).table()),
     (13, "TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n))),
-    (14, "TABLE_MAX_N", 1, lambda n: stretch_report(Mapping.identity(n)).per_direction[0]),
     (15, "TABLE_MAX_N", 1, lambda n: is_mapping_between(Mapping.identity(n), xor(n), xor(n))),
     (16, "TABLE_MAX_N", 2, lambda n: dict_to_random_trial(n, seed=0)),
     (17, "MATCHING_MAX_N", 2, lambda n: run_matching(xor(n))),
@@ -77,6 +76,7 @@ GUARDS = [
     (26, "ELIMINATION_MAX_N", 1, lambda n: verify_conditions(_identity_matrix(n))),
     (27, "TYPICAL_MAX_N", 1, lambda n: typical_fraction(n, 0.01)),
     (28, "TABLE_MAX_N", 2, lambda n: build_random_to_random(xor(n), xor(n))),
+    (29, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction(n, bitmap=np.zeros(1, np.uint8))),
 ]
 
 # (cap, lowest accepted n, subcommand arguments before --n's value, after it)

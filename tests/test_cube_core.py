@@ -217,3 +217,51 @@ SUBSET_PINS = [
 @pytest.mark.parametrize("n,seed,digest", SUBSET_PINS, ids=[f"n{n}" for n, *_ in SUBSET_PINS])
 def test_random_subset_function_pinned(n, seed, digest):
     assert hashlib.sha256(random_subset_function(n, seed).values().tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_random_subset_function_holds_its_draw(n):
+    # point x is bit x & 7 of byte x >> 3 of the PCG64 draw; for n = 1 and 2
+    # the one byte's padding bits are cleared, so the serialized body is the
+    # packed values either way
+    for seed in range(4):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        draw = rng.integers(0, 256, size=((1 << n) + 7) // 8, dtype=np.uint8)
+        f = random_subset_function(n, seed)
+        assert np.array_equal(f.values(), np.unpackbits(draw, count=1 << n, bitorder="little"))
+        assert f.to_bytes()[8:] == np.packbits(f.values(), bitorder="little").tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_bitmap_and_table_forms_agree(n):
+    for f in [random_subset_function(n, seed) for seed in range(4)] + [random_balanced(n, 5)]:
+        table = BooleanFunction(n, table=f.values())
+
+        def packed():  # a fresh function that holds only the bitmap
+            return BooleanFunction(n, bitmap=f.bitmap(), balanced=table.is_balanced())
+
+        assert packed().ones_count() == table.ones_count()
+        assert packed().is_balanced() == table.is_balanced()
+        assert packed().to_bytes() == table.to_bytes()
+        assert np.array_equal(packed().ones(), table.ones())
+        assert [packed().value(x) for x in range(1 << n)] == table.values().tolist()
+        back = BooleanFunction.from_bytes(table.to_bytes())
+        assert np.array_equal(back.bitmap(), packed().bitmap())
+        assert np.array_equal(back.values(), table.values())
+
+
+def test_bitmap_constructor_checks():
+    for bad in (np.zeros(1, np.uint8), np.zeros(2, np.uint16), np.zeros(4, np.uint8)[::2]):
+        with pytest.raises(ValueError, match="2 contiguous uint8 bytes"):
+            BooleanFunction(4, bitmap=bad)
+    with pytest.raises(ValueError, match="padding"):
+        BooleanFunction(2, bitmap=np.array([0x10], np.uint8))
+    with pytest.raises(ValueError, match="padding"):
+        BooleanFunction(1, bitmap=np.array([0x04], np.uint8))
+    with pytest.raises(ValueError):
+        BooleanFunction(3, table=np.zeros(8, np.uint8), bitmap=np.zeros(1, np.uint8))
+    with pytest.raises(ValueError):
+        BooleanFunction(3, name="xor", bitmap=np.zeros(1, np.uint8))
+    with pytest.raises(ValueError, match="not balanced"):
+        BooleanFunction(3, bitmap=np.array([0x07], np.uint8), balanced=True)
+    assert BooleanFunction(2, bitmap=np.array([0x0F], np.uint8)).values().tolist() == [1] * 4

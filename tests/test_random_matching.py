@@ -133,6 +133,23 @@ def test_matching_matches_per_point_reference(n, seed):
     assert build_injection(state).tolist() == img
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 32))
+@example(9, 3)  # the halves are views of the bitmap from n = 7 on
+def test_matching_on_bitmap_and_table_forms_agree(n, seed):
+    packed = random_subset_function(n, seed=seed)
+    table = BooleanFunction(n, table=random_subset_function(n, seed=seed).values())
+    got, want = run_matching(packed), run_matching(table)
+    assert got.round_stats == want.round_stats
+    for a, b in zip([got.low, got.high, got.rich_unmatched, *got.matched_poor],
+                    [want.low, want.high, want.rich_unmatched, *want.matched_poor], strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(build_injection(got), build_injection(want))
+    if n >= 7:
+        assert np.shares_memory(got.low, packed.bitmap())
+        assert np.shares_memory(got.high, packed.bitmap())
+
+
 def test_poor_unmatched_nonincreasing():
     for seed in range(5):
         st = run_matching(random_subset_function(14, seed=seed))
@@ -315,6 +332,15 @@ def test_matching_tables_make_no_table_sized_temporaries():
     phi = build_dict_to_random_details(random_balanced(n, seed=7)).mapping
     d, peak = _traced_peak(lambda: displacements(phi))
     assert peak <= d.nbytes + (1 << 20)
+
+
+def test_matching_reads_the_set_bitmap_in_place():
+    # beside the bitsets the state owns and the 2^n-bit set bitmap, only
+    # slices of 1 MiB in all; unpacking the set at n = 20 takes 1 MiB itself
+    n = 20
+    state, peak = _traced_peak(lambda: run_matching(random_subset_function(n, seed=7)))
+    owned = sum(w.nbytes for w in (state.rich_unmatched, *state.matched_poor))
+    assert peak <= owned + (1 << n) // 8 + (1 << 20)
 
 
 def test_half_cube_images_repair_makes_no_table_sized_temporaries():
