@@ -1,5 +1,9 @@
 """Explicit Lipschitz bijections between boolean functions on the Hamming
-cube, with exhaustive and statistical verification at desk scale."""
+cube, with exhaustive and statistical verification at desk scale.
+
+The Python API is the modules, for example
+``from cubemorph.stretch_metrics import stretch_report``; importing the
+package loads none of them."""
 
 import os
 import sys
@@ -15,59 +19,4 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .cube_core import (
-    BooleanFunction,
-    Point,
-    dist,
-    flip,
-    format_point,
-    parse_point,
-    random_balanced,
-    weight,
-)
-from .btk_chains import (
-    Chain,
-    Signature,
-    chain_of,
-    enumerate_partition,
-    hausdorff_chain_distance,
-    index_in_chain,
-    mark,
-    signature,
-    signature_distance,
-)
-from .chain_mappings import dict_to_maj, maj_to_dict, maj_to_xor
-from .gf2_maps import SparseGF2Matrix, build_tree_matrix, verify_conditions
-from .stretch_metrics import (
-    Mapping,
-    StretchReport,
-    exhaustive_min_avg_stretch,
-    is_mapping_between,
-    local_search_min_stretch,
-    middle_binomial_check,
-    stretch_report,
-    typical_fraction,
-)
-from .random_matching import (
-    MatchState,
-    build_dict_to_random_details,
-    build_random_to_random,
-    recursion_curve,
-    run_matching,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BooleanFunction", "Point", "dist", "flip", "format_point", "parse_point",
-    "random_balanced", "weight",
-    "Chain", "Signature", "chain_of", "enumerate_partition",
-    "hausdorff_chain_distance", "index_in_chain", "mark", "signature",
-    "signature_distance",
-    "dict_to_maj", "maj_to_dict", "maj_to_xor",
-    "SparseGF2Matrix", "build_tree_matrix", "verify_conditions",
-    "Mapping", "StretchReport", "exhaustive_min_avg_stretch", "is_mapping_between",
-    "local_search_min_stretch", "middle_binomial_check", "stretch_report", "typical_fraction",
-    "MatchState", "build_dict_to_random_details", "build_random_to_random",
-    "recursion_curve", "run_matching",
-]

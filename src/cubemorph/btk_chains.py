@@ -10,16 +10,19 @@ exactly the set of points obtained by filling the gaps with every pattern
 
 The marking is order-independent: viewing 1 as an opening and 0 as a closing
 parenthesis, the marked positions are the maximal matched subsequence, which
-a single left-to-right stack pass computes.  The seeded variant of mark()
-picks eligible pairs in random order and exists to let tests demonstrate
-that the result does not depend on the order.
+a single left-to-right stack pass computes.  The seeded variant,
+signature(x, order_seed), picks eligible pairs in random order and exists to
+let the checks demonstrate that the result does not depend on the order.
+
+A chain is its Signature: enumerate_partition yields them, and
+element_bits_all() lists the points of the chain.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -93,35 +96,6 @@ def _mark_mask_seeded(bits: int, n: int, seed: int) -> int:
         t = rng.choice(pairs)
         mask |= (1 << alive[t]) | (1 << alive[t + 1])
         del alive[t:t + 2]
-
-
-@dataclass(frozen=True)
-class MarkedString:
-    """A point together with the mask of its marked coordinates."""
-
-    point: Point
-    marked_mask: int
-
-    def marked_positions(self) -> tuple[int, ...]:
-        """1-based coordinates that were marked."""
-        return tuple(i + 1 for i in range(self.point.n) if (self.marked_mask >> i) & 1)
-
-    def unmarked_form(self) -> str:
-        """The unmarked subsequence, which is always 0^a 1^b."""
-        return "".join(
-            "1" if (self.point.bits >> i) & 1 else "0"
-            for i in range(self.point.n) if not (self.marked_mask >> i) & 1
-        )
-
-    def signature(self) -> "Signature":
-        return Signature(self.point.bits & self.marked_mask, self.marked_mask, self.point.n)
-
-    def __str__(self) -> str:
-        out = []
-        for i in range(self.point.n):
-            c = "1" if (self.point.bits >> i) & 1 else "0"
-            out.append(c + "̂" if (self.marked_mask >> i) & 1 else c)
-        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -231,49 +205,13 @@ class Signature:
         return self.text
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A symmetric chain, materialized from its signature on demand."""
-
-    signature: Signature
-
-    @property
-    def n(self) -> int:
-        return self.signature.n
-
-    def elements(self) -> tuple[Point, ...]:
-        return tuple(Point(b, self.n) for b in self.signature.element_bits_all())
-
-    def __len__(self) -> int:
-        return self.signature.top - self.signature.k + 1
-
-    def __contains__(self, x: Point) -> bool:
-        return x.n == self.n and _mark_mask(x.bits, x.n) == self.signature.mask \
-            and (x.bits & self.signature.mask) == self.signature.bits
-
-
-def mark(x: Point, order_seed: int | None = None) -> MarkedString:
-    """Run the marking stage; a seed randomizes the pair-picking order."""
+def signature(x: Point, order_seed: int | None = None) -> Signature:
+    """The signature of x's chain; a seed randomizes the pair-picking order."""
     if order_seed is None:
         mask = _mark_mask(x.bits, x.n)
     else:
         mask = _mark_mask_seeded(x.bits, x.n, order_seed)
-    return MarkedString(x, mask)
-
-
-def signature(x: Point) -> Signature:
-    mask = _mark_mask(x.bits, x.n)
     return Signature(x.bits & mask, mask, x.n)
-
-
-def chain_of(x: Point) -> Chain:
-    return Chain(signature(x))
-
-
-def index_in_chain(x: Point) -> tuple[int, int]:
-    """(k, j): the chain's minimum level and the point's own level."""
-    mask = _mark_mask(x.bits, x.n)
-    return popcount(mask) // 2, popcount(x.bits)
 
 
 def signature_distance(x: Point, y: Point) -> int:
@@ -285,19 +223,9 @@ def signature_distance(x: Point, y: Point) -> int:
     return popcount((mx ^ my) | (mx & my & (x.bits ^ y.bits)))
 
 
-def hausdorff_chain_distance(c1: Chain, c2: Chain) -> int:
-    """Symmetrized max-min Hamming distance between the element sets."""
-    if c1.n != c2.n:
-        raise ValueError(f"dimension mismatch: {c1.n} vs {c2.n}")
-    e1 = c1.signature.element_bits_all()
-    e2 = c2.signature.element_bits_all()
-    d21 = [min(popcount(a ^ b) for a in e1) for b in e2]
-    d12 = [min(popcount(a ^ b) for b in e2) for a in e1]
-    return max(max(d12), max(d21))
-
-
-def enumerate_partition(n: int) -> Iterator[Chain]:
-    """All chains of the n-cube, streamed in ASCII order of signature text.
+def enumerate_partition(n: int) -> Iterator[Signature]:
+    """The signatures of all chains of the n-cube, streamed in ASCII order
+    of their text.
 
     Signatures are generated directly: scanning left to right with 1 as an
     opening and 0 as a closing parenthesis, a gap is allowed only where the
@@ -320,14 +248,11 @@ def enumerate_partition(n: int) -> Iterator[Chain]:
         if balance == 0:
             yield from rec(pos + 1, 0, bits, mask)
 
-    for sig in rec(0, 0, 0, 0):
-        yield Chain(sig)
+    yield from rec(0, 0, 0, 0)
 
 
-@lru_cache(maxsize=None)
 def chain_count(n: int) -> int:
     """Number of chains in the partition = C(n, floor(n/2))."""
-    from math import comb
     return comb(n, n // 2)
 
 
@@ -407,9 +332,8 @@ def partition_covers_cube(n: int) -> tuple[int, int]:
     size = 1 << n
     seen = bytearray(size)
     chains = points = 0
-    for chain in enumerate_partition(n):
+    for sig in enumerate_partition(n):
         chains += 1
-        sig = chain.signature
         prev = None
         for j, bits in enumerate(sig.element_bits_all(), start=sig.k):
             if seen[bits]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .btk_chains import chain_elements, mark_masks
-from .cube_core import Point, popcount_array
+from .cube_core import popcount_array
 from .gf2_maps import prefix_xor_mapping
 from .stretch_metrics import Mapping
 
@@ -63,23 +63,9 @@ def _dict_to_maj_array(ys: np.ndarray, n: int) -> np.ndarray:
     return chain_elements(tails, masks, r // 2, m) | (last.astype(np.uint64) << np.uint64(m))
 
 
-def maj_to_dict(x: Point) -> Point:
-    """Bijection carrying majority to dictator; 11-Lipschitz."""
-    return majority_to_dictator_map(x.n)(x)
-
-
-def dict_to_maj(y: Point) -> Point:
-    """Two-sided inverse of maj_to_dict."""
-    return dictator_to_majority_map(y.n)(y)
-
-
-def maj_to_xor(x: Point) -> Point:
-    """Composition with the adjacent-sums map: carries majority to parity."""
-    return majority_to_xor_map(x.n)(x)
-
-
 def majority_to_dictator_map(n: int) -> Mapping:
-    """Mapping object for maj_to_dict with its inverse bound."""
+    """The chain map carrying majority to dictator, 11-Lipschitz, with its
+    closed-form inverse bound."""
     _require_odd(n)
     return Mapping(n, lambda xs: _maj_to_dict_array(xs, n),
                    lambda ys: _dict_to_maj_array(ys, n), name="maj2dict")

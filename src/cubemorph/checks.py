@@ -19,13 +19,11 @@ import numpy as np
 from .btk_chains import (
     adjacent_chain_scan,
     chain_count,
-    mark,
     partition_covers_cube,
+    signature,
     signature_distance,
 )
 from .chain_mappings import (
-    dict_to_maj,
-    maj_to_dict,
     majority_to_dictator_map,
     majority_to_xor_map,
 )
@@ -144,8 +142,8 @@ def order_invariance(seed: int) -> Check:
     for _ in range(200):
         n = int(rng.integers(1, 21))
         x = Point(int(rng.integers(0, 1 << n)), n)
-        base = mark(x).signature()
-        ok &= all(mark(x, order_seed=int(s)).signature() == base
+        base = signature(x)
+        ok &= all(signature(x, order_seed=int(s)) == base
                   for s in rng.integers(0, 2 ** 31, size=5))
     return Check("btk.order-invariance", ok,
                  "signature identical across marking orders")
@@ -166,8 +164,10 @@ def maj2dict_block() -> Check:
     """The paper's n = 3 example block, both directions."""
     block = [("111", "111"), ("110", "101"), ("011", "100"),
              ("010", "000"), ("001", "001"), ("000", "011")]
-    ok = all(str(maj_to_dict(parse_point(s))) == t and
-             str(dict_to_maj(parse_point(t))) == s for s, t in block)
+    phi = majority_to_dictator_map(3)
+    inv = phi.inverse_mapping()
+    ok = all(str(phi(parse_point(s))) == t and str(inv(parse_point(t))) == s
+             for s, t in block)
     return Check("maj2dict.example-block n=3", ok, "all 6 pairs reproduced")
 
 

@@ -90,8 +90,8 @@ def cmd_chains(args) -> int:
         print(_chain_line(signature(x)))
         return 0
     check_n(args.n, CHAINS_DUMP_MAX_N, what="--n", note=" without --point")
-    for chain in enumerate_partition(args.n):
-        print(_chain_line(chain.signature))
+    for sig in enumerate_partition(args.n):
+        print(_chain_line(sig))
     return 0
 
 

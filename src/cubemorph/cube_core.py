@@ -13,6 +13,7 @@ one check that enforces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class Point:
             raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
 
     def __str__(self) -> str:
-        return format_point(self)
+        return format_bits(self.bits, self.n)
 
 
 def parse_point(s: str) -> Point:
@@ -78,31 +79,8 @@ def parse_point(s: str) -> Point:
     return Point(bits, len(s))
 
 
-def format_point(x: Point) -> str:
-    return format_bits(x.bits, x.n)
-
-
 def format_bits(bits: int, n: int) -> str:
     return "".join("1" if (bits >> i) & 1 else "0" for i in range(n))
-
-
-def weight(x: Point) -> int:
-    """Number of 1-coordinates."""
-    return popcount(x.bits)
-
-
-def dist(x: Point, y: Point) -> int:
-    """Hamming distance between two points of the same cube."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    return popcount(x.bits ^ y.bits)
-
-
-def flip(x: Point, i: int) -> Point:
-    """Toggle coordinate i (1-based)."""
-    if not 1 <= i <= x.n:
-        raise ValueError(f"direction {i} out of range 1..{x.n}")
-    return Point(x.bits ^ (1 << (i - 1)), x.n)
 
 
 def slices(size: int, step: int = SLICE):
@@ -244,7 +222,6 @@ class BooleanFunction:
 
     def ones_count(self) -> int:
         if self.name == "majority":
-            from math import comb
             return sum(comb(self.n, w) for w in range(self.n // 2 + 1, self.n + 1))
         if self.name in ("dictator", "xor"):
             return 1 << (self.n - 1)

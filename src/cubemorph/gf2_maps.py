@@ -150,7 +150,9 @@ def tree2_apply_bits(n: int, x: int) -> int:
 
     Output bit b is x_b ^ x_{2b+1} ^ x_{2b+2} (0-based), i.e. vertex b+1
     folded with its two children, which is one odd-bit and one shifted
-    even-bit extraction.
+    even-bit extraction.  Nothing in the package calls it: it is the
+    acceptance suite's only tree-map evaluator past n = 63, where the
+    uint64 evaluators of tree_mapping stop (criterion 6 samples n = 2^16).
     """
     x &= (1 << n) - 1
     odd = extract_even_bits(x >> 1, n - 1) if n > 1 else 0

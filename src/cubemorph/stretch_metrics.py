@@ -579,16 +579,9 @@ def typical_fraction(n: int, c) -> Fraction:
     return 1 - Fraction(count, 1 << n)
 
 
-def middle_binomial_check(n: int) -> bool:
-    """True iff C(n, floor(n/2)) < 2^n / sqrt(n), compared exactly."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    c = comb(n, n // 2)
-    return c * c * n < 1 << (2 * n)
-
-
 def middle_binomial_check_range(limit: int) -> bool:
-    """middle_binomial_check for every n in 1..limit, incrementally."""
+    """True iff C(n, floor(n/2)) < 2^n / sqrt(n) for every n in 1..limit,
+    compared exactly, with the binomial updated incrementally."""
     c = 1
     for n in range(1, limit + 1):
         if not c * c * n < 1 << (2 * n):

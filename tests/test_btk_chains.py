@@ -11,29 +11,41 @@ from cubemorph.btk_chains import (
     _mark_mask,
     adjacent_chain_scan,
     chain_count,
-    chain_of,
     enumerate_partition,
-    hausdorff_chain_distance,
-    index_in_chain,
-    mark,
     mark_masks,
     partition_covers_cube,
     signature,
     signature_distance,
 )
-from cubemorph.cube_core import EDGE_SCAN_MAX_N, Point, parse_point, weight
+from cubemorph.cube_core import EDGE_SCAN_MAX_N, Point, parse_point, popcount
+
+
+def hausdorff_reference(s1: Signature, s2: Signature) -> int:
+    """Symmetrized max-min Hamming distance between the points of two chains."""
+    e1, e2 = s1.element_bits_all(), s2.element_bits_all()
+    return max(max(min(popcount(a ^ b) for b in e2) for a in e1),
+               max(min(popcount(a ^ b) for a in e1) for b in e2))
+
+
+def marked_positions(s: Signature) -> tuple[int, ...]:
+    """1-based coordinates that the marking paired up."""
+    return tuple(i + 1 for i in range(s.n) if (s.mask >> i) & 1)
+
+
+def residue(x: Point) -> str:
+    """x's unmarked symbols, read from its signature's gap positions."""
+    return "".join(str(x.bits >> i & 1) for i in signature(x).gap_positions())
 
 
 def test_mark_worked_example():
-    m = mark(parse_point("01100110"))
-    assert m.marked_positions() == (2, 3, 4, 5, 7, 8)
-    assert m.unmarked_form() == "01"
-    assert str(m) == "01̂1̂0̂0̂11̂0̂"
+    x = parse_point("01100110")
+    assert marked_positions(signature(x)) == (2, 3, 4, 5, 7, 8)
+    assert residue(x) == "01"
 
 
 def test_mark_trivial_cases():
-    assert mark(parse_point("0011")).marked_positions() == ()
-    assert mark(parse_point("10")).marked_positions() == (1, 2)
+    assert marked_positions(signature(parse_point("0011"))) == ()
+    assert marked_positions(signature(parse_point("10"))) == (1, 2)
 
 
 @pytest.mark.parametrize("n", range(0, 15))
@@ -67,18 +79,21 @@ def test_signature_text_roundtrip():
         Signature.from_text("01x")
 
 
+def _chain_text(x: Point) -> list[str]:
+    sig = signature(x)
+    return [str(Point(b, sig.n)) for b in sig.element_bits_all()]
+
+
 def test_chain_of_examples():
-    c = chain_of(parse_point("01100110"))
-    assert [str(p) for p in c.elements()] == ["01100010", "01100110", "11100110"]
-    assert [str(p) for p in chain_of(parse_point("10")).elements()] == ["10"]
-    assert [str(p) for p in chain_of(parse_point("0011")).elements()] == [
-        "0000", "0001", "0011", "0111", "1111"]
+    assert _chain_text(parse_point("01100110")) == ["01100010", "01100110", "11100110"]
+    assert _chain_text(parse_point("10")) == ["10"]
+    assert _chain_text(parse_point("0011")) == ["0000", "0001", "0011", "0111", "1111"]
 
 
 def test_chain_membership():
-    c = chain_of(parse_point("01100110"))
-    assert parse_point("11100110") in c
-    assert parse_point("01100111") not in c
+    s = signature(parse_point("01100110"))
+    assert signature(parse_point("11100110")) == s
+    assert signature(parse_point("01100111")) != s
 
 
 def test_chain_element_examples():
@@ -92,15 +107,9 @@ def test_chain_element_examples():
         s.element(6)
 
 
-def test_index_in_chain_examples():
-    assert index_in_chain(parse_point("01100110")) == (3, 4)
-    assert index_in_chain(parse_point("10")) == (1, 1)
-    assert index_in_chain(parse_point("0011")) == (0, 2)
-
-
 def test_partition_small_examples():
-    assert [c.signature.text for c in enumerate_partition(1)] == ["_"]
-    texts = {c.signature.text for c in enumerate_partition(2)}
+    assert [s.text for s in enumerate_partition(1)] == ["_"]
+    texts = {s.text for s in enumerate_partition(2)}
     assert texts == {"__", "10"}
     assert sum(1 for _ in enumerate_partition(3)) == chain_count(3) == 3
 
@@ -113,7 +122,7 @@ def test_partition_covers_cube_small():
 
 
 def test_partition_streams_in_ascii_order():
-    texts = [c.signature.text for c in enumerate_partition(4)]
+    texts = [s.text for s in enumerate_partition(4)]
     assert texts == sorted(texts)
     assert len(texts) == 6
 
@@ -129,9 +138,9 @@ def test_order_invariance_of_signature():
     for _ in range(1000):
         n = rng.randint(1, 20)
         x = Point(rng.getrandbits(n), n)
-        base = mark(x).signature()
+        base = signature(x)
         for _ in range(10):
-            seeded = mark(x, order_seed=rng.getrandbits(32)).signature()
+            seeded = signature(x, order_seed=rng.getrandbits(32))
             assert seeded == base
 
 
@@ -139,23 +148,22 @@ def test_marked_string_residue_shape():
     rng = random.Random(9)
     for _ in range(500):
         n = rng.randint(1, 18)
-        m = mark(Point(rng.getrandbits(n), n))
-        residue = m.unmarked_form()
-        assert residue == "0" * residue.count("0") + "1" * residue.count("1")
+        r = residue(Point(rng.getrandbits(n), n))
+        assert r == "0" * r.count("0") + "1" * r.count("1")
 
 
 def test_chain_shape_properties():
     rng = random.Random(4)
     for _ in range(300):
         n = rng.randint(1, 16)
-        c = chain_of(Point(rng.getrandbits(n), n))
-        elems = c.elements()
-        k = c.signature.k
-        assert len(elems) == c.signature.top - k + 1
-        for j, p in enumerate(elems, start=k):
-            assert weight(p) == j
+        s = signature(Point(rng.getrandbits(n), n))
+        elems = s.element_bits_all()
+        assert len(elems) == s.top - s.k + 1
+        for j, b in enumerate(elems, start=s.k):
+            assert popcount(b) == j
+            assert s.element_bits(j) == b
         for a, b in zip(elems, elems[1:]):
-            assert bin(a.bits ^ b.bits).count("1") == 1
+            assert popcount(a ^ b) == 1
 
 
 def test_signature_distance_examples():
@@ -167,12 +175,29 @@ def test_signature_distance_examples():
 
 
 def test_hausdorff_examples():
-    c = chain_of(parse_point("01100110"))
-    assert hausdorff_chain_distance(c, c) == 0
-    single = chain_of(parse_point("10"))
-    big = chain_of(parse_point("00"))
-    assert hausdorff_chain_distance(single, big) == 2
-    assert hausdorff_chain_distance(big, single) == 2
+    s = signature(parse_point("01100110"))
+    assert hausdorff_reference(s, s) == 0
+    single = signature(parse_point("10"))
+    big = signature(parse_point("00"))
+    assert hausdorff_reference(single, big) == 2
+    assert hausdorff_reference(big, single) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_edge_scan_matches_per_edge_reference(n):
+    # the scan's maxima, recomputed edge by edge from the chains' points
+    sigs = [signature(Point(x, n)) for x in range(1 << n)]
+    haus = sig_dist = gap = 0
+    for x in range(1 << n):
+        for b in range(n):
+            y = x | 1 << b
+            if y == x:
+                continue
+            haus = max(haus, hausdorff_reference(sigs[x], sigs[y]))
+            sig_dist = max(sig_dist, signature_distance(Point(x, n), Point(y, n)))
+            gap = max(gap, abs(sigs[x].k - sigs[y].k))
+    r = adjacent_chain_scan(n)
+    assert (r.max_hausdorff, r.max_signature_distance, r.max_level_gap) == (haus, sig_dist, gap)
 
 
 def test_adjacent_chain_bounds_small():

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from cubemorph.btk_chains import Signature, signature
 from cubemorph.chain_mappings import (
-    dict_to_maj,
     dictator_to_majority_map,
-    maj_to_dict,
-    maj_to_xor,
     majority_to_dictator_map,
     majority_to_xor_map,
 )
@@ -62,21 +59,22 @@ EXAMPLE_BLOCK = [
 
 @pytest.mark.parametrize("src,img", EXAMPLE_BLOCK)
 def test_example_block_forward(src, img):
-    assert str(maj_to_dict(parse_point(src))) == img
+    assert str(majority_to_dictator_map(3)(parse_point(src))) == img
 
 
 @pytest.mark.parametrize("src,img", EXAMPLE_BLOCK)
 def test_example_block_inverse(src, img):
-    assert str(dict_to_maj(parse_point(img))) == src
+    assert str(dictator_to_majority_map(3)(parse_point(img))) == src
+    assert str(majority_to_dictator_map(3).inverse_mapping()(parse_point(img))) == src
 
 
 def test_even_n_rejected():
     with pytest.raises(ValueError):
-        maj_to_dict(parse_point("1100"))
+        majority_to_dictator_map(4)
     with pytest.raises(ValueError):
-        dict_to_maj(parse_point("11"))
+        dictator_to_majority_map(2)
     with pytest.raises(ValueError):
-        maj_to_xor(parse_point("101010"))
+        majority_to_xor_map(6)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
@@ -95,8 +93,8 @@ def test_two_sided_inverse(n):
     assert np.array_equal(phi.forward(phi.inverse(xs)), xs)
     for x in random.Random(n).sample(range(1 << n), min(40, 1 << n)):
         y = int(table[x])
-        assert dict_to_maj(Point(y, n)).bits == x
-        assert maj_to_dict(Point(x, n)).bits == y
+        assert dictator_to_majority_map(n)(Point(y, n)).bits == x
+        assert phi(Point(x, n)).bits == y
 
 
 @pytest.mark.parametrize("n", range(1, 14, 2))
@@ -137,9 +135,10 @@ def test_half_cube_respect():
 
 
 def test_maj_to_xor_examples():
-    assert str(maj_to_xor(parse_point("111"))) == "001"
-    assert str(maj_to_xor(parse_point("010"))) == "000"
-    assert str(maj_to_xor(parse_point("001"))) == "011"
+    phi = majority_to_xor_map(3)
+    assert str(phi(parse_point("111"))) == "001"
+    assert str(phi(parse_point("010"))) == "000"
+    assert str(phi(parse_point("001"))) == "011"
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -381,15 +382,18 @@ def test_console_entry_point_subprocess():
 
 _STARTUP = """
 import os
+import sys
 import cubemorph
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(tasks, os.environ.get("OPENBLAS_NUM_THREADS"))
+loaded = ",".join(sorted(m for m in sys.modules if m.startswith("cubemorph."))) or "none"
+print(tasks, os.environ.get("OPENBLAS_NUM_THREADS"), loaded)
 """
 
 
 def _import_in_subprocess(blas_threads):
     """(threads after `import cubemorph` or "None" without /proc, the
-    OPENBLAS_NUM_THREADS it leaves in os.environ) in a fresh interpreter."""
+    OPENBLAS_NUM_THREADS it leaves in os.environ, the cubemorph.* modules it
+    loaded or "none") in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
@@ -399,7 +403,7 @@ def _import_in_subprocess(blas_threads):
 
 
 def test_import_starts_no_blas_threads_and_leaves_no_variable():
-    tasks, blas_threads = _import_in_subprocess(None)
+    tasks, blas_threads, _ = _import_in_subprocess(None)
     assert blas_threads == "None"
     if tasks == "None":
         pytest.skip("no /proc/self/task to count threads")
@@ -408,3 +412,59 @@ def test_import_starts_no_blas_threads_and_leaves_no_variable():
 
 def test_import_keeps_the_users_blas_setting():
     assert _import_in_subprocess("2")[1] == "2"
+
+
+def test_import_loads_no_module_of_the_package():
+    # the package root binds no layer name: callers import the modules
+    assert _import_in_subprocess(None)[2] == "none"
+
+
+# public names that no module of the package and nothing under bench/ uses,
+# each with its reason
+_CALLERLESS = {
+    # the only tree-map evaluator past n = 63, for criterion 6's parity sample
+    "gf2_maps.tree2_apply_bits",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node) for each top-level public function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names a node's subtree uses: loaded or stored names, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(a.name.rsplit(".", 1)[-1] for a in sub.names)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    root = Path(__file__).parent.parent
+    modules = {p: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted((root / "src" / "cubemorph").glob("*.py"))}
+    bench = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((root / "bench").glob("*.py"))]
+    # every top-level statement outside the package root, with what it uses
+    uses = [(stmt, _referenced(stmt)) for path, tree in modules.items()
+            if path.name != "__init__.py" for stmt in tree.body]
+    uses += [(tree, _referenced(tree)) for tree in bench]
+    callerless = {f"{path.stem}.{name}"
+                  for path, tree in modules.items() for name, node in _public_definitions(tree)
+                  if not any(name in names for stmt, names in uses if stmt is not node)}
+    assert callerless == _CALLERLESS

@@ -6,50 +6,16 @@ import pytest
 from cubemorph.cube_core import (
     BooleanFunction,
     Point,
-    dist,
-    flip,
-    format_point,
     parse_point,
     popcount_array,
     random_balanced,
     random_subset_function,
-    weight,
 )
-
-
-def test_weight_examples():
-    assert weight(parse_point("000")) == 0
-    assert weight(parse_point("01100110")) == 4
-    assert weight(parse_point("111")) == 3
-
-
-def test_dist_examples():
-    assert dist(parse_point("110"), parse_point("110")) == 0
-    assert dist(parse_point("110"), parse_point("010")) == 1
-    assert dist(parse_point("01100010"), parse_point("11100110")) == 2
-
-
-def test_dist_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dist(parse_point("110"), parse_point("11"))
-
-
-def test_flip_examples():
-    assert str(flip(parse_point("000"), 1)) == "100"
-    assert str(flip(parse_point("100"), 1)) == "000"
-    assert str(flip(parse_point("01100110"), 6)) == "01100010"
-
-
-def test_flip_out_of_range():
-    with pytest.raises(ValueError):
-        flip(parse_point("010"), 4)
-    with pytest.raises(ValueError):
-        flip(parse_point("010"), 0)
 
 
 def test_point_string_codec_roundtrip():
     for s in ("01100110", "0", "1", "0001", "111111"):
-        assert format_point(parse_point(s)) == s
+        assert str(parse_point(s)) == s
     # coordinate 1 is the leftmost character and the lowest bit
     assert parse_point("100").bits == 1
     assert parse_point("001").bits == 4
@@ -88,16 +54,6 @@ def test_named_function_tables_match_formulas():
             f = fn(n)
             vals = f.values()
             assert all(int(vals[x]) == f.value(x) for x in range(1 << n))
-
-
-def test_flip_dist_invariants_exhaustive():
-    for n in range(1, 13):
-        for x in range(1 << n):
-            p = Point(x, n)
-            for i in range(1, n + 1):
-                q = flip(p, i)
-                assert dist(p, q) == 1
-                assert abs(weight(q) - weight(p)) == 1
 
 
 def test_all_pairs_distance_positive_n12():

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cubemorph.stretch_metrics import (
     exhaustive_min_max_stretch,
     is_mapping_between,
     local_search_min_stretch,
-    middle_binomial_check,
     middle_binomial_check_range,
     stretch_report,
     typical_fraction,
@@ -369,11 +369,18 @@ def test_typical_fraction_exact_arithmetic():
     assert typical_fraction(2500, Fraction(1, 100)) == typical_fraction(2500, 0.01)
 
 
+def middle_binomial_reference(n: int) -> bool:
+    """C(n, floor(n/2)) < 2^n / sqrt(n), compared exactly for one n."""
+    c = comb(n, n // 2)
+    return c * c * n < 1 << (2 * n)
+
+
 def test_middle_binomial_examples():
-    assert middle_binomial_check(1)
-    assert middle_binomial_check(4)
-    assert middle_binomial_check(16)
+    assert middle_binomial_reference(1)
+    assert middle_binomial_reference(4)
+    assert middle_binomial_reference(16)
     assert middle_binomial_check_range(2000)
+    assert all(middle_binomial_reference(n) for n in range(1, 2001))
 
 
 def test_mapping_table_roundtrip_and_inverse():
