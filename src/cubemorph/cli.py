@@ -5,6 +5,9 @@ Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
 argument errors.  Data goes to stdout (or the requested file); summaries
 and progress go to stderr.  Every stochastic subcommand requires an
 explicit seed and produces byte-identical output for identical arguments.
+
+Importing this module loads no other module of the package: each command
+imports the layers it runs, so a launch compiles and loads only those.
 """
 
 from __future__ import annotations
@@ -13,50 +16,43 @@ import argparse
 import json
 import sys
 from functools import partial
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, checks
-from .btk_chains import Signature, enumerate_partition, signature
-from .chain_mappings import (
-    dictator_to_majority_map,
-    majority_to_dictator_map,
-    majority_to_xor_map,
-)
-from .checks import Check
-from .cube_core import (CHAINS_DUMP_MAX_N, MATCHING_MAX_N, TABLE_MAX_N, BooleanFunction,
-                        Point, check_n, parse_point)
-from .gf2_maps import build_tree_matrix, prefix_xor_mapping, tree_mapping, xor_head_mapping
-from .random_matching import dict_to_random_trial, recursion_curve
-from .stretch_metrics import (
-    Mapping,
-    exhaustive_min_avg_stretch,
-    exhaustive_min_max_stretch,
-    local_search_min_stretch,
-    stretch_report,
-)
+if TYPE_CHECKING:
+    from .btk_chains import Signature
+    from .cube_core import Point
+    from .stretch_metrics import Mapping
 
 MAP_NAMES = ("maj2dict", "dict2maj", "maj2xor", "tree", "prefix", "xorhead")
 ANALYZE_NAMES = ("identity",) + MAP_NAMES
-FUNCTION_NAMES = {"xor": BooleanFunction.xor, "maj": BooleanFunction.majority,
-                  "dict": BooleanFunction.dictator}
+# --from/--to name -> the BooleanFunction formula
+FUNCTION_NAMES = {"xor": "xor", "maj": "majority", "dict": "dictator"}
 
 
 class UsageError(Exception):
     """Invalid arguments detected after parsing; exits with status 2."""
 
 
-# every name in ANALYZE_NAMES but "tree", which also takes the arity
-_MAPPINGS = {"identity": Mapping.identity, "maj2dict": majority_to_dictator_map,
-             "dict2maj": dictator_to_majority_map, "maj2xor": majority_to_xor_map,
-             "prefix": prefix_xor_mapping, "xorhead": xor_head_mapping}
-
-
 def _build_mapping(name: str, n: int, arity: int = 2) -> Mapping:
-    return tree_mapping(n, arity) if name == "tree" else _MAPPINGS[name](n)
+    if name == "identity":
+        from .stretch_metrics import Mapping
+        return Mapping.identity(n)
+    if name in ("tree", "prefix", "xorhead"):
+        from . import gf2_maps
+        if name == "tree":
+            return gf2_maps.tree_mapping(n, arity)
+        return {"prefix": gf2_maps.prefix_xor_mapping,
+                "xorhead": gf2_maps.xor_head_mapping}[name](n)
+    from . import chain_mappings
+    return {"maj2dict": chain_mappings.majority_to_dictator_map,
+            "dict2maj": chain_mappings.dictator_to_majority_map,
+            "maj2xor": chain_mappings.majority_to_xor_map}[name](n)
 
 
 def _parse_point_arg(s: str, n: int) -> Point:
+    from .cube_core import parse_point
     x = parse_point(s)
     if x.n != n:
         raise UsageError(f"point {s!r} has {x.n} coordinates, expected {n}")
@@ -85,6 +81,8 @@ def _chain_line(sig: Signature) -> str:
 
 
 def cmd_chains(args) -> int:
+    from .btk_chains import enumerate_partition, signature
+    from .cube_core import CHAINS_DUMP_MAX_N, check_n
     if args.point is not None:
         x = _parse_point_arg(args.point, args.n)
         print(_chain_line(signature(x)))
@@ -100,6 +98,8 @@ def cmd_chains(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_map(args) -> int:
+    from .cube_core import Point
+    from .gf2_maps import build_tree_matrix
     if args.matrix_out is not None and args.mapping != "tree":
         raise UsageError("--matrix-out only applies to the tree mapping")
     if args.matrix_out is None and args.x is None:
@@ -123,6 +123,7 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .stretch_metrics import stretch_report
     mapping = _build_mapping(args.mapping, args.n, args.arity)
     if args.inverse:
         mapping = mapping.inverse_mapping()
@@ -144,6 +145,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_btk(max_n: int, trials: int, seed: int) -> list:
+    from . import checks
     return [partial(checks.partition_tiles, range(1, min(max_n, 16) + 1)),
             partial(checks.order_invariance, seed),
             partial(checks.edge_facts, min(max_n, 14)),
@@ -151,6 +153,7 @@ def _suite_btk(max_n: int, trials: int, seed: int) -> list:
 
 
 def _suite_maj2dict(max_n: int, trials: int, seed: int) -> list:
+    from . import checks
     odd = range(1, min(max_n, 15) + 1, 2)
     return [checks.maj2dict_block,
             partial(checks.maj2dict_bijection, odd),
@@ -158,12 +161,14 @@ def _suite_maj2dict(max_n: int, trials: int, seed: int) -> list:
 
 
 def _suite_tree(max_n: int, trials: int, seed: int) -> list:
+    from . import checks
     return [partial(checks.tree_conditions, checks.tree_size_grid(64, 7), 64),
             partial(checks.tree_exhaustive, min(max_n, 16)),
             partial(checks.tree_arity, (2, 3, 4, 5), (7, 64, 333, 4096))]
 
 
 def _suite_lowerbound(max_n: int, trials: int, seed: int) -> list:
+    from . import checks
     return [partial(checks.middle_binomial, 10 ** 4),
             partial(checks.typical_fraction, (64, 256, 1024, 4096)),
             partial(checks.oracle_n3, seed),
@@ -171,6 +176,9 @@ def _suite_lowerbound(max_n: int, trials: int, seed: int) -> list:
 
 
 def _suite_matching(max_n: int, trials: int, seed: int) -> list:
+    import numpy as np
+
+    from . import checks
     n = max(8, min(max_n, 24))
     m = min(max_n, 16)
     return [partial(checks.matching_curve, n, trials, seed),
@@ -190,27 +198,22 @@ _SUITES = {
 }
 
 
-def _run_check(item) -> Check:
-    """A catalogue call that raises is that check's failure, not a traceback."""
-    if isinstance(item, Check):
-        return item
-    try:
-        return item()
-    except Exception as e:  # noqa: BLE001 - any exception is a failed check
-        name = getattr(item, "func", item).__name__
-        return Check(name, False, f"{type(e).__name__}: {e}")
-
-
 def cmd_verify(args) -> int:
+    from .checks import Check
     for flag, value, low in (("--max-n", args.max_n, 1), ("--trials", args.trials, 1),
                              ("--seed", args.seed, 0)):
         if value < low:
             raise UsageError(f"{flag} must be at least {low}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failed = 0
-    for name in names:
-        for item in _SUITES[name](args.max_n, args.trials, args.seed):
-            check = _run_check(item)
+    for suite in names:
+        for item in _SUITES[suite](args.max_n, args.trials, args.seed):
+            # a catalogue call that raises is that check's failure, not a traceback
+            try:
+                check = item if isinstance(item, Check) else item()
+            except Exception as e:  # noqa: BLE001 - any exception is a failed check
+                name = getattr(item, "func", item).__name__
+                check = Check(name, False, f"{type(e).__name__}: {e}")
             status = "PASS" if check.ok else "FAIL"
             print(f"{status} {check.name}" + (f" - {check.detail}" if check.detail else ""))
             failed += 0 if check.ok else 1
@@ -223,6 +226,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_random(args) -> int:
+    import numpy as np
+
+    from .cube_core import MATCHING_MAX_N, TABLE_MAX_N, check_n
+    from .random_matching import dict_to_random_trial, recursion_curve
     # without --curve every trial also takes exhaustive stretch statistics
     if args.curve:
         check_n(args.n, MATCHING_MAX_N, low=2, what="--n")
@@ -252,8 +259,11 @@ def cmd_random(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
-    f = FUNCTION_NAMES[args.source](args.n)
-    g = FUNCTION_NAMES[args.target](args.n)
+    from .cube_core import BooleanFunction, Point
+    from .stretch_metrics import (exhaustive_min_avg_stretch, exhaustive_min_max_stretch,
+                                  local_search_min_stretch)
+    f = BooleanFunction(args.n, name=FUNCTION_NAMES[args.source])
+    g = BooleanFunction(args.n, name=FUNCTION_NAMES[args.target])
     if args.mode == "exhaustive":
         if args.metric == "max":
             value, witness = exhaustive_min_max_stretch(f, g)

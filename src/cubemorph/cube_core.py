@@ -22,7 +22,7 @@ import numpy as np
 # with n.
 FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
 EXHAUSTIVE_MAX_N = 30  # memory: a truth table is 2^n uint8 values, 1 GiB at n = 30
-MATCHING_MAX_N = 26  # memory: run_matching's 2^n-bit set bitmap and 2^(n-1)-bit bitsets; 104 MB peak at n = 26
+MATCHING_MAX_N = 26  # memory: run_matching's 2^n-bit set bitmap and 2^(n-1)-bit bitsets; 80 MB peak at n = 26
 TABLE_MAX_N = 24  # memory: a 2^n uint32 table (n <= 32) is 64 MB at n = 24; analyze peaks at 95 MB, random at 180 MB
 PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
 CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20
@@ -91,7 +91,9 @@ def slices(size: int, step: int = SLICE):
 def distinct_in_range(values: np.ndarray, size: int) -> bool:
     """True iff every entry of the integer array values lies in 0..size-1
     and no two are equal: a range check, then a scatter slice by slice into
-    a bitmap of size entries (not a sort) whose set bits are counted."""
+    a bitmap of size entries (not a sort) whose set bits are counted.  It
+    checks permutation tables; random_matching checks its injections in a
+    window of two slices instead."""
     if values.size and (values.min() < 0 or values.max() >= size):
         return False
     seen = np.zeros(size, dtype=bool)

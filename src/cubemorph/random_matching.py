@@ -18,12 +18,15 @@ and an unmatched poor vertex to x|0, the only case that exits A.
 The matching state is a handful of bitsets over the (n-1)-cube, one bit per
 point in little-endian uint64 words (point x is bit x & 63 of word x >> 6;
 below n = 7 the one word is padded with zero bits): the two halves of A's
-truth table, the rich points left unmatched, and each round's matched poor
-points.  From n = 7 on each half is a whole number of words, and the two
-are uint64 views of A's bitmap (``BooleanFunction.bitmap``), not copies.  A
-round's matched rich points are the partners of its matched poor ones, so
-they are not stored.  The partner bitset of direction b < 6 is a masked
-shift swap inside each word, and of b >= 6 a swap of whole words.
+truth table, the rich points left unmatched, and the round planes.  From
+n = 7 on each half is a whole number of words, and the two are uint64 views
+of A's bitmap (``BooleanFunction.bitmap``), not copies.  The rounds'
+matched poor sets are disjoint, so each point has one round index (0: not
+matched as a poor point) and plane j holds bit j of it: ceil(log2(rounds +
+1)) planes, 4 at n = 24, in place of one bitset per round.  A round's
+matched rich points are the partners of its matched poor ones, so they are
+not stored.  The partner bitset of direction b < 6 is a masked shift swap
+inside each word, and of b >= 6 a swap of whole words.
 
 For a balanced f the dictator-to-f bijection runs this construction once
 per class of f, with coordinates rotated so the extension coordinate is
@@ -33,7 +36,11 @@ is repaired by pairing leftover sources with uncovered targets.
 Images and tables are uint32 (``TABLE_DTYPE``).  The injection, its check,
 the rotation back, the composition and the displacements work on slices
 of ``SLICE`` points, so beyond their bitmaps and results none makes a
-temporary the size of a table.
+temporary the size of a table.  The check needs no 2^n bitmap either: an
+image differs from its source in at most one of the first n - 1
+coordinates, so images can only collide within one aligned block of
+sources that the widest such flip stays inside, and distinctness is
+checked one block at a time.
 """
 
 from __future__ import annotations
@@ -45,11 +52,11 @@ import numpy as np
 
 from .cube_core import (
     MATCHING_MAX_N,
+    SLICE,
     TABLE_DTYPE,
     TABLE_MAX_N,
     BooleanFunction,
     check_n,
-    distinct_in_range,
     popcount_array,
     random_balanced,
     random_subset_function,
@@ -67,15 +74,16 @@ class MatchState:
     """Outcome of the matching rounds over the (n-1)-cube, as bitsets.
 
     low and high hold the set's two halves (x|0 and x|1 in A), rich_unmatched
-    the rich points no round consumed, and matched_poor[i - 1] the poor
-    points matched in round i, each to its direction-i neighbor.
+    the rich points no round consumed, and round_planes[j] bit j of each
+    point's round index: i when round i matched the point as a poor point
+    to its direction-i neighbor, else 0.
     """
 
     n: int
     low: np.ndarray
     high: np.ndarray
     rich_unmatched: np.ndarray
-    matched_poor: list[np.ndarray]
+    round_planes: list[np.ndarray]
     round_stats: list[tuple[int, int]]
 
     @property
@@ -129,15 +137,18 @@ def run_matching(a: BooleanFunction) -> MatchState:
         poor_un &= np.uint64((1 << half) - 1)
     rich_un = low & high
     stats = [(_count(poor_un), _count(rich_un))]
-    matched_poor = []
-    for b in range((n - 1) // 2):
-        match_poor = poor_un & _partner(rich_un, b)
+    rounds = (n - 1) // 2
+    planes = [np.zeros_like(poor_un) for _ in range(rounds.bit_length())]
+    for i in range(1, rounds + 1):
+        match_poor = poor_un & _partner(rich_un, i - 1)
         poor_un ^= match_poor
-        rich_un ^= _partner(match_poor, b)
-        matched_poor.append(match_poor)
+        rich_un ^= _partner(match_poor, i - 1)
+        for j, plane in enumerate(planes):
+            if i >> j & 1:
+                plane |= match_poor
         stats.append((_count(poor_un), _count(rich_un)))
     return MatchState(n=n, low=low, high=high, rich_unmatched=rich_un,
-                      matched_poor=matched_poor, round_stats=stats)
+                      round_planes=planes, round_stats=stats)
 
 
 def build_injection(state: MatchState) -> np.ndarray:
@@ -148,19 +159,20 @@ def build_injection(state: MatchState) -> np.ndarray:
     """
     half = state.size
     # the image of x is x XOR this table at x's code: the image's top bit
-    # plus twice the round that matched x as a poor point (0: none); the
-    # rounds' matched poor sets are disjoint, and each of their points goes
-    # to the top half
+    # plus twice the round that matched x as a poor point (0: none); every
+    # matched poor point goes to the top half
     lut = np.array([top_bit * half | (1 << (i - 1) if i else 0)
                     for i in range(state.rounds + 1) for top_bit in (0, 1)], dtype=TABLE_DTYPE)
-    top = (state.high & ~state.low) | state.rich_unmatched
     img = np.empty(half, dtype=TABLE_DTYPE)
     for lo, hi in slices(half):
         words = slice(lo >> 6, (hi + 63) >> 6)  # a slice starts on a word
-        code = _unpack(top[words], hi - lo)
-        for i, match_poor in enumerate(state.matched_poor, 1):
-            bits = _unpack(match_poor[words], hi - lo)
-            bits *= 2 * i + 1
+        top = (state.high[words] & ~state.low[words]) | state.rich_unmatched[words]
+        for plane in state.round_planes:
+            top |= plane[words]
+        code = _unpack(top, hi - lo)
+        for j, plane in enumerate(state.round_planes, 1):
+            bits = _unpack(plane[words], hi - lo)
+            bits <<= j
             code |= bits
         part = img[lo:hi]
         # "clip" writes straight into part, where "raise" buffers it; every
@@ -172,14 +184,40 @@ def build_injection(state: MatchState) -> np.ndarray:
 
 def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
     """Injectivity plus the one-coordinate condition on the first n-1 bits,
-    checked slice by slice for an integer image of any dtype."""
+    checked slice by slice for an integer image of any dtype: distinctness
+    in a window of two slices' targets, wider only where an image flips a
+    coordinate whose bit is at least SLICE."""
     half = state.size
-    if img.size != half or not distinct_in_range(img, 2 * half):
+    if img.size != half:
         return False
-    for lo, hi in slices(half):
-        diff = img[lo:hi] & (half - 1)
+    buf = np.empty(min(SLICE, half), dtype=img.dtype)  # one slice's work, reused
+    # the range and the one-coordinate rule, noting the widest flip
+    widest = 0
+    for lo, hi in slices(half, SLICE):
+        part, diff = img[lo:hi], buf[:hi - lo]
+        if part.min() < 0 or part.max() >= 2 * half:
+            return False
+        np.bitwise_and(part, half - 1, out=diff)
         diff ^= np.arange(lo, hi, dtype=diff.dtype)
         if (popcount_array(diff) > 1).any():
+            return False
+        widest = max(widest, int(diff.max()))
+    # the first n - 1 bits of an image then lie in its source's aligned
+    # block of `block` points, so only images of one block can be equal; an
+    # image's slot in that block's window is top * block + its offset in the
+    # block, which is the image - top * (half - block) - the block's start
+    block = min(half, max(SLICE, 1 << widest.bit_length()))
+    window = np.empty(2 * block, dtype=bool)
+    for start in range(0, half, block):
+        window[:] = False
+        for lo, hi in slices(block, SLICE):
+            part, slot = img[start + lo:start + hi], buf[:hi - lo]
+            np.right_shift(part, state.n - 1, out=slot)
+            slot *= half - block
+            np.subtract(part, slot, out=slot)
+            slot -= start
+            window[slot] = True
+        if np.count_nonzero(window) != block:
             return False
     return True
 

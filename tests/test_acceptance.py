@@ -118,7 +118,7 @@ def test_criterion_12_cli_contract(tmp_path, capsys, monkeypatch):
     ok &= exc.value.code == 2
     capsys.readouterr()
     monkeypatch.setitem(cli._SUITES, "btk",
-                        lambda *args: [cli.Check("forced", False, "")])
+                        lambda *args: [checks.Check("forced", False, "")])
     ok &= cli.main(["verify", "--suite", "btk"]) == 1
     capsys.readouterr()
     report(12, [], ok, "golden chains/map lines, schema-valid analyze report, "

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cubemorph import checks, cli
+from cubemorph import checks, cli, random_matching
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -244,8 +244,9 @@ def test_random_beyond_stretch_cap_exit2(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("construction ran before the size check")
 
-    monkeypatch.setattr(cli, "dict_to_random_trial", refuse)
-    monkeypatch.setattr(cli, "recursion_curve", refuse)
+    # the command imports both from random_matching when it runs
+    monkeypatch.setattr(random_matching, "dict_to_random_trial", refuse)
+    monkeypatch.setattr(random_matching, "recursion_curve", refuse)
     assert run_cli("random", "--n", "25", "--trials", "1", "--seed", "1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -300,7 +301,7 @@ def test_verify_exit_codes(capsys, monkeypatch):
     # the exhaustive n=3 minimum is part of the printed record
     assert "min avg 3/2" in out
     monkeypatch.setitem(cli._SUITES, "lowerbound",
-                        lambda *a: [cli.Check("forced-failure", False, "injected")])
+                        lambda *a: [checks.Check("forced-failure", False, "injected")])
     assert run_cli("verify", "--suite", "lowerbound") == 1
     assert "FAIL forced-failure" in capsys.readouterr().out
 
@@ -383,21 +384,21 @@ def test_console_entry_point_subprocess():
 _STARTUP = """
 import os
 import sys
-import cubemorph
+import {module}
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 loaded = ",".join(sorted(m for m in sys.modules if m.startswith("cubemorph."))) or "none"
 print(tasks, os.environ.get("OPENBLAS_NUM_THREADS"), loaded)
 """
 
 
-def _import_in_subprocess(blas_threads):
-    """(threads after `import cubemorph` or "None" without /proc, the
+def _import_in_subprocess(blas_threads, module="cubemorph"):
+    """(threads after `import module` or "None" without /proc, the
     OPENBLAS_NUM_THREADS it leaves in os.environ, the cubemorph.* modules it
     loaded or "none") in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+    proc = subprocess.run([sys.executable, "-c", _STARTUP.format(module=module)], env=env,
                           capture_output=True, text=True, check=True)
     return tuple(proc.stdout.split())
 
@@ -417,6 +418,11 @@ def test_import_keeps_the_users_blas_setting():
 def test_import_loads_no_module_of_the_package():
     # the package root binds no layer name: callers import the modules
     assert _import_in_subprocess(None)[2] == "none"
+
+
+def test_cli_import_loads_no_other_module_of_the_package():
+    # each command imports the layers it runs when it runs
+    assert _import_in_subprocess(None, "cubemorph.cli")[2] == "cubemorph.cli"
 
 
 # public names that no module of the package and nothing under bench/ uses,

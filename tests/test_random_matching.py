@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubemorph import random_matching
 from cubemorph.cube_core import (
     BooleanFunction,
     parse_point,
@@ -31,6 +32,15 @@ def _bits(words, count):
     return [int(words[x >> 6]) >> (x & 63) & 1 for x in range(count)]
 
 
+def _matched_in_round(state, i):
+    """Round i's matched poor points (i >= 1) as a bitset: the points whose
+    round index, read bit j from round plane j, is i."""
+    words = np.full_like(state.rich_unmatched, np.uint64(2 ** 64 - 1))
+    for j, plane in enumerate(state.round_planes):
+        words &= plane if i >> j & 1 else ~plane
+    return words
+
+
 def test_classify_definitions():
     # x is rich when both x|0 and x|1 lie in the set, poor when neither does
     st = run_matching(BooleanFunction.from_ones(3, [0, 4, 1, 7]))
@@ -51,7 +61,7 @@ def test_matching_hand_trace():
     assert st.round_stats == [(1, 1), (1, 1)]
     x01, x00 = parse_point("01").bits, parse_point("00").bits
     assert _bits(st.low, 4)[x01] == _bits(st.high, 4)[x01] == 0
-    assert [_bits(m, 4)[x01] for m in st.matched_poor] == [0]
+    assert [_bits(_matched_in_round(st, i), 4)[x01] for i in range(1, st.rounds + 1)] == [0]
     assert _bits(st.rich_unmatched, 4)[x00] == 1
 
 
@@ -70,8 +80,8 @@ def test_matched_pairs_are_poor_rich_adjacent():
         low, high = _bits(st.low, half), _bits(st.high, half)
         rich_free = _bits(st.rich_unmatched, half)
         seen_poor, seen_rich = set(), set()
-        for d, match_poor in enumerate(st.matched_poor, 1):
-            xs = [x for x, m in enumerate(_bits(match_poor, half)) if m]
+        for d in range(1, st.rounds + 1):
+            xs = [x for x, m in enumerate(_bits(_matched_in_round(st, d), half)) if m]
             assert st.round_stats[d - 1][0] - st.round_stats[d][0] == len(xs)
             for x in xs:
                 y = x ^ (1 << (d - 1))
@@ -124,9 +134,10 @@ def test_matching_matches_per_point_reference(n, seed):
     state = run_matching(a)
     half = state.size
     assert state.round_stats == stats
+    assert len(state.round_planes) == state.rounds.bit_length()
     got = {}
-    for i, match_poor in enumerate(state.matched_poor, 1):
-        for x, m in enumerate(_bits(match_poor, half)):
+    for i in range(1, state.rounds + 1):
+        for x, m in enumerate(_bits(_matched_in_round(state, i), half)):
             if m:
                 got[x] = (x ^ (1 << (i - 1)), i)
     assert got == pairs
@@ -141,8 +152,8 @@ def test_matching_on_bitmap_and_table_forms_agree(n, seed):
     table = BooleanFunction(n, table=random_subset_function(n, seed=seed).values())
     got, want = run_matching(packed), run_matching(table)
     assert got.round_stats == want.round_stats
-    for a, b in zip([got.low, got.high, got.rich_unmatched, *got.matched_poor],
-                    [want.low, want.high, want.rich_unmatched, *want.matched_poor], strict=True):
+    for a, b in zip([got.low, got.high, got.rich_unmatched, *got.round_planes],
+                    [want.low, want.high, want.rich_unmatched, *want.round_planes], strict=True):
         assert np.array_equal(a, b)
     assert np.array_equal(build_injection(got), build_injection(want))
     if n >= 7:
@@ -241,6 +252,69 @@ def test_injection_validity_checks_every_slice():
     assert not injection_is_valid(state, far)
 
 
+# (case, n, {source: image} edits of the identity image, verdict); with
+# slices of 4 points, n = 7 has 16 slices of sources
+PAST_ONE_SLICE = [
+    ("identity", 7, {}, True),
+    # 3 ^ 4 = 7: a flip above the slice makes source 3 collide with source 7,
+    # which lies in the next slice, so the window widens to 8 points
+    ("duplicate-across-blocks", 7, {3: 7}, False),
+    ("flip-above-slice", 7, {3: 7 + 64}, True),
+    # a flip of coordinate 6 widens the window to the whole half-cube
+    ("widest-flip-duplicate", 7, {1: 33}, False),
+    ("widest-flip", 7, {1: 33 + 64, 33: 1 + 64}, True),
+    ("negative", 7, {40: -1}, False),
+    ("negative-int64-min", 7, {63: -2 ** 63}, False),
+    ("out-of-range", 7, {40: 128}, False),
+    ("out-of-range-int64-max", 7, {0: 2 ** 63 - 1}, False),
+]
+
+
+@pytest.mark.parametrize("n,edits,valid", [case[1:] for case in PAST_ONE_SLICE],
+                         ids=[case[0] for case in PAST_ONE_SLICE])
+def test_injection_validity_past_one_slice(monkeypatch, n, edits, valid):
+    monkeypatch.setattr(random_matching, "SLICE", 4)
+    state = run_matching(random_subset_function(n, seed=1))
+    img = np.arange(1 << (n - 1), dtype=np.int64)
+    for x, image in edits.items():
+        img[x] = image
+    assert _injection_valid_reference(n, img) == valid
+    assert injection_is_valid(state, img) == valid
+
+
+def test_built_injection_valid_past_one_slice(monkeypatch):
+    # n = 11 matches in directions up to 4, so slices of 4 points need a
+    # window of 32
+    monkeypatch.setattr(random_matching, "SLICE", 4)
+    state = run_matching(random_subset_function(11, seed=2))
+    img = build_injection(state)
+    assert injection_is_valid(state, img)
+    dup = img.astype(np.int64)
+    moved = int(np.flatnonzero((dup & 1023) == np.arange(1024) ^ 16)[0])
+    dup[moved ^ 16] = dup[moved]  # the source whose own image moved there
+    assert not _injection_valid_reference(11, dup)
+    assert not injection_is_valid(state, dup)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.sampled_from([1, 2, 4, 8]), st.data())
+def test_windowed_validity_matches_brute_force(n, slice_size, data):
+    # the identity with random top bits, then a few sources moved by one
+    # flip each: the moved images collide, or not, within and across
+    # slices of slice_size sources
+    half = 1 << (n - 1)
+    tops = data.draw(st.lists(st.integers(0, 1), min_size=half, max_size=half))
+    img = np.arange(half, dtype=np.int64) + half * np.array(tops, dtype=np.int64)
+    for _ in range(data.draw(st.integers(0, 4))):
+        x = data.draw(st.integers(0, half - 1))
+        flip = 1 << data.draw(st.integers(0, n - 2))
+        img[x] = (x ^ flip) + half * data.draw(st.integers(0, 1))
+    state = run_matching(random_subset_function(n, seed=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_matching, "SLICE", slice_size)
+        assert injection_is_valid(state, img) == _injection_valid_reference(n, img)
+
+
 def test_curve_statistics_n16():
     cv = recursion_curve(16, trials=20, seed=11)
     p, q = cv.p_mean(), cv.q_mean()
@@ -321,14 +395,15 @@ def _traced_peak(call):
 def test_matching_tables_make_no_table_sized_temporaries():
     # at n = 20 an int64 temporary of the 2^19 images is 4 MiB, of the 2^20
     # table entries 8 MiB; each pass may hold only slices beyond its own
-    # bitmaps and results
+    # bitmaps and results, and the validity check not even a bitmap of the
+    # 2^n targets, only a window of two slices
     n = 20
     state = run_matching(random_subset_function(n, seed=7))
     img, peak = _traced_peak(lambda: build_injection(state))
     assert peak <= img.nbytes + (1 << n) + (1 << 20)
     valid, peak = _traced_peak(lambda: injection_is_valid(state, img))
     assert valid
-    assert peak <= (1 << n) + (1 << 20)
+    assert peak <= 1 << 20
     phi = build_dict_to_random_details(random_balanced(n, seed=7)).mapping
     d, peak = _traced_peak(lambda: displacements(phi))
     assert peak <= d.nbytes + (1 << 20)
@@ -339,7 +414,7 @@ def test_matching_reads_the_set_bitmap_in_place():
     # slices of 1 MiB in all; unpacking the set at n = 20 takes 1 MiB itself
     n = 20
     state, peak = _traced_peak(lambda: run_matching(random_subset_function(n, seed=7)))
-    owned = sum(w.nbytes for w in (state.rich_unmatched, *state.matched_poor))
+    owned = sum(w.nbytes for w in (state.rich_unmatched, *state.round_planes))
     assert peak <= owned + (1 << n) // 8 + (1 << 20)
 
 
