@@ -11,11 +11,12 @@ exactly the set of points obtained by filling the gaps with every pattern
 The marking is order-independent: viewing 1 as an opening and 0 as a closing
 parenthesis, the marked positions are the maximal matched subsequence, which
 a single left-to-right stack pass computes.  The seeded variant,
-signature(x, order_seed), picks eligible pairs in random order and exists to
-let the checks demonstrate that the result does not depend on the order.
+signature(x, n, order_seed), picks eligible pairs in random order and exists
+to let the checks demonstrate that the result does not depend on the order.
 
-A chain is its Signature: enumerate_partition yields them, and
-element_bits_all() lists the points of the chain.
+A chain is its Signature: signature(x, n) names the chain of the packed
+point x, enumerate_partition yields every chain, and element_bits_all()
+lists a chain's points as packed ints, ascending by weight.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cube_core import (EDGE_SCAN_MAX_N, PARTITION_MAX_N, Point, check_n, format_bits,
-                        popcount, popcount_array)
+from .cube_core import EDGE_SCAN_MAX_N, PARTITION_MAX_N, check_n, format_bits
 
 GAP = "_"
 
@@ -72,7 +72,7 @@ def chain_elements(xs: np.ndarray, masks: np.ndarray, levels: np.ndarray,
     given: the marked bits stay and a pass from the high end fills the top
     level - k gaps, k being the chain's minimum level."""
     out = xs & masks
-    left = (np.asarray(levels) - popcount_array(masks) // 2).astype(np.int8)
+    left = (np.asarray(levels) - np.bitwise_count(masks) // 2).astype(np.int8)
     for i in range(n - 1, -1, -1):
         bit = np.uint64(1 << i)
         fill = ((masks & bit) == 0) & (left > 0)
@@ -104,7 +104,7 @@ class Signature:
 
     ``bits`` holds the values of the marked positions (zero elsewhere) and
     ``mask`` the marked positions themselves; positions outside ``mask`` are
-    gaps.  The chain spans weights k .. n-k where k = popcount(mask)/2.
+    gaps.  The chain spans weights k .. n-k, where 2k positions are marked.
     """
 
     bits: int
@@ -116,18 +116,13 @@ class Signature:
             raise ValueError("signature bits outside the marked mask")
         if self.mask >> self.n:
             raise ValueError("marked mask wider than the dimension")
-        if popcount(self.mask) % 2:
+        if self.mask.bit_count() % 2:
             raise ValueError("marked positions must pair up")
 
     @property
     def k(self) -> int:
         """Minimum weight on the chain."""
-        return popcount(self.mask) // 2
-
-    @property
-    def top(self) -> int:
-        """Maximum weight on the chain."""
-        return self.n - self.k
+        return self.mask.bit_count() // 2
 
     @property
     def text(self) -> str:
@@ -151,9 +146,6 @@ class Signature:
             out |= 1 << pos
         return out
 
-    def element(self, j: int) -> Point:
-        return Point(self.element_bits(j), self.n)
-
     def element_bits_all(self) -> tuple[int, ...]:
         """All chain points ascending by weight."""
         gaps = self.gap_positions()
@@ -164,63 +156,26 @@ class Signature:
             out.append(acc)
         return tuple(out)
 
-    def is_canonical(self) -> bool:
-        """True iff this is the signature of an actual point.
-
-        Reading marked symbols as parentheses (1 opens, 0 closes), the
-        marked part must fully match AND no open parenthesis may straddle a
-        gap; otherwise filling the gaps with 0^a 1^b would create new
-        matches and re-marking would disagree.
-        """
-        balance = 0
-        for i in range(self.n):
-            if not (self.mask >> i) & 1:
-                if balance != 0:
-                    return False
-            elif (self.bits >> i) & 1:
-                balance += 1
-            else:
-                balance -= 1
-                if balance < 0:
-                    return False
-        return balance == 0
-
-    @classmethod
-    def from_text(cls, s: str, validate: bool = True) -> "Signature":
-        bits = mask = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-                mask |= 1 << i
-            elif c == "0":
-                mask |= 1 << i
-            elif c != GAP:
-                raise ValueError(f"bad signature character {c!r}")
-        sig = cls(bits, mask, len(s))
-        if validate and not sig.is_canonical():
-            raise ValueError(f"{s!r} is not the signature of any point")
-        return sig
-
     def __str__(self) -> str:
         return self.text
 
 
-def signature(x: Point, order_seed: int | None = None) -> Signature:
-    """The signature of x's chain; a seed randomizes the pair-picking order."""
+def signature(x: int, n: int, order_seed: int | None = None) -> Signature:
+    """The signature of the chain of the n-cube point x; a seed randomizes
+    the pair-picking order."""
     if order_seed is None:
-        mask = _mark_mask(x.bits, x.n)
+        mask = _mark_mask(x, n)
     else:
-        mask = _mark_mask_seeded(x.bits, x.n, order_seed)
-    return Signature(x.bits & mask, mask, x.n)
+        mask = _mark_mask_seeded(x, n, order_seed)
+    return Signature(x & mask, mask, n)
 
 
-def signature_distance(x: Point, y: Point) -> int:
-    """Hamming distance of the two signatures over the 3-letter alphabet."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    mx = _mark_mask(x.bits, x.n)
-    my = _mark_mask(y.bits, y.n)
-    return popcount((mx ^ my) | (mx & my & (x.bits ^ y.bits)))
+def signature_distance(x: int, y: int, n: int) -> int:
+    """Hamming distance of the signatures of two n-cube points over the
+    3-letter alphabet."""
+    mx = _mark_mask(x, n)
+    my = _mark_mask(y, n)
+    return ((mx ^ my) | (mx & my & (x ^ y))).bit_count()
 
 
 def enumerate_partition(n: int) -> Iterator[Signature]:
@@ -230,8 +185,9 @@ def enumerate_partition(n: int) -> Iterator[Signature]:
     Signatures are generated directly: scanning left to right with 1 as an
     opening and 0 as a closing parenthesis, a gap is allowed only where the
     running balance is zero, closing needs positive balance, and opening
-    needs room to close later.  Exactly the canonical signatures survive,
-    so each point of the cube lands in exactly one emitted chain.
+    needs room to close later.  Exactly the signatures that the marking
+    gives some point survive, so each point of the cube lands in exactly
+    one emitted chain.
     """
     check_n(n, PARTITION_MAX_N)
 
@@ -274,7 +230,7 @@ def _scan_edges(n: int, xs: np.ndarray, bit: int, masks: np.ndarray, ks: np.ndar
     one level of x's chain against every level of y's per array pass."""
     ys = xs | bit
     mx, my = masks[xs], masks[ys]
-    sd = popcount_array((mx ^ my) | (mx & my & np.uint64(bit)))
+    sd = np.bitwise_count((mx ^ my) | (mx & my & np.uint64(bit)))
     gap = np.abs(ks[xs].astype(np.int8) - ks[ys])
     levels = np.arange(n + 1)
     on_y = (ks[ys] <= levels[:, None]) & (levels[:, None] <= n - ks[ys])
@@ -284,7 +240,7 @@ def _scan_edges(n: int, xs: np.ndarray, bit: int, masks: np.ndarray, ks: np.ndar
     max_excess = max_haus = 0
     for j in range(n + 1):
         on_x = (ks[xs] <= j) & (j <= n - ks[xs])
-        d = popcount_array(elements[j, xs] ^ ey)
+        d = np.bitwise_count(elements[j, xs] ^ ey)
         excess = d.astype(np.int8) - np.abs(j - levels).astype(np.int8)[:, None]
         max_excess = max(max_excess, int(excess.max(initial=0, where=on_y & on_x)))
         d[~on_y] = far
@@ -307,7 +263,7 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     size = 1 << n
     points = np.arange(size, dtype=np.uint64)
     masks = mark_masks(points, n)
-    ks = popcount_array(masks) // 2
+    ks = np.bitwise_count(masks) // 2
     # elements[j] is the level-j element of each point's chain; a level
     # outside k..n-k is not on the chain and is masked out
     elements = np.empty((n + 1, size), dtype=np.uint16)
@@ -340,9 +296,9 @@ def partition_covers_cube(n: int) -> tuple[int, int]:
                 raise AssertionError(f"point {format_bits(bits, n)} covered twice")
             seen[bits] = 1
             points += 1
-            if popcount(bits) != j:
+            if bits.bit_count() != j:
                 raise AssertionError("chain element weight differs from its level")
-            if prev is not None and popcount(prev ^ bits) != 1:
+            if prev is not None and (prev ^ bits).bit_count() != 1:
                 raise AssertionError("consecutive chain elements are not adjacent")
             prev = bits
     if points != size:

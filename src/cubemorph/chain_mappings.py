@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .btk_chains import chain_elements, mark_masks
-from .cube_core import popcount_array
 from .gf2_maps import prefix_xor_mapping
 from .stretch_metrics import Mapping
 
@@ -39,8 +38,8 @@ def _tail_chain(tails: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.n
     """Marked masks, chain minimum levels k and own levels of m-bit tails, the
     levels as int16: every level expression below stays within +-2n."""
     masks = mark_masks(tails, m)
-    k = (popcount_array(masks) // 2).astype(np.int16)
-    return masks, k, popcount_array(tails).astype(np.int16)
+    k = (np.bitwise_count(masks) // 2).astype(np.int16)
+    return masks, k, np.bitwise_count(tails).astype(np.int16)
 
 
 def _maj_to_dict_array(xs: np.ndarray, n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from . import __version__
 
 if TYPE_CHECKING:
     from .btk_chains import Signature
-    from .cube_core import Point
     from .stretch_metrics import Mapping
 
 MAP_NAMES = ("maj2dict", "dict2maj", "maj2xor", "tree", "prefix", "xorhead")
@@ -51,11 +50,11 @@ def _build_mapping(name: str, n: int, arity: int = 2) -> Mapping:
             "maj2xor": chain_mappings.majority_to_xor_map}[name](n)
 
 
-def _parse_point_arg(s: str, n: int) -> Point:
+def _parse_point_arg(s: str, n: int) -> int:
     from .cube_core import parse_point
     x = parse_point(s)
-    if x.n != n:
-        raise UsageError(f"point {s!r} has {x.n} coordinates, expected {n}")
+    if len(s) != n:
+        raise UsageError(f"point {s!r} has {len(s)} coordinates, expected {n}")
     return x
 
 
@@ -75,8 +74,8 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _chain_line(sig: Signature) -> str:
-    elems = " ".join(str(p) for p in
-                     (sig.element(j) for j in range(sig.k, sig.top + 1)))
+    from .cube_core import format_bits
+    elems = " ".join(format_bits(x, sig.n) for x in sig.element_bits_all())
     return f"{sig.text} : {elems}"
 
 
@@ -85,7 +84,7 @@ def cmd_chains(args) -> int:
     from .cube_core import CHAINS_DUMP_MAX_N, check_n
     if args.point is not None:
         x = _parse_point_arg(args.point, args.n)
-        print(_chain_line(signature(x)))
+        print(_chain_line(signature(x, args.n)))
         return 0
     check_n(args.n, CHAINS_DUMP_MAX_N, what="--n", note=" without --point")
     for sig in enumerate_partition(args.n):
@@ -98,7 +97,7 @@ def cmd_chains(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_map(args) -> int:
-    from .cube_core import Point
+    from .cube_core import format_bits
     from .gf2_maps import build_tree_matrix
     if args.matrix_out is not None and args.mapping != "tree":
         raise UsageError("--matrix-out only applies to the tree mapping")
@@ -109,12 +108,12 @@ def cmd_map(args) -> int:
     if args.x is not None:
         mapping = _build_mapping(args.mapping, args.n, args.arity)
         x = _parse_point_arg(args.x, args.n)
-        out = mapping.inverse_bits(x.bits) if args.inverse else mapping.apply_bits(x.bits)
-        image = Point(out, args.n)
+        out = mapping.inverse_bits(x) if args.inverse else mapping.apply_bits(x)
+        image = format_bits(out, args.n)
     if args.matrix_out is not None:
         _write_text(args.matrix_out, build_tree_matrix(args.n, args.arity).to_text() + "\n")
     if image is not None:
-        print(str(image))
+        print(image)
     return 0
 
 
@@ -259,7 +258,7 @@ def cmd_random(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
-    from .cube_core import BooleanFunction, Point
+    from .cube_core import BooleanFunction, format_bits
     from .stretch_metrics import (exhaustive_min_avg_stretch, exhaustive_min_max_stretch,
                                   local_search_min_stretch)
     f = BooleanFunction(args.n, name=FUNCTION_NAMES[args.source])
@@ -280,7 +279,7 @@ def cmd_search(args) -> int:
                                                   restarts=args.restarts)
         header = f"best avg stretch = {value}"
     table = witness.table()
-    witness_lines = [f"{Point(x, args.n)} → {Point(int(table[x]), args.n)}"
+    witness_lines = [f"{format_bits(x, args.n)} → {format_bits(int(table[x]), args.n)}"
                      for x in range(1 << args.n)]
     # the file first: a bad path then exits 2 before the header is out
     if args.out is not None:

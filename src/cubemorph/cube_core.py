@@ -1,10 +1,11 @@
 """Points of the Hamming cube and the boolean functions that live on it.
 
-Coordinate convention: a point of the n-cube is a Python int in which
-coordinate i (1-based) occupies bit i-1.  The string form puts coordinate 1
-LEFTMOST, so ``parse_point("100")`` has coordinate 1 set and equals int 1;
-the codec owns this reversal and nothing else in the package needs to know
-about it.
+Coordinate convention: a point of the n-cube is a plain int (a uint64
+array entry in bulk) in which coordinate i (1-based) occupies bit i-1;
+there is no point type.  The string form puts coordinate 1 LEFTMOST, so
+``parse_point("100")`` has coordinate 1 set and equals int 1; parse_point
+and format_bits own this reversal and nothing else in the package needs to
+know about it.
 
 The module also holds the size caps of the whole package and check_n, the
 one check that enforces them.
@@ -12,7 +13,6 @@ one check that enforces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -39,44 +39,14 @@ TABLE_DTYPE = np.dtype(np.uint32)
 # temporaries stay well under 1 MB at any n.
 SLICE = 1 << 16
 
-_TABLE_MAGIC = b"CMBF"
-_TABLE_VERSION = 1
 
-
-def popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
-def popcount_array(arr: np.ndarray) -> np.ndarray:
-    """Per-element popcount of an integer array."""
-    return np.bitwise_count(arr)
-
-
-@dataclass(frozen=True)
-class Point:
-    """A vertex of the n-dimensional Hamming cube."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        check_n(self.n, FORMULA_MAX_N)
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
-
-    def __str__(self) -> str:
-        return format_bits(self.bits, self.n)
-
-
-def parse_point(s: str) -> Point:
-    """Parse a bit string, leftmost character = coordinate 1."""
+def parse_point(s: str) -> int:
+    """Parse a bit string into a packed point, leftmost character =
+    coordinate 1."""
     if not s or any(c not in "01" for c in s):
         raise ValueError(f"point string must match [01]+, got {s!r}")
-    bits = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            bits |= 1 << i
-    return Point(bits, len(s))
+    check_n(len(s), FORMULA_MAX_N)
+    return int(s[::-1], 2)
 
 
 def format_bits(bits: int, n: int) -> str:
@@ -86,20 +56,6 @@ def format_bits(bits: int, n: int) -> str:
 def slices(size: int, step: int = SLICE):
     """(lo, hi) bounds of the consecutive step-entry slices of range(size)."""
     return ((lo, min(lo + step, size)) for lo in range(0, size, step))
-
-
-def distinct_in_range(values: np.ndarray, size: int) -> bool:
-    """True iff every entry of the integer array values lies in 0..size-1
-    and no two are equal: a range check, then a scatter slice by slice into
-    a bitmap of size entries (not a sort) whose set bits are counted.  It
-    checks permutation tables; random_matching checks its injections in a
-    window of two slices instead."""
-    if values.size and (values.min() < 0 or values.max() >= size):
-        return False
-    seen = np.zeros(size, dtype=bool)
-    for lo, hi in slices(values.size):
-        seen[values[lo:hi]] = True
-    return bool(np.count_nonzero(seen) == values.size)
 
 
 def check_n(n: int, cap: int, low: int = 1, what: str = "n", note: str = "") -> None:
@@ -163,41 +119,18 @@ class BooleanFunction:
     def xor(cls, n: int) -> "BooleanFunction":
         return cls(n, name="xor")
 
-    @classmethod
-    def from_values(cls, n: int, values, balanced: bool = False) -> "BooleanFunction":
-        """Build from an iterable/array of 2^n values indexed by packed point;
-        any nonzero value counts as 1."""
-        check_n(n, EXHAUSTIVE_MAX_N)
-        arr = np.asarray(values).ravel()
-        if arr.size != 1 << n:
-            raise ValueError(f"expected {1 << n} values, got {arr.size}")
-        return cls(n, table=(arr != 0).view(np.uint8), balanced=balanced)
-
-    @classmethod
-    def from_ones(cls, n: int, ones, balanced: bool = False) -> "BooleanFunction":
-        """Build from the set of packed points mapped to 1."""
-        check_n(n, EXHAUSTIVE_MAX_N)
-        vals = np.zeros(1 << n, dtype=np.uint8)
-        vals[list(ones)] = 1
-        return cls(n, table=vals, balanced=balanced)
-
     # -- evaluation ---------------------------------------------------
 
     def value(self, bits: int) -> int:
         if not 0 <= bits < (1 << self.n):
             raise ValueError(f"point 0x{bits:x} out of range for n={self.n}")
         if self.name == "majority":
-            return 1 if 2 * popcount(bits) > self.n else 0
+            return 1 if 2 * bits.bit_count() > self.n else 0
         if self.name == "dictator":
             return bits & 1
         if self.name == "xor":
-            return popcount(bits) & 1
+            return bits.bit_count() & 1
         return int(self.values()[bits])
-
-    def __call__(self, x: Point) -> int:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: function n={self.n}, point n={x.n}")
-        return self.value(x.bits)
 
     def values(self) -> np.ndarray:
         """Full truth table as a uint8 array of 2^n entries (a formula's is
@@ -208,11 +141,11 @@ class BooleanFunction:
             check_n(self.n, EXHAUSTIVE_MAX_N)
             idx = np.arange(1 << self.n, dtype=np.uint64)
             if self.name == "majority":
-                self._values = (2 * popcount_array(idx) > self.n).astype(np.uint8)
+                self._values = (2 * np.bitwise_count(idx) > self.n).astype(np.uint8)
             elif self.name == "dictator":
                 self._values = (idx & 1).astype(np.uint8)
             else:
-                self._values = (popcount_array(idx) & 1).astype(np.uint8)
+                self._values = (np.bitwise_count(idx) & 1).astype(np.uint8)
         return self._values
 
     def bitmap(self) -> np.ndarray:
@@ -228,32 +161,11 @@ class BooleanFunction:
         if self.name in ("dictator", "xor"):
             return 1 << (self.n - 1)
         if self._values is None:
-            return int(popcount_array(self._bitmap).sum(dtype=np.int64))
+            return int(np.bitwise_count(self._bitmap).sum(dtype=np.int64))
         return int(np.count_nonzero(self._values))
 
     def is_balanced(self) -> bool:
         return self.ones_count() == 1 << (self.n - 1)
-
-    def ones(self) -> np.ndarray:
-        """Packed points mapped to 1, ascending."""
-        return np.flatnonzero(self.values())
-
-    # -- serialization ------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """8-byte header (magic, version, n, padding) + little-endian bitmap
-        (bit x of the function sits at byte x>>3, bit x&7)."""
-        return _TABLE_MAGIC + bytes([_TABLE_VERSION, self.n, 0, 0]) + self.bitmap().tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BooleanFunction":
-        if len(data) < 8 or data[:4] != _TABLE_MAGIC:
-            raise ValueError("bad function table header")
-        version, n = data[4], data[5]
-        if version != _TABLE_VERSION:
-            raise ValueError(f"unsupported table version {version}")
-        check_n(n, EXHAUSTIVE_MAX_N)
-        return cls(n, bitmap=np.frombuffer(data[8:], dtype=np.uint8))
 
     def __repr__(self) -> str:
         kind = self.name if self.name else "table"

@@ -57,7 +57,6 @@ from .cube_core import (
     TABLE_MAX_N,
     BooleanFunction,
     check_n,
-    popcount_array,
     random_balanced,
     random_subset_function,
     slices,
@@ -112,7 +111,7 @@ def _partner(words: np.ndarray, b: int) -> np.ndarray:
 
 
 def _count(words: np.ndarray) -> int:
-    return int(popcount_array(words).sum(dtype=np.int64))
+    return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
 def run_matching(a: BooleanFunction) -> MatchState:
@@ -199,7 +198,7 @@ def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
             return False
         np.bitwise_and(part, half - 1, out=diff)
         diff ^= np.arange(lo, hi, dtype=diff.dtype)
-        if (popcount_array(diff) > 1).any():
+        if (np.bitwise_count(diff) > 1).any():
             return False
         widest = max(widest, int(diff.max()))
     # the first n - 1 bits of an image then lie in its source's aligned

@@ -35,8 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_DTYPE,
-                        TABLE_MAX_N, TYPICAL_MAX_N, BooleanFunction, Point, check_n,
-                        distinct_in_range, popcount, popcount_array, slices)
+                        TABLE_MAX_N, TYPICAL_MAX_N, BooleanFunction, check_n, slices)
 
 # Proposals drawn and scored per numpy pass in the local search.
 _PROPOSAL_BLOCK = 256
@@ -89,11 +88,6 @@ class Mapping:
     def inverse_bits(self, y: int) -> int:
         return int(self.inverse(np.array([y], dtype=np.uint64))[0])
 
-    def __call__(self, x: Point) -> Point:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: mapping n={self.n}, point n={x.n}")
-        return Point(self.apply_bits(x.bits), self.n)
-
     def table(self) -> np.ndarray:
         check_n(self.n, TABLE_MAX_N)  # also for a table given to from_table
         if self._table is None:
@@ -111,8 +105,15 @@ class Mapping:
 
 
 def _is_permutation(t: np.ndarray) -> bool:
-    """True iff the integer array t holds each of 0..t.size-1 exactly once."""
-    return distinct_in_range(t, t.size)
+    """True iff the integer array t holds each of 0..t.size-1 exactly once:
+    a range check, then a scatter slice by slice into a bitmap of t.size
+    entries (not a sort) whose set bits are counted."""
+    if t.size and (t.min() < 0 or t.max() >= t.size):
+        return False
+    seen = np.zeros(t.size, dtype=bool)
+    for lo, hi in slices(t.size):
+        seen[t[lo:hi]] = True
+    return bool(np.count_nonzero(seen) == t.size)
 
 
 def _inverse_name(name: str) -> str:
@@ -251,7 +252,7 @@ def _direction_hist_sampled(phi: Mapping, rng: np.random.Generator, samples: int
         lo = rng.integers(0, 1 << 32, size=samples, dtype=np.int64)
         hi = rng.integers(0, 1 << (n - 32), size=samples, dtype=np.int64)
         xs = (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
-    return np.bincount(popcount_array(phi.forward(xs) ^ phi.forward(xs ^ np.uint64(1 << b))),
+    return np.bincount(np.bitwise_count(phi.forward(xs) ^ phi.forward(xs ^ np.uint64(1 << b))),
                        minlength=n + 1)
 
 
@@ -356,7 +357,7 @@ def _search_bijections(f: BooleanFunction, g: BooleanFunction, metric: str,
             if metric == "max":
                 worst = partial
                 for y in nbrs:
-                    d = popcount(assign[y] ^ t)
+                    d = (assign[y] ^ t).bit_count()
                     if d > worst:
                         worst = d
                 new_partial = worst
@@ -364,7 +365,7 @@ def _search_bijections(f: BooleanFunction, g: BooleanFunction, metric: str,
             else:
                 add = 0
                 for y in nbrs:
-                    add += popcount(assign[y] ^ t)
+                    add += (assign[y] ^ t).bit_count()
                 new_partial = partial + add
                 bound = new_partial + remaining
             if best_value[0] is not None and bound >= best_value[0]:
@@ -442,8 +443,8 @@ def _swap_deltas(table: np.ndarray, bits: np.ndarray, us: np.ndarray,
     tv = table[vs][:, None]
     tnu = table[nu]
     tnv = table[nv]
-    gain = popcount_array(tv ^ tnu) + popcount_array(tu ^ tnv)
-    loss = popcount_array(tu ^ tnu) + popcount_array(tv ^ tnv)
+    gain = np.bitwise_count(tv ^ tnu) + np.bitwise_count(tu ^ tnv)
+    loss = np.bitwise_count(tu ^ tnu) + np.bitwise_count(tv ^ tnv)
     d = gain.astype(np.int16) - loss
     d[nu == vs[:, None]] = 0
     return d.sum(axis=1)

@@ -10,7 +10,7 @@ import pytest
 
 from cubemorph import cli, cube_core
 from cubemorph.btk_chains import adjacent_chain_scan, enumerate_partition, partition_covers_cube
-from cubemorph.cube_core import BooleanFunction, Point, random_balanced, random_subset_function
+from cubemorph.cube_core import BooleanFunction, random_balanced, random_subset_function
 from cubemorph.gf2_maps import (
     SparseGF2Matrix,
     prefix_xor_mapping,
@@ -50,11 +50,8 @@ def _identity_matrix(n):
 GUARDS = [
     (0, "EXHAUSTIVE_MAX_N", 1, lambda n: random_balanced(n, seed=0)),
     (1, "EXHAUSTIVE_MAX_N", 1, lambda n: random_subset_function(n, seed=0)),
-    (2, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_values(n, [])),
-    (3, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.from_ones(n, [])),
     (4, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction(n, table=np.zeros(1, np.uint8))),
     (5, "EXHAUSTIVE_MAX_N", 1, lambda n: xor(n).values()),
-    (6, "FORMULA_MAX_N", 1, lambda n: Point(0, n)),
     (7, "FORMULA_MAX_N", 1, BooleanFunction.majority),
     (8, "FORMULA_MAX_N", 1, Mapping.identity),
     (9, "FORMULA_MAX_N", 1, tree_mapping),

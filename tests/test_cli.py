@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -70,6 +71,15 @@ def test_chains_full_dump_n2(capsys):
 def test_chains_cap_is_usage_error(capsys):
     assert run_cli("chains", "--n", "21") == 2
     assert "--n must be in 1..20 without --point" in capsys.readouterr().err
+
+
+def test_chains_point_cap_is_usage_error(capsys):
+    assert run_cli("chains", "--n", "64", "--point", "0" * 64) == 2
+    assert capsys.readouterr() == ("", "error: n must be in 1..63, got 64\n")
+    assert run_cli("chains", "--n", "63", "--point", "0" * 62 + "1") == 0
+    # the point's chain is all gaps: 0^(63-w) 1^w for every weight w
+    chain = " ".join("0" * (63 - w) + "1" * w for w in range(64))
+    assert capsys.readouterr().out == "_" * 63 + " : " + chain + "\n"
 
 
 def test_map_golden_block(capsys):
@@ -384,6 +394,7 @@ def test_console_entry_point_subprocess():
 _STARTUP = """
 import os
 import sys
+from collections import Counter
 import {module}
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 loaded = ",".join(sorted(m for m in sys.modules if m.startswith("cubemorph."))) or "none"
@@ -430,6 +441,9 @@ def test_cli_import_loads_no_other_module_of_the_package():
 _CALLERLESS = {
     # the only tree-map evaluator past n = 63, for criterion 6's parity sample
     "gf2_maps.tree2_apply_bits",
+    # the scalar reference that tests/test_chain_mappings.py checks
+    # chain_elements against
+    "btk_chains.Signature.element_bits",
 }
 
 
@@ -447,6 +461,15 @@ def _public_definitions(tree: ast.Module):
         yield from ((name, node) for name in names if not name.startswith("_"))
 
 
+def _public_methods(tree: ast.Module):
+    """(class.name, node) for each public method and property of each
+    top-level public class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            yield from ((f"{cls.name}.{node.name}", node) for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+
+
 def _referenced(node: ast.AST) -> set[str]:
     """Names a node's subtree uses: loaded or stored names, attributes and imports."""
     out = set()
@@ -458,6 +481,11 @@ def _referenced(node: ast.AST) -> set[str]:
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             out.update(a.name.rsplit(".", 1)[-1] for a in sub.names)
     return out
+
+
+def _attributes(node: ast.AST) -> Counter:
+    """How often each attribute name is referenced in a node's subtree."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
 def test_every_public_name_has_a_caller():
@@ -473,4 +501,11 @@ def test_every_public_name_has_a_caller():
     callerless = {f"{path.stem}.{name}"
                   for path, tree in modules.items() for name, node in _public_definitions(tree)
                   if not any(name in names for stmt, names in uses if stmt is not node)}
+    # a method or property needs an attribute reference outside its own body
+    package = sum((_attributes(tree) for tree in modules.values()), Counter())
+    bench_attributes = set().union(*map(_attributes, bench))
+    callerless |= {f"{path.stem}.{name}"
+                   for path, tree in modules.items() for name, node in _public_methods(tree)
+                   if (package[node.name] == _attributes(node)[node.name]
+                       and node.name not in bench_attributes)}
     assert callerless == _CALLERLESS

@@ -5,9 +5,8 @@ import pytest
 
 from cubemorph.cube_core import (
     BooleanFunction,
-    Point,
+    format_bits,
     parse_point,
-    popcount_array,
     random_balanced,
     random_subset_function,
 )
@@ -15,10 +14,10 @@ from cubemorph.cube_core import (
 
 def test_point_string_codec_roundtrip():
     for s in ("01100110", "0", "1", "0001", "111111"):
-        assert str(parse_point(s)) == s
+        assert format_bits(parse_point(s), len(s)) == s
     # coordinate 1 is the leftmost character and the lowest bit
-    assert parse_point("100").bits == 1
-    assert parse_point("001").bits == 4
+    assert parse_point("100") == 1
+    assert parse_point("001") == 4
 
 
 def test_parse_point_rejects_bad_input():
@@ -29,23 +28,23 @@ def test_parse_point_rejects_bad_input():
 
 
 def test_point_validation():
+    # a point has 1..63 coordinates, so that it and its image fit one uint64
+    assert parse_point("1" * 63) == (1 << 63) - 1
+    with pytest.raises(ValueError, match=r"^n must be in 1\.\.63, got 64$"):
+        parse_point("0" * 64)
     with pytest.raises(ValueError):
-        Point(4, 2)
-    with pytest.raises(ValueError):
-        Point(0, 0)
-    with pytest.raises(ValueError):
-        Point(0, 64)
+        parse_point("")
 
 
 def test_named_function_values():
     maj = BooleanFunction.majority(3)
     dic = BooleanFunction.dictator(3)
     xor = BooleanFunction.xor(3)
-    assert maj(parse_point("110")) == 1
-    assert dic(parse_point("011")) == 0
-    assert xor(parse_point("110")) == 0
+    assert maj.value(parse_point("110")) == 1
+    assert dic.value(parse_point("011")) == 0
+    assert xor.value(parse_point("110")) == 0
     with pytest.raises(ValueError):
-        maj(parse_point("11"))
+        maj.value(parse_point("0001"))
 
 
 def test_named_function_tables_match_formulas():
@@ -59,7 +58,7 @@ def test_named_function_tables_match_formulas():
 def test_all_pairs_distance_positive_n12():
     n = 12
     idx = np.arange(1 << n, dtype=np.uint64)
-    d = popcount_array(idx[:, None] ^ idx[None, :])
+    d = np.bitwise_count(idx[:, None] ^ idx[None, :])
     assert d[np.eye(1 << n, dtype=bool)].max() == 0
     assert d[~np.eye(1 << n, dtype=bool)].min() == 1
 
@@ -90,49 +89,34 @@ def test_random_balanced_pointwise_frequency():
 
 
 def test_table_serialization_roundtrip():
+    # the bitmap is the function's packed form: one bit a point, 64 bytes at n = 9
     f = random_balanced(9, seed=3)
-    data = f.to_bytes()
-    assert data[:4] == b"CMBF"
-    assert data[5] == 9
-    assert len(data) == 8 + (1 << 9) // 8
-    g = BooleanFunction.from_bytes(data)
+    data = f.bitmap()
+    assert data.size == (1 << 9) // 8
+    g = BooleanFunction(9, bitmap=data)
     assert g.n == 9
     assert np.array_equal(f.values(), g.values())
 
 
 def test_table_serialization_of_formula():
     f = BooleanFunction.xor(5)
-    g = BooleanFunction.from_bytes(f.to_bytes())
+    g = BooleanFunction(5, bitmap=f.bitmap())
     assert np.array_equal(f.values(), g.values())
-
-
-def test_from_bytes_rejects_garbage():
-    with pytest.raises(ValueError):
-        BooleanFunction.from_bytes(b"XXXX\x01\x05\x00\x00" + b"\x00" * 4)
-    with pytest.raises(ValueError):
-        BooleanFunction.from_bytes(b"CMBF\x01\x05\x00\x00")
-
-
-def test_from_bytes_rejects_set_padding_bits():
-    # n = 2 uses bits 0..3 of the one bitmap byte; bit 4 is padding
-    with pytest.raises(ValueError, match="padding"):
-        BooleanFunction.from_bytes(b"CMBF\x01\x02\x00\x00\x11")
-    assert BooleanFunction.from_bytes(b"CMBF\x01\x02\x00\x00\x01").values().tolist() == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_serialization_roundtrip_partial_byte(n):
     for seed in range(4):
         f = random_subset_function(n, seed)
-        data = f.to_bytes()
-        assert len(data) == 9
-        g = BooleanFunction.from_bytes(data)
+        data = f.bitmap()
+        assert data.size == 1
+        g = BooleanFunction(n, bitmap=data)
         assert g.n == n and np.array_equal(g.values(), f.values())
-        assert g.to_bytes() == data
+        assert np.array_equal(BooleanFunction(n, table=g.values()).bitmap(), data)
 
 
 def test_table_holds_zeros_and_ones():
-    f = BooleanFunction.from_values(2, [0, 2, 255, 0])
+    f = BooleanFunction(2, table=np.array([0, 1, 1, 0], dtype=np.uint8))
     assert f.values().tolist() == [0, 1, 1, 0]
     assert f.is_balanced() and f.value(2) == 1
     with pytest.raises(ValueError):
@@ -143,8 +127,8 @@ def test_table_holds_zeros_and_ones():
 
 def test_balanced_flag_enforced():
     with pytest.raises(ValueError):
-        BooleanFunction.from_values(3, [1, 0, 0, 0, 0, 0, 0, 0], balanced=True)
-    BooleanFunction.from_values(3, [1, 1, 1, 1, 0, 0, 0, 0], balanced=True)
+        BooleanFunction(3, table=np.array([1, 0, 0, 0, 0, 0, 0, 0], np.uint8), balanced=True)
+    BooleanFunction(3, table=np.array([1, 1, 1, 1, 0, 0, 0, 0], np.uint8), balanced=True)
 
 
 def test_random_subset_function_density():
@@ -157,7 +141,7 @@ def test_exhaustive_caps():
     with pytest.raises(ValueError):
         random_balanced(31, seed=0)
     with pytest.raises(ValueError):
-        BooleanFunction.from_values(31, [])
+        BooleanFunction(31, table=np.zeros(0, np.uint8))
 
 
 # sha256 of random_subset_function(n, seed)'s truth table; n <= 2 draws one
@@ -178,14 +162,14 @@ def test_random_subset_function_pinned(n, seed, digest):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_random_subset_function_holds_its_draw(n):
     # point x is bit x & 7 of byte x >> 3 of the PCG64 draw; for n = 1 and 2
-    # the one byte's padding bits are cleared, so the serialized body is the
-    # packed values either way
+    # the one byte's padding bits are cleared, so the bitmap is the packed
+    # values either way
     for seed in range(4):
         rng = np.random.Generator(np.random.PCG64(seed))
         draw = rng.integers(0, 256, size=((1 << n) + 7) // 8, dtype=np.uint8)
         f = random_subset_function(n, seed)
         assert np.array_equal(f.values(), np.unpackbits(draw, count=1 << n, bitorder="little"))
-        assert f.to_bytes()[8:] == np.packbits(f.values(), bitorder="little").tobytes()
+        assert np.array_equal(f.bitmap(), np.packbits(f.values(), bitorder="little"))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
@@ -198,20 +182,21 @@ def test_bitmap_and_table_forms_agree(n):
 
         assert packed().ones_count() == table.ones_count()
         assert packed().is_balanced() == table.is_balanced()
-        assert packed().to_bytes() == table.to_bytes()
-        assert np.array_equal(packed().ones(), table.ones())
+        assert np.array_equal(packed().bitmap(), table.bitmap())
+        assert np.array_equal(packed().values(), table.values())
         assert [packed().value(x) for x in range(1 << n)] == table.values().tolist()
-        back = BooleanFunction.from_bytes(table.to_bytes())
-        assert np.array_equal(back.bitmap(), packed().bitmap())
-        assert np.array_equal(back.values(), table.values())
 
 
 def test_bitmap_constructor_checks():
     for bad in (np.zeros(1, np.uint8), np.zeros(2, np.uint16), np.zeros(4, np.uint8)[::2]):
         with pytest.raises(ValueError, match="2 contiguous uint8 bytes"):
             BooleanFunction(4, bitmap=bad)
+    # n = 2 uses bits 0..3 of the one bitmap byte; bit 4 is padding
     with pytest.raises(ValueError, match="padding"):
         BooleanFunction(2, bitmap=np.array([0x10], np.uint8))
+    with pytest.raises(ValueError, match="padding"):
+        BooleanFunction(2, bitmap=np.array([0x11], np.uint8))
+    assert BooleanFunction(2, bitmap=np.array([0x01], np.uint8)).values().tolist() == [1, 0, 0, 0]
     with pytest.raises(ValueError, match="padding"):
         BooleanFunction(1, bitmap=np.array([0x04], np.uint8))
     with pytest.raises(ValueError):

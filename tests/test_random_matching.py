@@ -10,7 +10,6 @@ from cubemorph import random_matching
 from cubemorph.cube_core import (
     BooleanFunction,
     parse_point,
-    popcount_array,
     random_balanced,
     random_subset_function,
 )
@@ -25,6 +24,13 @@ from cubemorph.random_matching import (
     run_matching,
 )
 from cubemorph.stretch_metrics import is_mapping_between, stretch_report
+
+
+def _with_ones(n, ones):
+    """The table-backed function that is 1 exactly on the given points."""
+    values = np.zeros(1 << n, dtype=np.uint8)
+    values[list(ones)] = 1
+    return BooleanFunction(n, table=values)
 
 
 def _bits(words, count):
@@ -43,31 +49,31 @@ def _matched_in_round(state, i):
 
 def test_classify_definitions():
     # x is rich when both x|0 and x|1 lie in the set, poor when neither does
-    st = run_matching(BooleanFunction.from_ones(3, [0, 4, 1, 7]))
+    st = run_matching(_with_ones(3, [0, 4, 1, 7]))
     low, high = _bits(st.low, 4), _bits(st.high, 4)
     kind = {x: "rich" if low[x] and high[x] else "mixed" if low[x] or high[x] else "poor"
             for x in range(4)}
-    assert kind[parse_point("00").bits] == "rich"
-    assert kind[parse_point("01").bits] == "poor"
-    assert kind[parse_point("10").bits] == "mixed"
-    assert kind[parse_point("11").bits] == "mixed"
+    assert kind[parse_point("00")] == "rich"
+    assert kind[parse_point("01")] == "poor"
+    assert kind[parse_point("10")] == "mixed"
+    assert kind[parse_point("11")] == "mixed"
 
 
 def test_matching_hand_trace():
     # poor 01 stays unmatched (its only round-1 partner 11 is mixed) and
     # rich 00 stays unmatched
-    a = BooleanFunction.from_ones(3, [0, 4, 1, 7])
+    a = _with_ones(3, [0, 4, 1, 7])
     st = run_matching(a)
     assert st.round_stats == [(1, 1), (1, 1)]
-    x01, x00 = parse_point("01").bits, parse_point("00").bits
+    x01, x00 = parse_point("01"), parse_point("00")
     assert _bits(st.low, 4)[x01] == _bits(st.high, 4)[x01] == 0
     assert [_bits(_matched_in_round(st, i), 4)[x01] for i in range(1, st.rounds + 1)] == [0]
     assert _bits(st.rich_unmatched, 4)[x00] == 1
 
 
 def test_matching_trivial_sets():
-    full = BooleanFunction.from_values(3, np.ones(8, dtype=np.uint8))
-    empty = BooleanFunction.from_values(3, np.zeros(8, dtype=np.uint8))
+    full = BooleanFunction(3, table=np.ones(8, dtype=np.uint8))
+    empty = BooleanFunction(3, table=np.zeros(8, dtype=np.uint8))
     assert run_matching(full).poor_unmatched_count() == 0
     assert run_matching(empty).poor_unmatched_count() == 4
 
@@ -183,16 +189,16 @@ def test_injection_valid_and_mostly_in_set():
 
 
 def test_injection_cases():
-    a = BooleanFunction.from_ones(3, [0, 4, 1, 7])
+    a = _with_ones(3, [0, 4, 1, 7])
     st = run_matching(a)
     img = build_injection(st)
     # mixed 10 extends into the set, mixed 11 extends into the set
-    x10 = parse_point("10").bits
+    x10 = parse_point("10")
     assert int(img[x10]) in (x10, x10 + 4)
     assert a.value(int(img[x10])) == 1
     # unmatched rich 00 -> 00|1, unmatched poor 01 -> 01|0
-    assert int(img[parse_point("00").bits]) == parse_point("001").bits
-    assert int(img[parse_point("01").bits]) == parse_point("010").bits
+    assert int(img[parse_point("00")]) == parse_point("001")
+    assert int(img[parse_point("01")]) == parse_point("010")
 
 
 def test_injection_validity_rejects_bad_images():
@@ -343,12 +349,11 @@ def test_unmatched_poor_mean_below_2_over_n():
 
 
 def test_dict_to_random_on_dictator_itself():
-    f = BooleanFunction.from_values(
-        10, BooleanFunction.dictator(10).values(), balanced=True)
+    f = BooleanFunction(10, table=BooleanFunction.dictator(10).values(), balanced=True)
     phi = build_dict_to_random_details(f).mapping
     assert is_mapping_between(phi, BooleanFunction.dictator(10), f)
     t = phi.table()
-    d = popcount_array((t ^ np.arange(1 << 10)).astype(np.uint64))
+    d = np.bitwise_count((t ^ np.arange(1 << 10)).astype(np.uint64))
     assert int(d.max()) <= 2
 
 
@@ -358,7 +363,7 @@ def test_dict_to_random_law_and_distance():
     res = build_dict_to_random_details(f)
     assert is_mapping_between(res.mapping, BooleanFunction.dictator(n), f)
     t = res.mapping.table()
-    d = popcount_array((t ^ np.arange(1 << n)).astype(np.uint64))
+    d = np.bitwise_count((t ^ np.arange(1 << n)).astype(np.uint64))
     assert float((d <= 2).mean()) >= 1 - 5 / n
     assert res.unmatched_poor_fraction < 0.2
 
@@ -369,7 +374,7 @@ def test_displacements_match_per_point_distances():
     t = phi.table().astype(np.int64)
     d = displacements(phi)
     assert d.dtype == np.uint8
-    assert np.array_equal(d, popcount_array((t ^ np.arange(1 << 18)).astype(np.uint64)))
+    assert np.array_equal(d, np.bitwise_count((t ^ np.arange(1 << 18)).astype(np.uint64)))
 
 
 def test_tables_are_uint32():
@@ -431,7 +436,7 @@ def test_half_cube_images_repair_makes_no_table_sized_temporaries():
 
 def test_dict_to_random_requires_balanced():
     with pytest.raises(ValueError):
-        build_dict_to_random_details(BooleanFunction.from_ones(4, [0, 1, 2]))
+        build_dict_to_random_details(_with_ones(4, [0, 1, 2]))
 
 
 def test_random_to_random_composition():
@@ -441,7 +446,7 @@ def test_random_to_random_composition():
     comp = build_random_to_random(f, g)
     assert is_mapping_between(comp, f, g)
     t = comp.table()
-    d = popcount_array((t ^ np.arange(1 << n)).astype(np.uint64))
+    d = np.bitwise_count((t ^ np.arange(1 << n)).astype(np.uint64))
     assert float((d >= 4).mean()) <= 10 / n
     assert float(stretch_report(comp).avg) <= 20
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cubemorph import stretch_metrics
 from cubemorph.chain_mappings import majority_to_dictator_map
-from cubemorph.cube_core import BooleanFunction, popcount, random_balanced
+from cubemorph.cube_core import BooleanFunction, random_balanced
 from cubemorph.gf2_maps import prefix_xor_mapping, tree_mapping
 from cubemorph.random_matching import build_dict_to_random_details
 from cubemorph.stretch_metrics import (
@@ -42,7 +42,7 @@ def naive_min_over_bijections(f, g, n, metric):
             t = {}
             t.update(zip(ones_f, p1))
             t.update(zip(zeros_f, p0))
-            ds = [popcount(t[a] ^ t[b]) for a, b in edges]
+            ds = [(t[a] ^ t[b]).bit_count() for a, b in edges]
             val = max(ds) if metric == "max" else sum(ds)
             if best is None or val < best:
                 best = val
@@ -286,12 +286,12 @@ def test_local_search_pinned(f, g, n, seed, value, digest):
 
 
 def test_local_search_random_proposals_need_both_classes():
-    empty = BooleanFunction.from_ones(8, [])
+    empty = BooleanFunction(8, table=np.zeros(1 << 8, dtype=np.uint8))
     with pytest.raises(ValueError):
         local_search_min_stretch(empty, empty, seed=1)
     # at most 64 points per class the sweep runs, whatever the class sizes
-    v, _ = local_search_min_stretch(BooleanFunction.from_ones(6, []),
-                                    BooleanFunction.from_ones(6, []), seed=1)
+    zero = BooleanFunction(6, table=np.zeros(1 << 6, dtype=np.uint8))
+    v, _ = local_search_min_stretch(zero, zero, seed=1)
     assert v == 1
 
 
