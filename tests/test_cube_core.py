@@ -187,16 +187,19 @@ def test_bitmap_and_table_forms_agree(n):
         assert [packed().value(x) for x in range(1 << n)] == table.values().tolist()
 
 
-def test_bitmap_constructor_checks():
-    for bad in (np.zeros(1, np.uint8), np.zeros(2, np.uint16), np.zeros(4, np.uint8)[::2]):
-        with pytest.raises(ValueError, match="2 contiguous uint8 bytes"):
-            BooleanFunction(4, bitmap=bad)
+def test_from_bytes_rejects_set_padding_bits():
     # n = 2 uses bits 0..3 of the one bitmap byte; bit 4 is padding
     with pytest.raises(ValueError, match="padding"):
         BooleanFunction(2, bitmap=np.array([0x10], np.uint8))
     with pytest.raises(ValueError, match="padding"):
         BooleanFunction(2, bitmap=np.array([0x11], np.uint8))
     assert BooleanFunction(2, bitmap=np.array([0x01], np.uint8)).values().tolist() == [1, 0, 0, 0]
+
+
+def test_bitmap_constructor_checks():
+    for bad in (np.zeros(1, np.uint8), np.zeros(2, np.uint16), np.zeros(4, np.uint8)[::2]):
+        with pytest.raises(ValueError, match="2 contiguous uint8 bytes"):
+            BooleanFunction(4, bitmap=bad)
     with pytest.raises(ValueError, match="padding"):
         BooleanFunction(1, bitmap=np.array([0x04], np.uint8))
     with pytest.raises(ValueError):
