@@ -18,15 +18,28 @@ The inverse recovers (j, b) from the tail's level m because the two
 branches use opposite parities: with y = y1 o z and z = c_m, for y1 = 1 we
 have m = 2j - (n-k) + b, so b = (m + n - k) mod 2, and for y1 = 0 we have
 m = (n+k) - 2j - 1 - b, so b = (n + k - 1 - m) mod 2.
+
+Both kernels read two things about the chain of each tail: its minimum
+level k and the point a given number of steps above its bottom.  Points and
+samples get them from bit-plane marking and gap filling, at any n up to 63.
+A whole table gets them from btk_chains.chain_layout, two gathers a point:
+the layout is built once when the table is, and dropped with it.  The two
+paths must give the same bytes, and the tests compare them.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .btk_chains import chain_elements, mark_masks
+from .btk_chains import chain_elements, chain_layout, mark_masks
 from .gf2_maps import prefix_xor_mapping
 from .stretch_metrics import Mapping
+
+# chains(tails) -> (k, climb): the minimum levels k (int16) of the chains of
+# the tails, and climb(steps), the point `steps` levels above each bottom.
+_Chains = Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
 def _require_odd(n: int) -> None:
@@ -34,50 +47,98 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"the chain mapping needs odd n, got {n}")
 
 
-def _tail_chain(tails: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marked masks, chain minimum levels k and own levels of m-bit tails, the
-    levels as int16: every level expression below stays within +-2n."""
-    masks = mark_masks(tails, m)
-    k = (np.bitwise_count(masks) // 2).astype(np.int16)
-    return masks, k, np.bitwise_count(tails).astype(np.int16)
+def _marked_chains(m: int) -> _Chains:
+    """The chains of any m-bit tails, by bit-plane marking and gap filling."""
+    def chains(tails: np.ndarray):
+        masks = mark_masks(tails, m)
+        k = (np.bitwise_count(masks) // 2).astype(np.int16)
+        return k, lambda steps: chain_elements(tails, masks, steps + k, m)
+
+    return chains
 
 
-def _maj_to_dict_array(xs: np.ndarray, n: int) -> np.ndarray:
+def _laid_out_chains(m: int) -> _Chains:
+    """The chains of the m-bit tails by two gathers from chain_layout(m)."""
+    order, start = chain_layout(m)
+
+    def chains(tails: np.ndarray):
+        s = start[tails]
+        return ((s >> np.uint32(24)).astype(np.int16),
+                lambda steps: order[(s & np.uint32(0xFFFFFF)) + steps])
+
+    return chains
+
+
+# Levels are int16: every level expression below stays within +-2n.
+
+def _maj_to_dict_array(xs: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
     m = n - 1
     tails = xs & np.uint64((1 << m) - 1)
     last = (xs >> np.uint64(m)).astype(np.int16)
-    masks, k, j = _tail_chain(tails, m)
+    j = np.bitwise_count(tails).astype(np.int16)
     upper = 2 * (j + last) >= n + 1
-    levels = np.where(upper, 2 * j - (n - k) + last, (n + k) - 2 * j - 1 - last)
-    return (chain_elements(tails, masks, levels, m) << np.uint64(1)) | upper.astype(np.uint64)
+    # levels 2j - (n-k) + last and (n+k) - 2j - 1 - last: k cancels in the steps
+    steps = np.where(upper, 2 * j - n + last, n - 2 * j - 1 - last)
+    _, climb = chains(tails)
+    image = climb(steps).astype(np.uint64, copy=False)
+    return (image << np.uint64(1)) | upper.astype(np.uint64)
 
 
-def _dict_to_maj_array(ys: np.ndarray, n: int) -> np.ndarray:
+def _dict_to_maj_array(ys: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
     m = n - 1
     tails = ys >> np.uint64(1)
-    masks, k, level = _tail_chain(tails, m)
+    k, climb = chains(tails)
+    level = np.bitwise_count(tails).astype(np.int16)
     # both branches give 2j + last: the last bit is the parity, j the rest
     r = np.where((ys & np.uint64(1)) == 1, level + n - k, n + k - 1 - level)
-    last = r & 1
-    return chain_elements(tails, masks, r // 2, m) | (last.astype(np.uint64) << np.uint64(m))
+    image = climb(r // 2 - k).astype(np.uint64, copy=False)
+    return image | ((r & 1).astype(np.uint64) << np.uint64(m))
+
+
+def _chain_evaluator(n: int, from_majority: bool, prefix: Mapping | None,
+                     chains: _Chains) -> Callable[[np.ndarray], np.ndarray]:
+    if from_majority:
+        if prefix is None:
+            return lambda xs: _maj_to_dict_array(xs, n, chains)
+        return lambda xs: prefix.forward(_maj_to_dict_array(xs, n, chains))
+    if prefix is None:
+        return lambda ys: _dict_to_maj_array(ys, n, chains)
+    return lambda ys: _dict_to_maj_array(prefix.inverse(ys), n, chains)
+
+
+class _ChainMapping(Mapping):
+    """The chain map (from_majority) or its inverse, composed with the
+    adjacent-sums map on the dictator side if to_parity.  Points and samples
+    go through the bit-plane kernels; a whole table comes from one chain
+    layout of the tails, built for the table and dropped with it."""
+
+    def __init__(self, n: int, from_majority: bool, to_parity: bool, name: str):
+        _require_odd(n)
+        self._from_majority = from_majority
+        self._to_parity = to_parity
+        self._prefix = prefix_xor_mapping(n) if to_parity else None
+        marked = _marked_chains(n - 1)
+        super().__init__(n, _chain_evaluator(n, from_majority, self._prefix, marked),
+                         _chain_evaluator(n, not from_majority, self._prefix, marked), name)
+
+    def _table_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _chain_evaluator(self.n, self._from_majority, self._prefix,
+                                _laid_out_chains(self.n - 1))
+
+    def inverse_mapping(self) -> Mapping:
+        return _ChainMapping(self.n, not self._from_majority, self._to_parity,
+                             f"{self.name}^-1")
 
 
 def majority_to_dictator_map(n: int) -> Mapping:
     """The chain map carrying majority to dictator, 11-Lipschitz, with its
     closed-form inverse bound."""
-    _require_odd(n)
-    return Mapping(n, lambda xs: _maj_to_dict_array(xs, n),
-                   lambda ys: _dict_to_maj_array(ys, n), name="maj2dict")
+    return _ChainMapping(n, True, False, "maj2dict")
 
 
 def dictator_to_majority_map(n: int) -> Mapping:
-    _require_odd(n)
-    return Mapping(n, lambda ys: _dict_to_maj_array(ys, n),
-                   lambda xs: _maj_to_dict_array(xs, n), name="dict2maj")
+    return _ChainMapping(n, False, False, "dict2maj")
 
 
 def majority_to_xor_map(n: int) -> Mapping:
-    _require_odd(n)
-    prefix = prefix_xor_mapping(n)
-    return Mapping(n, lambda xs: prefix.forward(_maj_to_dict_array(xs, n)),
-                   lambda ys: _dict_to_maj_array(prefix.inverse(ys), n), name="maj2xor")
+    return _ChainMapping(n, True, True, "maj2xor")

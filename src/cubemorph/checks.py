@@ -34,7 +34,7 @@ from .cube_core import (
     random_balanced,
     random_subset_function,
 )
-from .gf2_maps import build_tree_matrix, tree_mapping, verify_conditions
+from .gf2_maps import LinearMap, build_tree_matrix, tree_mapping, verify_conditions
 from .random_matching import (
     build_injection,
     build_random_to_random,
@@ -46,6 +46,7 @@ from .random_matching import (
 )
 from .stretch_metrics import (
     Mapping,
+    _exhaustive_stats,
     exhaustive_min_avg_stretch,
     exhaustive_min_directional,
     exhaustive_min_max_stretch,
@@ -213,17 +214,26 @@ def tree_conditions(sizes, cross_check_max: int) -> Check:
                  f"{len(sizes)} sizes, elimination cross-check to {cross_check_max}")
 
 
+def _column_report_is_exact(phi: LinearMap) -> bool:
+    """The report a linear map reads off its column weights equals the
+    per-direction histogram of a pass over its table."""
+    return np.array_equal(phi._exhaustive_histogram(), _exhaustive_stats(phi.table(), phi.n))
+
+
 def tree_exhaustive(max_n: int) -> Check:
     """dictator -> parity by the tree map: the law, a two-sided inverse,
-    forward stretch <= 2 and inverse stretch <= bit length of n."""
+    forward stretch <= 2 and inverse stretch <= bit length of n, each
+    stretch report also checked against a pass over the table."""
     ok = True
     details = []
     for n in _coverage(range(1, max_n + 1), "n"):
         tm = tree_mapping(n)
+        inverse = tm.inverse_mapping()
         law = is_mapping_between(tm, BooleanFunction.dictator(n), BooleanFunction.xor(n))
         fwd = stretch_report(tm).max_stretch
-        inv = stretch_report(tm.inverse_mapping()).max_stretch
+        inv = stretch_report(inverse).max_stretch
         ok &= law and _inverse_is_two_sided(tm) and fwd <= 2 and inv <= n.bit_length()
+        ok &= _column_report_is_exact(tm) and _column_report_is_exact(inverse)
         if n in (8, 16):
             details.append(f"n={n}:fwd={fwd},inv={inv}")
     return Check(f"tree.exhaustive n<={max_n}", ok,

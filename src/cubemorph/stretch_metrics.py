@@ -8,15 +8,20 @@ reports use exact rationals; sampled reports keep the sample mean exact
 and carry the sample size and a floating standard error.
 
 Every table, the local search's working table included, holds its images
-as ``TABLE_DTYPE`` (uint32) words, 4 bytes a point.  Exhaustive statistics
-come from one single-threaded pass over those words in blocks of
-``_BLOCK`` entries that fill a per-direction distance histogram; a
-direction's distance sum is read off its histogram row.  A direction whose
+as ``TABLE_DTYPE`` (uint32) words, 4 bytes a point.  A mapping builds its
+table slice by slice with the evaluator from its private hook
+``_table_evaluator``: ``forward`` by default, while the chain maps read a
+chain layout.  Exhaustive statistics come from a second hook,
+``_exhaustive_histogram``, as a per-direction distance histogram.  A
+linear map reads it off its column weights, with no table, so its reports
+go past ``TABLE_MAX_N``.  Every other map fills it in one single-threaded
+pass over its table in blocks of ``_BLOCK`` entries.  A direction whose
 edges stay inside a block is paired within it; a longer one pairs a block
 with the block 2^b entries further on.  Each step reuses two buffers the
-size of a block, so the pass makes no table-sized temporaries.
-Validation, inversion and the law check likewise work on slices of a
-table.
+size of a block, so the pass makes no table-sized temporaries.  A
+direction's distance sum is read off its histogram row in Python ints,
+which n = 63 needs.  Validation, inversion and the law check likewise work
+on slices of a table.
 
 Also here: brute-force oracles that enumerate every class-preserving
 bijection between two functions at tiny n (the ground truth the heuristics
@@ -39,9 +44,10 @@ from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_D
 
 # Proposals drawn and scored per numpy pass in the local search.
 _PROPOSAL_BLOCK = 256
-# Table builds call forward on slices of this many points, so evaluator
-# temporaries stay small at any n; slices of SLICE = 2^16 points raise
-# analyze's peak RSS at n = 19 from 33 to 36 MB.
+# Table builds call their evaluator on slices of this many points, so its
+# temporaries stay small at any n; with the chain maps' layout evaluators,
+# slices of SLICE = 2^16 points raise analyze's peak RSS at n = 19 from 35.2
+# to 38.6 MB.
 _TABLE_SLICE = 1 << 14
 # Table entries per step of the exhaustive pass; a block and its buffers
 # stay in a core's L2 cache (2^14 to 2^16 time within 5 % of each other).
@@ -83,19 +89,37 @@ class Mapping:
         return cls(n, np.asarray, np.asarray, name="identity")
 
     def apply_bits(self, x: int) -> int:
-        return int(self.forward(np.array([x], dtype=np.uint64))[0])
+        return int(self.forward(self._point(x))[0])
 
     def inverse_bits(self, y: int) -> int:
-        return int(self.inverse(np.array([y], dtype=np.uint64))[0])
+        return int(self.inverse(self._point(y))[0])
+
+    def _point(self, x: int) -> np.ndarray:
+        if not 0 <= x < 1 << self.n:
+            raise ValueError(f"point {x} is outside the {self.n}-cube, 0..2^{self.n}-1")
+        return np.array([x], dtype=np.uint64)
 
     def table(self) -> np.ndarray:
         check_n(self.n, TABLE_MAX_N)  # also for a table given to from_table
         if self._table is None:
             table = np.empty(1 << self.n, dtype=TABLE_DTYPE)
+            evaluate = self._table_evaluator()
             for lo, hi in slices(table.size, _TABLE_SLICE):
-                table[lo:hi] = self.forward(np.arange(lo, hi, dtype=np.uint64))
+                table[lo:hi] = evaluate(np.arange(lo, hi, dtype=np.uint64))
             self._table = table
         return self._table
+
+    def _table_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The forward evaluator that table() calls on slices of points; a
+        subclass may return one that serves only consecutive slices of a
+        whole table, from state it drops when the table is done."""
+        return self.forward
+
+    def _exhaustive_histogram(self) -> np.ndarray:
+        """(n, n+1) int64 histogram of every edge: row b counts the 2^(n-1)
+        edges in direction b+1 by image distance.  A subclass may derive it
+        from its structure instead of a pass over the table."""
+        return _exhaustive_stats(self.table(), self.n)
 
     def inverse_mapping(self) -> "Mapping":
         return Mapping(self.n, self.inverse, self.forward, _inverse_name(self.name))
@@ -238,8 +262,9 @@ def _exhaustive_stats(table: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distance_sums(hist: np.ndarray) -> list[int]:
-    """Per-row distance sums of a histogram indexed by distance."""
-    return [int(s) for s in (hist * np.arange(hist.shape[1])).sum(axis=1)]
+    """Per-row distance sums of a histogram indexed by distance, as Python
+    ints: at n = 63 a direction's sum can pass 2^63."""
+    return [sum(d * c for d, c in enumerate(row)) for row in hist.tolist()]
 
 
 def _direction_hist_sampled(phi: Mapping, rng: np.random.Generator, samples: int,
@@ -265,7 +290,7 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
     """
     n = phi.n
     if mode == "exhaustive":
-        rows = _exhaustive_stats(phi.table(), n)
+        rows = phi._exhaustive_histogram()
         per_edge_count = 1 << (n - 1)
         samples = seed = None
     elif mode == "sampled":
@@ -278,8 +303,8 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
         per_edge_count = samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    sums, hist = _distance_sums(rows), rows.sum(axis=0)
-    histogram = {int(d): int(c) for d, c in enumerate(hist) if c}
+    sums, hist = _distance_sums(rows), map(sum, zip(*rows.tolist()))
+    histogram = {d: c for d, c in enumerate(hist) if c}
     total = sum(sums)
     edges_total = n * per_edge_count
     stderr = None

@@ -11,6 +11,7 @@ from cubemorph.btk_chains import (
     _mark_mask,
     adjacent_chain_scan,
     chain_count,
+    chain_layout,
     enumerate_partition,
     mark_masks,
     partition_covers_cube,
@@ -66,6 +67,21 @@ def test_array_marking_matches_stack_pass_drawn(case):
     n, points = case
     masks = mark_masks(np.array(points, dtype=np.uint64), n)
     assert masks.tolist() == [_mark_mask(x, n) for x in points]
+
+
+@pytest.mark.parametrize("m", range(0, 13))
+def test_chain_layout_lists_every_chain_once(m):
+    order, start = chain_layout(m)
+    assert order.dtype == start.dtype == np.uint32
+    offsets = sorted(set((start & 0xFFFFFF).tolist()))
+    runs = [tuple(order[lo:hi].tolist()) for lo, hi in zip(offsets, offsets[1:] + [1 << m])]
+    chains = [s.element_bits_all() for s in enumerate_partition(m)] if m else [(0,)]
+    assert sorted(runs) == sorted(chains)
+    # each run ascends by level, so t sits at its level minus k from its start
+    for t in range(1 << m):
+        s = int(start[t])
+        assert order[(s & 0xFFFFFF) + t.bit_count() - (s >> 24)] == t
+        assert s >> 24 == (signature(t, m).k if m else 0)
 
 
 def test_signature_examples():

@@ -120,6 +120,20 @@ def test_table_dtype_holds_every_point_up_to_the_table_cap():
     assert cube_core.TABLE_MAX_N <= 8 * cube_core.TABLE_DTYPE.itemsize
 
 
+def test_chain_layout_serves_every_chain_map_table():
+    # chain_layout reads high bits off float32, exact below 2^24, and packs
+    # offsets below 2^24 into start; it serves tables of up to TABLE_MAX_N bits
+    assert cube_core.TABLE_MAX_N - 1 <= 24
+
+
+def test_exhaustive_analyze_of_a_chain_map_keeps_the_table_cap(capsys):
+    n = cube_core.TABLE_MAX_N + 1 | 1
+    assert cli.main(["analyze", "--mapping", "maj2dict", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n must be in 1..{cube_core.TABLE_MAX_N}, got {n}\n"
+
+
 @pytest.mark.parametrize("build", [tree_mapping, prefix_xor_mapping, xor_head_mapping])
 def test_linear_maps_reject_large_n_before_building_masks(build):
     # the O(n^2)-bit column masks used to be built before n was checked

@@ -76,3 +76,19 @@ def test_injection_fails_on_a_duplicated_image(monkeypatch):
 def test_tree_size_grid():
     assert checks.tree_size_grid(3, 15) == [1, 2, 3, (1 << 15) - 1, 1 << 15,
                                             (1 << 15) + 1, (1 << 16) - 1, 1 << 16]
+
+
+def test_tree_exhaustive_fails_on_a_wrong_column_report(monkeypatch):
+    assert checks.tree_exhaustive(5).ok
+    real = checks.LinearMap._exhaustive_histogram
+
+    def shifted(self):
+        # move one edge of direction 1 to the next distance: same maximum
+        hist = real(self).copy()
+        w = int(hist[0].argmax())
+        hist[0, w] -= 1
+        hist[0, w - 1] += 1
+        return hist
+
+    monkeypatch.setattr(checks.LinearMap, "_exhaustive_histogram", shifted)
+    assert not checks.tree_exhaustive(5).ok

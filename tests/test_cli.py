@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -165,6 +166,21 @@ def test_analyze_tree_bound(tmp_path):
                    "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["max"] <= 2
+
+
+def test_analyze_linear_map_past_the_table_cap(tmp_path, capsys):
+    # a linear map's exact report comes from its column weights, no table
+    out = tmp_path / "r.json"
+    start = time.process_time()
+    assert run_cli("analyze", "--mapping", "tree", "--n", "63", "--inverse",
+                   "--out", str(out)) == 0
+    assert time.process_time() - start < 1
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert (report["mode"], report["mapping"], report["max"]) == ("exhaustive", "tree^-1", 6)
+    assert report["avg"] == {"num": 107, "den": 21}
+    assert report["edges_total"] == 63 << 62
+    assert capsys.readouterr().err == f"avg 107/21 max 6 over {63 << 62} edges\n"
 
 
 def test_analyze_sampled_schema_and_determinism(tmp_path):
@@ -394,6 +410,7 @@ def test_console_entry_point_subprocess():
 _STARTUP = """
 import os
 import sys
+import time
 from collections import Counter
 import {module}
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None

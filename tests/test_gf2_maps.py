@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from cubemorph import cli
 from cubemorph.checks import tree_size_grid
-from cubemorph.cube_core import BooleanFunction, format_bits, parse_point
+from cubemorph.cube_core import TABLE_MAX_N, BooleanFunction, format_bits, parse_point
 from cubemorph.gf2_maps import (
     SparseGF2Matrix,
     _tree_inverse_consistent,
@@ -22,7 +23,7 @@ from cubemorph.gf2_maps import (
     verify_conditions,
     xor_head_mapping,
 )
-from cubemorph.stretch_metrics import is_mapping_between, stretch_report
+from cubemorph.stretch_metrics import _exhaustive_stats, is_mapping_between, stretch_report
 
 
 def _linear_maps(n):
@@ -168,6 +169,39 @@ def test_chunked_evaluator_matches_table(n):
             assert m.inverse(np.array(reference, dtype=np.uint64)).tolist() == xs.tolist()
             for x in range(0, 1 << n, max(1, (1 << n) // 8)):
                 assert m.apply_bits(x) == reference[x] and m.inverse_bits(reference[x]) == x
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.sampled_from(["tree2", "tree3", "tree4", "prefix", "xorhead"]),
+       st.booleans())
+def test_column_report_matches_table_pass(n, kind, inverse):
+    m = {"prefix": prefix_xor_mapping, "xorhead": xor_head_mapping}.get(
+        kind, lambda n: tree_mapping(n, int(kind[-1])))(n)
+    m = m.inverse_mapping() if inverse else m
+    assert np.array_equal(m._exhaustive_histogram(), _exhaustive_stats(m.table(), n))
+
+
+@pytest.mark.parametrize("point", [8, 10, -1, 1 << 40])
+def test_points_outside_the_cube_are_refused(point):
+    m = tree_mapping(3)
+    for evaluate in (m.apply_bits, m.inverse_bits, m.inverse_mapping().apply_bits,
+                     m.inverse_mapping().inverse_bits):
+        with pytest.raises(ValueError, match=rf"^point {point} is outside the 3-cube"):
+            evaluate(point)
+
+
+def test_column_report_past_the_table_cap():
+    # the column weights give the report at any n; the table keeps its cap
+    m = tree_mapping(63).inverse_mapping()
+    rep = stretch_report(m)
+    # inverse column j is the ancestor chain of j, bit_length(j) vertices long
+    weights = [j.bit_length() for j in range(1, 64)]
+    assert rep.per_direction == tuple(Fraction(w) for w in weights)
+    assert rep.avg == Fraction(sum(weights), 63) == Fraction(107, 21)
+    assert rep.histogram == {w: weights.count(w) << 62 for w in set(weights)}
+    assert rep.edges_total == 63 << 62
+    with pytest.raises(ValueError, match=rf"must be in 1\.\.{TABLE_MAX_N}, got 63$"):
+        m.table()
 
 
 def test_extract_even_bits_against_naive():
