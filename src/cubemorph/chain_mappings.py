@@ -62,7 +62,8 @@ def _laid_out_chains(m: int) -> _Chains:
     order, start = chain_layout(m)
 
     def chains(tails: np.ndarray):
-        s = start[tails]
+        # uint64 tails below 2^23 read as intp, numpy's fast gather index
+        s = start[tails.view(np.intp)]
         return ((s >> np.uint32(24)).astype(np.int16),
                 lambda steps: order[(s & np.uint32(0xFFFFFF)) + steps])
 
@@ -77,11 +78,11 @@ def _maj_to_dict_array(xs: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
     last = (xs >> np.uint64(m)).astype(np.int16)
     j = np.bitwise_count(tails).astype(np.int16)
     upper = 2 * (j + last) >= n + 1
-    # levels 2j - (n-k) + last and (n+k) - 2j - 1 - last: k cancels in the steps
-    steps = np.where(upper, 2 * j - n + last, n - 2 * j - 1 - last)
+    # levels 2j - (n-k) + last and (n+k) - 2j - 1 - last: k cancels in the
+    # steps, v = 2j - n + last and n - 2j - 1 - last = ~v
+    v = 2 * j + (last - n)
     _, climb = chains(tails)
-    image = climb(steps).astype(np.uint64, copy=False)
-    return (image << np.uint64(1)) | upper.astype(np.uint64)
+    return (climb(np.where(upper, v, ~v)) << 1) | upper
 
 
 def _dict_to_maj_array(ys: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
@@ -91,8 +92,8 @@ def _dict_to_maj_array(ys: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
     level = np.bitwise_count(tails).astype(np.int16)
     # both branches give 2j + last: the last bit is the parity, j the rest
     r = np.where((ys & np.uint64(1)) == 1, level + n - k, n + k - 1 - level)
-    image = climb(r // 2 - k).astype(np.uint64, copy=False)
-    return image | ((r & 1).astype(np.uint64) << np.uint64(m))
+    image = climb(r // 2 - k)
+    return image | ((r & 1).astype(image.dtype) << m)
 
 
 def _chain_evaluator(n: int, from_majority: bool, prefix: Mapping | None,

@@ -319,7 +319,8 @@ def _linear_evaluator(cols: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]
     def apply(xs: np.ndarray) -> np.ndarray:
         out = np.zeros(np.shape(xs), dtype=np.uint64)
         for i, t in enumerate(tables):
-            out ^= t[(xs >> np.uint64(i * _CHUNK_BITS)) & low]
+            # chunks below 2^8 read as intp, numpy's fast gather index
+            out ^= t[((xs >> np.uint64(i * _CHUNK_BITS)) & low).view(np.intp)]
         return out
 
     return apply

@@ -46,8 +46,8 @@ from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_D
 _PROPOSAL_BLOCK = 256
 # Table builds call their evaluator on slices of this many points, so its
 # temporaries stay small at any n; with the chain maps' layout evaluators,
-# slices of SLICE = 2^16 points raise analyze's peak RSS at n = 19 from 35.2
-# to 38.6 MB.
+# slices of SLICE = 2^16 points raise analyze's peak RSS at n = 19 from 35.0
+# to 38.3 MB.
 _TABLE_SLICE = 1 << 14
 # Table entries per step of the exhaustive pass; a block and its buffers
 # stay in a core's L2 cache (2^14 to 2^16 time within 5 % of each other).
