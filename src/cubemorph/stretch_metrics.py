@@ -58,9 +58,10 @@ class Mapping:
     """A map of the n-cube given by two array evaluators.
 
     ``forward(xs)`` and ``inverse(xs)`` map a uint64 array of packed points
-    to the array of their images.  The table, point evaluation and sampled
-    statistics all call them; ``table()`` caches the forward table as
-    ``TABLE_DTYPE`` (uint32) images.
+    to the array of their images.  Point evaluation and sampled statistics
+    call them, and so does the table unless a subclass's
+    ``_table_evaluator`` gives another evaluator of the same map;
+    ``table()`` caches the forward table as ``TABLE_DTYPE`` (uint32) images.
     """
 
     def __init__(self, n: int, forward: Callable[[np.ndarray], np.ndarray],
@@ -110,9 +111,9 @@ class Mapping:
         return self._table
 
     def _table_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The forward evaluator that table() calls on slices of points; a
-        subclass may return one that serves only consecutive slices of a
-        whole table, from state it drops when the table is done."""
+        """The forward evaluator that table() calls on slices of points.  A
+        subclass may return one that holds state built for this one table,
+        freed when the table is done."""
         return self.forward
 
     def _exhaustive_histogram(self) -> np.ndarray:

@@ -160,13 +160,3 @@ def test_layout_table_matches_bit_plane_evaluator(n, build, inverse):
     phi = build(n).inverse_mapping() if inverse else build(n)
     xs = np.arange(1 << n, dtype=np.uint64)
     assert phi.table().tolist() == phi.forward(xs).tolist()
-
-
-@pytest.mark.parametrize("build", [majority_to_dictator_map, majority_to_xor_map])
-@pytest.mark.parametrize("point", [8, 10, -1, 1 << 40])
-def test_points_outside_the_cube_are_refused(build, point):
-    phi = build(3)
-    for evaluate in (phi.apply_bits, phi.inverse_bits, phi.inverse_mapping().apply_bits,
-                     phi.inverse_mapping().inverse_bits):
-        with pytest.raises(ValueError, match=rf"^point {point} is outside the 3-cube"):
-            evaluate(point)

@@ -181,15 +181,6 @@ def test_column_report_matches_table_pass(n, kind, inverse):
     assert np.array_equal(m._exhaustive_histogram(), _exhaustive_stats(m.table(), n))
 
 
-@pytest.mark.parametrize("point", [8, 10, -1, 1 << 40])
-def test_points_outside_the_cube_are_refused(point):
-    m = tree_mapping(3)
-    for evaluate in (m.apply_bits, m.inverse_bits, m.inverse_mapping().apply_bits,
-                     m.inverse_mapping().inverse_bits):
-        with pytest.raises(ValueError, match=rf"^point {point} is outside the 3-cube"):
-            evaluate(point)
-
-
 def test_column_report_past_the_table_cap():
     # the column weights give the report at any n; the table keeps its cap
     m = tree_mapping(63).inverse_mapping()

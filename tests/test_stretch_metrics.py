@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubemorph import stretch_metrics
-from cubemorph.chain_mappings import majority_to_dictator_map
+from cubemorph.chain_mappings import majority_to_dictator_map, majority_to_xor_map
 from cubemorph.cube_core import BooleanFunction, random_balanced
 from cubemorph.gf2_maps import prefix_xor_mapping, tree_mapping
 from cubemorph.random_matching import build_dict_to_random_details
@@ -486,3 +486,13 @@ REPORT_PINS = [
 def test_exhaustive_report_pinned(build, digest):
     rep = stretch_report(build()).to_json_dict()
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [majority_to_dictator_map, majority_to_xor_map, tree_mapping])
+@pytest.mark.parametrize("point", [8, 10, -1, 1 << 40])
+def test_points_outside_the_cube_are_refused(build, point):
+    phi = build(3)
+    for evaluate in (phi.apply_bits, phi.inverse_bits, phi.inverse_mapping().apply_bits,
+                     phi.inverse_mapping().inverse_bits):
+        with pytest.raises(ValueError, match=rf"^point {point} is outside the 3-cube"):
+            evaluate(point)
