@@ -18,19 +18,24 @@ A chain is its Signature: signature(x, n) names the chain of the packed
 point x, enumerate_partition yields every chain, and element_bits_all()
 lists a chain's points as packed ints, ascending by weight.
 
-Arrays of points are marked one bit plane at a time (mark_masks) and their
-chains' points filled in gap by gap (chain_elements).  Every point of a cube
-at once is cheaper: the stack pass appends one top bit at a time, so
+A chain is read three ways.  One point goes through the stack pass
+(_mark_mask).  An array of points goes through chains_of: the marking is
+parenthesis matching, so it composes chunk by chunk, and per-chunk tables
+of 2^12 rows give each point's minimum level and its chain's point at any
+level, for tails of up to 64 bits.  Every point of a cube at once is
+cheaper still: the stack pass appends one top bit at a time, so
 chain_layout derives the marking of all 2^m points by prefix doubling, in
 O(2^m) word operations, and lays every chain out as one run of an array.
+The edge scan reads its chains from that layout.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,6 +48,9 @@ _EDGE_BLOCK = 2048  # edges per block of the edge scan
 # Tails per step of chain_layout's passes; steps of 2^16 raise analyze's
 # peak RSS at n = 19 from 35.0 to 35.7 MB.
 _LAYOUT_SLICE = 1 << 14
+# Bits per chunk of chains_of: its tables take 2^12 * 13 uint16 entries,
+# 106 KB, held for the life of the process.
+_CHUNK = 12
 
 
 def _mark_mask(bits: int, n: int) -> int:
@@ -57,38 +65,11 @@ def _mark_mask(bits: int, n: int) -> int:
     return mask
 
 
-def mark_masks(xs: np.ndarray, n: int) -> np.ndarray:
-    """_mark_mask of every entry of a uint64 array, one bit-plane at a time:
-    with 1 opening and 0 closing, a 0 is marked iff the running balance
-    before it exceeds the running minimum so far (an unmatched 1 is open),
-    and a 1 iff the same holds right to left with the roles swapped.
-    Balances stay within +-n, so int8 state suffices."""
-    masks = np.zeros_like(xs)
-    for positions, one_opens in ((range(n), True), (range(n - 1, -1, -1), False)):
-        balance = np.zeros(xs.shape, dtype=np.int8)
-        low = np.zeros(xs.shape, dtype=np.int8)
-        for i in positions:
-            bit = np.uint64(1 << i)
-            opens = ((xs & bit) != 0) == one_opens
-            np.bitwise_or(masks, bit, out=masks, where=~opens & (balance > low))
-            balance += opens.view(np.int8) * np.int8(2) - np.int8(1)
-            np.minimum(low, balance, out=low)
-    return masks
-
-
-def chain_elements(xs: np.ndarray, masks: np.ndarray, levels: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Signature.element_bits(level) on the chain of each x, whose marking is
-    given: the marked bits stay and a pass from the high end fills the top
-    level - k gaps, k being the chain's minimum level."""
-    out = xs & masks
-    left = (np.asarray(levels) - np.bitwise_count(masks) // 2).astype(np.int8)
-    for i in range(n - 1, -1, -1):
-        bit = np.uint64(1 << i)
-        fill = ((masks & bit) == 0) & (left > 0)
-        np.bitwise_or(out, bit, out=out, where=fill)
-        left -= fill.view(np.int8)
-    return out
+def _high_bit(xs: np.ndarray) -> np.ndarray:
+    """The highest set bit of each uint32 entry below 2^24, 0 for 0: np.frexp
+    reads it exactly from a float32."""
+    _, exp = np.frexp(xs.astype(np.float32))
+    return (np.uint32(1) << exp.astype(np.uint32)) >> np.uint32(1)
 
 
 def _double_masks(m: int) -> np.ndarray:
@@ -96,16 +77,91 @@ def _double_masks(m: int) -> np.ndarray:
     of the (b+1)-bit tails follow from those of the b-bit ones, because bit b
     is the last symbol of the stack pass.  A top 1 stays open, so the mask is
     unchanged; a top 0 closes the highest open 1 below it, the high bit of
-    t & ~mask (np.frexp reads it exactly from a float32 below 2^24)."""
+    t & ~mask."""
     masks = np.zeros(1 << m, dtype=np.uint32)
     for b in range(m):
         masks[1 << b:2 << b] = masks[:1 << b]
         for lo, hi in slices(1 << b, _LAYOUT_SLICE):
             low = masks[lo:hi]
-            _, exp = np.frexp((np.arange(lo, hi, dtype=np.uint32) & ~low).astype(np.float32))
-            high = (np.uint32(1) << exp.astype(np.uint32)) >> np.uint32(1)  # 0: none open
+            high = _high_bit(np.arange(lo, hi, dtype=np.uint32) & ~low)  # 0: none open
             low |= high | (high != 0) * np.uint32(1 << b)
     return masks
+
+
+@cache
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of chains_of, for every _CHUNK-bit string v on its own:
+    zeros[v] and ones[v] (int16), the sizes of its residue 0^a 1^b, and
+    fill (uint16, flat, row v of _CHUNK + 1 entries), whose entry v, u is v's
+    marked ones with its top u residue positions set."""
+    size = 1 << _CHUNK
+    v = np.arange(size, dtype=np.uint32)
+    residue = ~_double_masks(_CHUNK) & np.uint32(size - 1)
+    ones = np.bitwise_count(v & residue).astype(np.int16)
+    zeros = np.bitwise_count(residue).astype(np.int16) - ones
+    fill = np.empty((size, _CHUNK + 1), dtype=np.uint16)
+    fill[:, 0] = v & ~residue
+    for u in range(1, _CHUNK + 1):  # past the residue's size, u adds nothing
+        fill[:, u] = fill[:, u - 1] | _high_bit(residue & ~fill[:, u - 1])
+    return zeros, ones, fill.ravel()
+
+
+def chains_of(tails: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The chains of m-bit tails (uint64 array, m <= 64): (k, climb).
+
+    k (int16) is each chain's minimum level, and climb(steps) (uint64) the
+    point steps levels above each chain's bottom, steps an int16 array.
+
+    The tails are cut into chunks of _CHUNK bits, and the marking composes
+    chunk by chunk.  Chunk c on its own leaves a residue of zeros[c] zeros
+    below ones[c] ones.  Read from the low chunk up, its zeros close the
+    open ones of the chunks below it, the highest first, so the stack of
+    open ones falls to depth floor[c] and then rises by ones[c].  A chunk's
+    ones below every later floor stay open; the others close, highest first,
+    so they are the chunk's top residue positions.  A chain's point r
+    levels above its bottom sets the top r of the positions left open: the
+    open ones from the highest chunk down, then the unmatched zeros from
+    the highest chunk down.  In each chunk that is a band of its residue
+    just below the closed ones, so one gather from fill reads it.  The top
+    chunk is padded with ones above the tail: they never close anything, so
+    they are the first positions that r fills, and they are cut off at the
+    end.
+    """
+    zeros_of, ones_of, fill = _chunk_tables()
+    count = max(1, -(-m // _CHUNK))
+    pad = count * _CHUNK - m
+    shifts = np.arange(count, dtype=np.uint64)[:, None] * np.uint64(_CHUNK)
+    v = ((tails >> shifts) & np.uint64((1 << _CHUNK) - 1)).astype(np.intp)
+    v[-1] |= ((1 << pad) - 1) << (_CHUNK - pad)
+    zeros, ones = zeros_of[v], ones_of[v]
+    floor = np.empty_like(zeros)
+    depth = 0
+    for c in range(count):
+        floor[c] = np.maximum(depth - zeros[c], 0)
+        depth = floor[c] + ones[c]
+    # open ones of chunk c: those above its floor that no later floor reaches
+    still_open = ones.copy()
+    later = np.minimum.accumulate(floor[:0:-1], axis=0)[::-1]
+    still_open[:-1] = np.clip(later - floor[:-1], 0, ones[:-1])
+    # unmatched zeros of chunk c: those below the depth left by the chunks below
+    unmatched = zeros + floor
+    unmatched[1:] -= floor[:-1] + ones[:-1]
+    closed = ones - still_open
+    open_total = still_open.sum(axis=0, dtype=np.int16)
+    # the open ones and unmatched zeros of the chunks above each chunk
+    ones_above = np.cumsum(still_open[::-1], axis=0, dtype=np.int16)[::-1] - still_open
+    zeros_above = np.cumsum(unmatched[::-1], axis=0, dtype=np.int16)[::-1] - unmatched
+    row = v * (_CHUNK + 1) + closed
+    k = np.bitwise_count(tails).astype(np.int16) + pad - open_total
+
+    def climb(steps: np.ndarray) -> np.ndarray:
+        r = steps.astype(np.int16) + pad
+        band = (np.clip(r - ones_above, 0, still_open)
+                + np.clip(r - open_total - zeros_above, 0, unmatched))
+        points = fill[row + band].astype(np.uint64) << shifts
+        return np.bitwise_or.reduce(points, axis=0) & np.uint64((1 << m) - 1)
+
+    return k, climb
 
 
 def chain_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,15 +381,17 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     """
     check_n(n, EDGE_SCAN_MAX_N, low=0)
     size = 1 << n
-    points = np.arange(size, dtype=np.uint64)
-    masks = mark_masks(points, n)
-    ks = np.bitwise_count(masks) // 2
+    masks = _double_masks(n)
+    order, start = chain_layout(n)
+    ks = (start >> np.uint32(24)).astype(np.uint8)
+    bottom = (start & np.uint32(0xFFFFFF)).astype(np.intp)
     # elements[j] is the level-j element of each point's chain; a level
-    # outside k..n-k is not on the chain and is masked out
+    # outside k..n-k reads the chain's nearer end and is masked out
     elements = np.empty((n + 1, size), dtype=np.uint16)
+    k = ks.astype(np.intp)
     for j in range(n + 1):
-        elements[j] = chain_elements(points, masks, j, n)
-    del points
+        elements[j] = order[bottom + np.clip(j - k, 0, n - 2 * k)]
+    del order, start, bottom, k
     worst = (0, 0, 0, 0)
     edges = 0
     for b in range(n):

@@ -21,19 +21,21 @@ m = (n+k) - 2j - 1 - b, so b = (n + k - 1 - m) mod 2.
 
 Both kernels read two things about the chain of each tail: its minimum
 level k and the point a given number of steps above its bottom.  Points and
-samples get them from bit-plane marking and gap filling, at any n up to 63.
-A whole table gets them from btk_chains.chain_layout, two gathers a point:
-the layout is built once when the table is, and dropped with it.  The two
-paths must give the same bytes, and the tests compare them.
+samples get them from btk_chains.chains_of, which composes the marking of
+12-bit chunks from small tables, at any n up to 63.  A whole table gets them
+from btk_chains.chain_layout, two gathers a point: the layout is built once
+when the table is, and dropped with it.  The two paths must give the same
+bytes, and the tests compare them.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .btk_chains import chain_elements, chain_layout, mark_masks
+from .btk_chains import chain_layout, chains_of
 from .gf2_maps import prefix_xor_mapping
 from .stretch_metrics import Mapping
 
@@ -45,16 +47,6 @@ _Chains = Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.nda
 def _require_odd(n: int) -> None:
     if n % 2 == 0:
         raise ValueError(f"the chain mapping needs odd n, got {n}")
-
-
-def _marked_chains(m: int) -> _Chains:
-    """The chains of any m-bit tails, by bit-plane marking and gap filling."""
-    def chains(tails: np.ndarray):
-        masks = mark_masks(tails, m)
-        k = (np.bitwise_count(masks) // 2).astype(np.int16)
-        return k, lambda steps: chain_elements(tails, masks, steps + k, m)
-
-    return chains
 
 
 def _laid_out_chains(m: int) -> _Chains:
@@ -110,17 +102,18 @@ def _chain_evaluator(n: int, from_majority: bool, prefix: Mapping | None,
 class _ChainMapping(Mapping):
     """The chain map (from_majority) or its inverse, composed with the
     adjacent-sums map on the dictator side if to_parity.  Points and samples
-    go through the bit-plane kernels; a whole table comes from one chain
-    layout of the tails, built for the table and dropped with it."""
+    read their tails' chains from btk_chains.chains_of; a whole table comes
+    from one chain layout of the tails, built for the table and dropped with
+    it."""
 
     def __init__(self, n: int, from_majority: bool, to_parity: bool, name: str):
         _require_odd(n)
         self._from_majority = from_majority
         self._to_parity = to_parity
         self._prefix = prefix_xor_mapping(n) if to_parity else None
-        marked = _marked_chains(n - 1)
-        super().__init__(n, _chain_evaluator(n, from_majority, self._prefix, marked),
-                         _chain_evaluator(n, not from_majority, self._prefix, marked), name)
+        chains = partial(chains_of, m=n - 1)
+        super().__init__(n, _chain_evaluator(n, from_majority, self._prefix, chains),
+                         _chain_evaluator(n, not from_majority, self._prefix, chains), name)
 
     def _table_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
         return _chain_evaluator(self.n, self._from_majority, self._prefix,

@@ -200,7 +200,7 @@ def maj2xor_composition(ns) -> Check:
         phi = majority_to_xor_map(n)
         ok &= is_mapping_between(phi, BooleanFunction.majority(n), BooleanFunction.xor(n))
         worst = max(worst, stretch_report(phi).max_stretch)
-    return Check("maj2dict.composition-to-parity", ok and worst <= 22,
+    return Check(f"maj2dict.composition-to-parity odd n<={max(ns)}", ok and worst <= 22,
                  f"law holds, max stretch {worst} <= 22")
 
 
@@ -253,7 +253,8 @@ def tree_arity(arities, ns) -> Check:
             while arity ** height < n:
                 height += 1
             ok &= rep.all_pass and rep.max_inverse_col_weight <= height + 1
-    return Check("tree.arity-generalization", ok,
+    return Check(f"tree.arity-generalization arity {min(arities)}..{max(arities)} "
+                 f"n in {{{','.join(map(str, ns))}}}", ok,
                  f"inverse column weight <= height+1 for arity "
                  f"{min(arities)}..{max(arities)}")
 
@@ -319,7 +320,7 @@ def injection(n: int, seeds) -> Check:
     for s in seeds:
         state = run_matching(random_subset_function(n, seed=s))
         ok &= injection_is_valid(state, build_injection(state))
-    return Check("matching.injection", ok,
+    return Check(f"matching.injection n={n}", ok,
                  f"injective with the 1-coordinate condition, {len(seeds)} trials")
 
 

@@ -36,8 +36,6 @@ from .cube_core import ELIMINATION_MAX_N, FORMULA_MAX_N, check_n
 from .stretch_metrics import Mapping
 
 _CHUNK_BITS = 8
-# Inverse columns composed per array pass in the tree-inverse check.
-_INVERSE_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -184,51 +182,38 @@ def gf2_inverse_rows(rows: list[int], n: int) -> list[int] | None:
 
 
 def _tree_inverse_consistent(a: SparseGF2Matrix, parent: np.ndarray) -> int | None:
-    """Check that the ancestor-indicator matrix of a tree inverts a.
+    """Check that the ancestor-indicator matrix B of a tree inverts a.
 
-    parent[j] is the parent of vertex j and 0 at the root (index 0 is
-    unused); column j of the claimed inverse is the chain j, parent[j], ...,
-    root.  Column j of the product is then the GF(2) sum of a's columns
-    along that chain.  Chunks of columns walk their chains together, one
-    level per pass, and keep the entries collected an odd number of times
-    so far; at the end exactly the diagonal must be left.
+    parent[j] is the parent of vertex j and 0 at a root (index 0 is
+    unused); column j of B is the chain j, parent[j], ..., root.  So column
+    j of a B is a_j, column j of a, plus column parent[j] of a B, and by
+    induction on depth a B = I exactly when a_j = e_j + e_parent[j] at every
+    vertex j below a root and a_r = e_r at every root r.  Once every chain
+    is known to end at a root, the check is that each of a's entries (i, j),
+    which are distinct, has i = j or i = parent[j], and that there are as
+    many as those required.
 
-    Returns the longest chain, which is the inverse's largest column
-    weight, or None if the check fails.
+    Returns the longest chain, 1 + the most ancestors of a vertex, which is
+    B's largest column weight, or None if the check fails.
     """
     n = a.n
     if parent.shape != (n + 1,) or parent.min() < 0 or parent.max() > n:
         return None
-    up = parent.copy()  # by pointer doubling, the 2^k-th ancestor, 0 past a root
+    # by pointer doubling: up[j] is j's 2^s-th ancestor (0 past a root) and
+    # depth[j] the steps taken towards it
+    up = parent.astype(np.intp)
     up[0] = 0
+    depth = (up > 0).astype(np.intp)
     for _ in range(n.bit_length()):
+        depth += depth[up]
         up = up[up]
     if up.any():  # a chain that never reaches a root
         return None
-    del up
-    # a's entries column by column: column v's rows - 1 are col_rows[end[v-1]:end[v]]
-    col_rows = a.rows[np.argsort(a.cols, kind="stable")] - 1
-    end = np.cumsum(np.bincount(a.cols, minlength=n + 1))
-    longest = 0
-    for lo in range(1, n + 1, _INVERSE_CHUNK):
-        cols = np.arange(lo, min(lo + _INVERSE_CHUNK, n + 1))
-        owner, vs = cols - lo, cols
-        odd = np.empty(0, dtype=np.int64)  # product entries owner * n + row - 1
-        levels = 0
-        while vs.size:
-            levels += 1
-            first = end[vs - 1]
-            count = end[vs] - first
-            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-            # the columns' entries are distinct within one level
-            odd = np.setxor1d(odd, np.repeat(owner * n, count) + col_rows[at],
-                              assume_unique=True)
-            vs = parent[vs]
-            owner, vs = owner[vs > 0], vs[vs > 0]
-        if not np.array_equal(odd, (cols - lo) * n + cols - 1):
-            return None
-        longest = max(longest, levels)
-    return longest
+    if a.rows.size != n + np.count_nonzero(parent[1:]):
+        return None
+    if not ((a.rows == a.cols) | (a.rows == parent[a.cols])).all():
+        return None
+    return int(depth.max()) + 1
 
 
 @dataclass(frozen=True)

@@ -606,13 +606,19 @@ def typical_fraction(n: int, c) -> Fraction:
     return 1 - Fraction(count, 1 << n)
 
 
+def _middle_binomial_squares(limit: int):
+    """C(n, floor(n/2))^2 for n = 1..limit, each carried from the one before:
+    C(n+1, (n+1)//2) = C(n, n//2) (n+1) / (n//2 + 1) exactly, for both
+    parities, so the squares divide exactly too."""
+    c2 = 1
+    for n in range(1, limit + 1):
+        yield c2
+        c2 = c2 * (n + 1) ** 2 // (n // 2 + 1) ** 2
+
+
 def middle_binomial_check_range(limit: int) -> bool:
     """True iff C(n, floor(n/2)) < 2^n / sqrt(n) for every n in 1..limit,
-    compared exactly, with the binomial updated incrementally."""
-    c = 1
-    for n in range(1, limit + 1):
-        if not c * c * n < 1 << (2 * n):
-            return False
-        # C(n+1, (n+1)//2) from C(n, n//2); same ratio for both parities
-        c = c * (n + 1) // (n // 2 + 1)
-    return True
+    compared exactly as C(n, floor(n/2))^2 n < 2^(2n), that is, as a bit
+    length of at most 2n."""
+    return all((c2 * n).bit_length() <= 2 * n
+               for n, c2 in enumerate(_middle_binomial_squares(limit), start=1))

@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubemorph.btk_chains import (
@@ -12,8 +12,8 @@ from cubemorph.btk_chains import (
     adjacent_chain_scan,
     chain_count,
     chain_layout,
+    chains_of,
     enumerate_partition,
-    mark_masks,
     partition_covers_cube,
     signature,
     signature_distance,
@@ -53,20 +53,42 @@ def test_mark_trivial_cases():
     assert marked_positions(sig("10")) == (1, 2)
 
 
+def assert_chains_match_stack_pass(points, m):
+    """chains_of gives each tail's k and its chain's point at every level
+    k..m-k that the stack pass and Signature.element_bits give."""
+    k, climb = chains_of(np.array(points, dtype=np.uint64), m)
+    signatures = [Signature(x & _mark_mask(x, m), _mark_mask(x, m), m) for x in points]
+    assert k.tolist() == [s.k for s in signatures]
+    for steps in range(m + 1):
+        got = climb(np.full(len(points), steps, dtype=np.int16)).tolist()
+        assert [g for g, s in zip(got, signatures) if s.k + steps <= m - s.k] == [
+            s.element_bits(s.k + steps) for s in signatures if s.k + steps <= m - s.k], steps
+
+
 @pytest.mark.parametrize("n", range(0, 15))
 def test_array_marking_matches_stack_pass_exhaustive(n):
-    masks = mark_masks(np.arange(1 << n, dtype=np.uint64), n)
-    assert masks.tolist() == [_mark_mask(x, n) for x in range(1 << n)]
+    assert_chains_match_stack_pass(range(1 << n), n)
+
+
+# tail widths at and next to chunk boundaries, for chunks of 12 or 16 bits
+CHUNK_EDGE_WIDTHS = (11, 12, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33, 35, 36, 37, 47, 48, 49,
+                     59, 60, 61, 62, 63)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.integers(1, 63).flatmap(
+@given(st.one_of(st.sampled_from(CHUNK_EDGE_WIDTHS), st.integers(1, 63)).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1),
                                              min_size=1, max_size=40))))
 def test_array_marking_matches_stack_pass_drawn(case):
     n, points = case
-    masks = mark_masks(np.array(points, dtype=np.uint64), n)
-    assert masks.tolist() == [_mark_mask(x, n) for x in points]
+    # the all-zero and all-one tails are drawn at every width
+    assert_chains_match_stack_pass([*points, 0, (1 << n) - 1], n)
+
+
+@pytest.mark.parametrize("m", CHUNK_EDGE_WIDTHS)
+def test_chains_at_chunk_edges(m):
+    rng = random.Random(m)
+    assert_chains_match_stack_pass([rng.getrandbits(m) for _ in range(300)] + [0, (1 << m) - 1], m)
 
 
 @pytest.mark.parametrize("m", range(0, 13))

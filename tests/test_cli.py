@@ -458,8 +458,8 @@ def test_cli_import_loads_no_other_module_of_the_package():
 _CALLERLESS = {
     # the only tree-map evaluator past n = 63, for criterion 6's parity sample
     "gf2_maps.tree2_apply_bits",
-    # the scalar reference that tests/test_chain_mappings.py checks
-    # chain_elements against
+    # the scalar reference that tests/test_btk_chains.py and
+    # tests/test_chain_mappings.py check btk_chains.chains_of against
     "btk_chains.Signature.element_bits",
 }
 

@@ -276,6 +276,70 @@ def test_tree_inverse_check_rejects_corruption():
             SparseGF2Matrix(n, a.rows[keep], a.cols[keep]), parent) is None
 
 
+def tree_inverse_reference(a: SparseGF2Matrix, parent: np.ndarray, chunk: int = 2048):
+    """The product a B, B the ancestor indicator of the tree, column by
+    column: chunks of columns walk their chains together, one level per
+    pass, and keep the entries collected an odd number of times so far; at
+    the end exactly the diagonal must be left.  Returns the longest chain,
+    or None."""
+    n = a.n
+    if parent.shape != (n + 1,) or parent.min() < 0 or parent.max() > n:
+        return None
+    up = parent.copy()
+    up[0] = 0
+    for _ in range(n.bit_length()):
+        up = up[up]
+    if up.any():
+        return None
+    # a's entries column by column: column v's rows - 1 are col_rows[end[v-1]:end[v]]
+    col_rows = a.rows[np.argsort(a.cols, kind="stable")] - 1
+    end = np.cumsum(np.bincount(a.cols, minlength=n + 1))
+    longest = 0
+    for lo in range(1, n + 1, chunk):
+        cols = np.arange(lo, min(lo + chunk, n + 1))
+        owner, vs = cols - lo, cols
+        odd = np.empty(0, dtype=np.int64)  # product entries owner * n + row - 1
+        levels = 0
+        while vs.size:
+            levels += 1
+            first = end[vs - 1]
+            count = end[vs] - first
+            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            odd = np.setxor1d(odd, np.repeat(owner * n, count) + col_rows[at],
+                              assume_unique=True)
+            vs = parent[vs]
+            owner, vs = owner[vs > 0], vs[vs > 0]
+        if not np.array_equal(odd, (cols - lo) * n + cols - 1):
+            return None
+        longest = max(longest, levels)
+    return longest
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 6), st.sampled_from(["none", "parent", "drop", "add"]),
+       st.randoms(use_true_random=False))
+def test_tree_inverse_check_matches_product_walk(n, arity, corruption, rng):
+    # the entry-wise check against the product walked level by level, on
+    # trees, corrupted parent arrays and matrices one entry off
+    a = tree = build_tree_matrix(n, arity)
+    parent = a.parent.copy()
+    if corruption == "parent":
+        parent[rng.randint(1, n)] = rng.randint(0, n + 1)
+    elif corruption == "drop":
+        keep = np.arange(a.rows.size) != rng.randrange(a.rows.size)
+        a = SparseGF2Matrix(n, a.rows[keep], a.cols[keep])
+    elif corruption == "add" and n > 1:
+        taken = set(zip(a.rows.tolist(), a.cols.tolist()))
+        while (entry := (rng.randint(1, n), rng.randint(1, n))) in taken:
+            pass
+        rows, cols = map(list, zip(*sorted(taken | {entry})))
+        a = SparseGF2Matrix(n, rows, cols)
+    expected = tree_inverse_reference(a, parent)
+    assert _tree_inverse_consistent(a, parent) == expected
+    intact = np.array_equal(parent, tree.parent) and a is tree
+    assert (expected is None) != intact
+
+
 def test_structural_and_elimination_agree():
     for n in range(1, 130):
         verify_conditions(build_tree_matrix(n, 2), cross_check=True)

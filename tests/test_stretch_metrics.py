@@ -17,6 +17,7 @@ from cubemorph.random_matching import build_dict_to_random_details
 from cubemorph.stretch_metrics import (
     Mapping,
     _draw_proposals,
+    _middle_binomial_squares,
     exhaustive_min_avg_stretch,
     exhaustive_min_directional,
     exhaustive_min_max_stretch,
@@ -381,6 +382,8 @@ def test_middle_binomial_examples():
     assert middle_binomial_reference(16)
     assert middle_binomial_check_range(2000)
     assert all(middle_binomial_reference(n) for n in range(1, 2001))
+    # the check carries the square of the binomial from one n to the next
+    assert list(_middle_binomial_squares(2999)) == [comb(n, n // 2) ** 2 for n in range(1, 3000)]
 
 
 def test_mapping_table_roundtrip_and_inverse():
