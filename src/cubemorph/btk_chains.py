@@ -103,7 +103,10 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fill[:, 0] = v & ~residue
     for u in range(1, _CHUNK + 1):  # past the residue's size, u adds nothing
         fill[:, u] = fill[:, u - 1] | _high_bit(residue & ~fill[:, u - 1])
-    return zeros, ones, fill.ravel()
+    tables = zeros, ones, fill.ravel()
+    for t in tables:  # every caller shares them
+        t.flags.writeable = False
+    return tables
 
 
 def chains_of(tails: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:

@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorph.btk_chains import (
@@ -81,7 +81,7 @@ CHUNK_EDGE_WIDTHS = (11, 12, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33, 35, 36, 37,
                                              min_size=1, max_size=40))))
 def test_array_marking_matches_stack_pass_drawn(case):
     n, points = case
-    # the all-zero and all-one tails are drawn at every width
+    # the all-zero and all-one tails join the drawn ones at every width
     assert_chains_match_stack_pass([*points, 0, (1 << n) - 1], n)
 
 
