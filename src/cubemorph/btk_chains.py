@@ -26,7 +26,12 @@ level, for tails of up to 64 bits.  Every point of a cube at once is
 cheaper still: the stack pass appends one top bit at a time, so
 chain_layout derives the marking of all 2^m points by prefix doubling, in
 O(2^m) word operations, and lays every chain out as one run of an array.
-The edge scan reads its chains from that layout.
+The edge scan reads its chains from that layout, and per edge only the
+level pairs that can set a maximum: for the cross excess one pair per
+level, the level itself clamped to each chain, and for the Hausdorff
+distance the diagonals within _HAUSDORFF_BAND levels of each other, with
+every pair read again only for a block whose banded maximum could hide a
+nearer point.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ from .cube_core import (EDGE_SCAN_MAX_N, PARTITION_MAX_N, TABLE_MAX_N, check_n, 
 GAP = "_"
 
 _EDGE_BLOCK = 2048  # edges per block of the edge scan
+# Level offsets |j' - j| the edge scan's Hausdorff pass reads before it
+# falls back to every pair of levels.  Up to n = 16 every edge's Hausdorff
+# distance is at most 3 = band + 1, so no block falls back; a band of 3
+# reads two more diagonals for nothing (0.10 against 0.08 s for n <= 14).
+_HAUSDORFF_BAND = 2
 # Tails per step of chain_layout's passes; steps of 2^16 raise analyze's
 # peak RSS at n = 19 from 35.0 to 35.7 MB.
 _LAYOUT_SLICE = 1 << 14
@@ -258,17 +268,6 @@ class Signature:
         """0-based gap positions, ascending."""
         return tuple(i for i in range(self.n) if not (self.mask >> i) & 1)
 
-    def element_bits(self, j: int) -> int:
-        """The unique chain point of weight j, as packed bits."""
-        k = self.k
-        if not k <= j <= self.n - k:
-            raise ValueError(f"level {j} outside chain range {k}..{self.n - k}")
-        gaps = self.gap_positions()
-        out = self.bits
-        for pos in gaps[len(gaps) - (j - k):] if j > k else ():
-            out |= 1 << pos
-        return out
-
     def element_bits_all(self) -> tuple[int, ...]:
         """All chain points ascending by weight."""
         gaps = self.gap_positions()
@@ -347,30 +346,67 @@ class EdgeScanResult:
     max_hausdorff: int
 
 
+def _hausdorff(ex: np.ndarray, ey: np.ndarray, near_x: np.ndarray, near_y: np.ndarray,
+               band: int) -> int:
+    """The largest of each chain row's distance to the nearest row of the
+    other chain, reading only the diagonals j' - j in -band..band.
+
+    ex and ey are the elements rows of the edges' two ends; near_x and
+    near_y start at n + 1 on each chain's own levels and at 0 elsewhere, so
+    the clamped rows off a chain never count.  Every row pair read is a
+    pair of chain points, so each minimum is at least the true one, and at
+    most the minimum over the band.
+    """
+    rows = ex.shape[0]
+    near_x, near_y = near_x.copy(), near_y.copy()
+    for s in range(-min(band, rows - 1), min(band, rows - 1) + 1):
+        on_x = slice(max(0, -s), rows - max(0, s))
+        on_y = slice(max(0, s), rows - max(0, -s))
+        d = np.bitwise_count(ex[on_x] ^ ey[on_y])
+        np.minimum(near_x[on_x], d, out=near_x[on_x])
+        np.minimum(near_y[on_y], d, out=near_y[on_y])
+    return max(int(near_x.max(initial=0)), int(near_y.max(initial=0)))
+
+
 def _scan_edges(n: int, xs: np.ndarray, bit: int, masks: np.ndarray, ks: np.ndarray,
                 elements: np.ndarray) -> tuple[int, int, int, int]:
-    """adjacent_chain_scan's four maxima over the edges (x, x | bit), x in xs:
-    one level of x's chain against every level of y's per array pass."""
+    """adjacent_chain_scan's four maxima over the edges (x, x | bit), x in xs.
+
+    Let c_j and c'_j' be the points at levels j and j' of the chains of x and
+    y, and I(j, j') = |c_j & c'_j'|.  Then dist(c_j, c'_j') - |j - j'| is
+    2 * (min(j, j') - I(j, j')), and I never falls as either level rises,
+    because each chain's points are nested.  So for min(j, j') = j the
+    excess is largest at the lowest j' on y's chain, max(j, k'), and
+    likewise with the ends swapped.  elements clamps a level to its chain's
+    range, so row j of the two ends holds exactly that pair for every j in
+    min(k, k')..n - max(k, k'): the cross excess is the largest of
+    2 * (j - popcount(E[j, x] & E[j, y])) over those rows.  Rows below them
+    repeat row min(k, k')'s points with a smaller j, and rows above them
+    read with j held at n - max(k, k') meet at least that row's overlap, so
+    neither can set the maximum and no row is masked.
+
+    The Hausdorff distance reads the diagonals |j' - j| <= _HAUSDORFF_BAND.
+    Since dist(c_j, c'_j') >= |j - j'|, a pair off the band is at least
+    _HAUSDORFF_BAND + 1 apart, so the banded minima are exact whenever the
+    block's maximum is at most that; otherwise the block is read again at
+    full width.
+    """
     ys = xs | bit
     mx, my = masks[xs], masks[ys]
     sd = np.bitwise_count((mx ^ my) | (mx & my & np.uint64(bit)))
-    gap = np.abs(ks[xs].astype(np.int8) - ks[ys])
-    levels = np.arange(n + 1)
-    on_y = (ks[ys] <= levels[:, None]) & (levels[:, None] <= n - ks[ys])
-    ey = elements[:, ys]
+    kx, ky = ks[xs].astype(np.int8), ks[ys].astype(np.int8)
+    gap = np.abs(kx - ky)
+    ex, ey = elements[:, xs], elements[:, ys]
+    levels = np.arange(n + 1, dtype=np.int8)[:, None]
+    excess = np.minimum(levels, n - np.maximum(kx, ky)) - np.bitwise_count(ex & ey).astype(np.int8)
+    # a level lies on a chain of minimum level k iff |2j - n| <= n - 2k
+    reach = np.abs(2 * levels - n)
     far = np.uint8(n + 1)
-    mins_y = np.full(ey.shape, far)
-    max_excess = max_haus = 0
-    for j in range(n + 1):
-        on_x = (ks[xs] <= j) & (j <= n - ks[xs])
-        d = np.bitwise_count(elements[j, xs] ^ ey)
-        excess = d.astype(np.int8) - np.abs(j - levels).astype(np.int8)[:, None]
-        max_excess = max(max_excess, int(excess.max(initial=0, where=on_y & on_x)))
-        d[~on_y] = far
-        max_haus = max(max_haus, int(d.min(axis=0).max(initial=0, where=on_x)))
-        np.minimum(mins_y, d, out=mins_y, where=on_x)
-    max_haus = max(max_haus, int(mins_y.max(initial=0, where=on_y)))
-    return int(sd.max(initial=0)), int(gap.max(initial=0)), max_excess, max_haus
+    near_x, near_y = (reach <= n - 2 * kx) * far, (reach <= n - 2 * ky) * far
+    haus = _hausdorff(ex, ey, near_x, near_y, _HAUSDORFF_BAND)
+    if haus > _HAUSDORFF_BAND + 1:
+        haus = _hausdorff(ex, ey, near_x, near_y, n)
+    return int(sd.max(initial=0)), int(gap.max(initial=0)), 2 * int(excess.max(initial=0)), haus
 
 
 def adjacent_chain_scan(n: int) -> EdgeScanResult:

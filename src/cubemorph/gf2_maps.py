@@ -27,7 +27,6 @@ n = 2^16.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,46 +116,6 @@ def build_tree_matrix(n: int, arity: int = 2) -> SparseGF2Matrix:
     cols = np.concatenate([vertices, vertices[1:]])
     order = np.argsort(rows, kind="stable")
     return SparseGF2Matrix(n, rows[order], cols[order], parent, arity)
-
-
-# -- fast whole-word path for the binary tree -------------------------------
-
-@lru_cache(maxsize=None)
-def _repeat_mask(block: int, period: int, width: int) -> int:
-    m = (1 << block) - 1
-    shift = period
-    while shift < width:
-        m |= m << shift
-        shift <<= 1
-    return m & ((1 << width) - 1)
-
-
-def extract_even_bits(x: int, nbits: int) -> int:
-    """Compact bits 0, 2, 4, ... of the low nbits of x."""
-    width = 1
-    while width < nbits:
-        width <<= 1
-    x &= _repeat_mask(1, 2, width)
-    s = 1
-    while s < width:
-        x = (x | (x >> s)) & _repeat_mask(2 * s, 4 * s, width)
-        s <<= 1
-    return x
-
-
-def tree2_apply_bits(n: int, x: int) -> int:
-    """The binary tree map at x, for any n, in O(log n) word operations.
-
-    Output bit b is x_b ^ x_{2b+1} ^ x_{2b+2} (0-based), i.e. vertex b+1
-    folded with its two children, which is one odd-bit and one shifted
-    even-bit extraction.  Nothing in the package calls it: it is the
-    acceptance suite's only tree-map evaluator past n = 63, where the
-    uint64 evaluators of tree_mapping stop (criterion 6 samples n = 2^16).
-    """
-    x &= (1 << n) - 1
-    odd = extract_even_bits(x >> 1, n - 1) if n > 1 else 0
-    even = extract_even_bits(x, n)
-    return (x ^ odd ^ (even >> 1)) & ((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------

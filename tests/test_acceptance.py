@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from cubemorph import checks, cli
-from cubemorph.gf2_maps import tree2_apply_bits
-
+from scalar_reference import tree2_apply_bits
 from test_cli import REPORT_SCHEMA
 
 

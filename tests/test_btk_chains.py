@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubemorph import btk_chains
 from cubemorph.btk_chains import (
     Signature,
     _mark_mask,
@@ -20,12 +21,22 @@ from cubemorph.btk_chains import (
 )
 from cubemorph.cube_core import EDGE_SCAN_MAX_N, format_bits, parse_point
 
+from scalar_reference import chain_point
+
 
 def hausdorff_reference(s1: Signature, s2: Signature) -> int:
     """Symmetrized max-min Hamming distance between the points of two chains."""
     e1, e2 = s1.element_bits_all(), s2.element_bits_all()
     return max(max(min((a ^ b).bit_count() for b in e2) for a in e1),
                max(min((a ^ b).bit_count() for a in e1) for b in e2))
+
+
+def cross_excess_reference(s1: Signature, s2: Signature) -> int:
+    """The largest dist(c_j, c'_j') - |j - j'| over every pair of levels of
+    the two chains."""
+    return max((a ^ b).bit_count() - abs(j - jj)
+               for j, a in enumerate(s1.element_bits_all(), start=s1.k)
+               for jj, b in enumerate(s2.element_bits_all(), start=s2.k))
 
 
 def marked_positions(s: Signature) -> tuple[int, ...]:
@@ -55,14 +66,14 @@ def test_mark_trivial_cases():
 
 def assert_chains_match_stack_pass(points, m):
     """chains_of gives each tail's k and its chain's point at every level
-    k..m-k that the stack pass and Signature.element_bits give."""
+    k..m-k that the stack pass and chain_point give."""
     k, climb = chains_of(np.array(points, dtype=np.uint64), m)
     signatures = [Signature(x & _mark_mask(x, m), _mark_mask(x, m), m) for x in points]
     assert k.tolist() == [s.k for s in signatures]
     for steps in range(m + 1):
         got = climb(np.full(len(points), steps, dtype=np.int16)).tolist()
         assert [g for g, s in zip(got, signatures) if s.k + steps <= m - s.k] == [
-            s.element_bits(s.k + steps) for s in signatures if s.k + steps <= m - s.k], steps
+            chain_point(s, s.k + steps) for s in signatures if s.k + steps <= m - s.k], steps
 
 
 @pytest.mark.parametrize("n", range(0, 15))
@@ -131,13 +142,13 @@ def test_chain_membership():
 
 def test_chain_element_examples():
     s = sig("01100110")
-    assert format_bits(s.element_bits(3), 8) == "01100010"
-    assert format_bits(s.element_bits(5), 8) == "11100110"
-    assert format_bits(sig("10").element_bits(1), 2) == "10"
+    assert format_bits(chain_point(s, 3), 8) == "01100010"
+    assert format_bits(chain_point(s, 5), 8) == "11100110"
+    assert format_bits(chain_point(sig("10"), 1), 2) == "10"
     with pytest.raises(ValueError):
-        s.element_bits(2)
+        chain_point(s, 2)
     with pytest.raises(ValueError):
-        s.element_bits(6)
+        chain_point(s, 6)
 
 
 def test_partition_small_examples():
@@ -194,7 +205,7 @@ def test_chain_shape_properties():
         assert len(elems) == n - 2 * s.k + 1
         for j, b in enumerate(elems, start=s.k):
             assert b.bit_count() == j
-            assert s.element_bits(j) == b
+            assert chain_point(s, j) == b
         for a, b in zip(elems, elems[1:]):
             assert (a ^ b).bit_count() == 1
 
@@ -219,7 +230,7 @@ def test_hausdorff_examples():
 def test_edge_scan_matches_per_edge_reference(n):
     # the scan's maxima, recomputed edge by edge from the chains' points
     sigs = [signature(x, n) for x in range(1 << n)]
-    haus = sig_dist = gap = 0
+    haus = sig_dist = gap = excess = 0
     for x in range(1 << n):
         for b in range(n):
             y = x | 1 << b
@@ -228,8 +239,10 @@ def test_edge_scan_matches_per_edge_reference(n):
             haus = max(haus, hausdorff_reference(sigs[x], sigs[y]))
             sig_dist = max(sig_dist, signature_distance(x, y, n))
             gap = max(gap, abs(sigs[x].k - sigs[y].k))
+            excess = max(excess, cross_excess_reference(sigs[x], sigs[y]))
     r = adjacent_chain_scan(n)
-    assert (r.max_hausdorff, r.max_signature_distance, r.max_level_gap) == (haus, sig_dist, gap)
+    assert (r.max_hausdorff, r.max_signature_distance, r.max_level_gap, r.max_cross_excess) == (
+        haus, sig_dist, gap, excess)
 
 
 def test_adjacent_chain_bounds_small():
@@ -268,6 +281,19 @@ def test_adjacent_chain_scan_pinned():
     assert astuple(adjacent_chain_scan(0)) == (0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         adjacent_chain_scan(EDGE_SCAN_MAX_N + 1)
+
+
+def test_edge_scan_full_width_retry(monkeypatch):
+    # with no band, a block is read again at every pair of levels whenever
+    # its diagonal alone leaves a Hausdorff distance above 1
+    banded = [adjacent_chain_scan(n) for n in (15, EDGE_SCAN_MAX_N)]
+    bands = []
+    hausdorff = btk_chains._hausdorff
+    monkeypatch.setattr(btk_chains, "_HAUSDORFF_BAND", 0)
+    monkeypatch.setattr(btk_chains, "_hausdorff", lambda *a: bands.append(a[-1]) or hausdorff(*a))
+    assert [astuple(adjacent_chain_scan(n)) for n in range(1, 15)] == EDGE_SCAN_PINS
+    assert {band for band in bands if band} == set(range(2, 15))
+    assert [adjacent_chain_scan(n) for n in (15, EDGE_SCAN_MAX_N)] == banded
 
 
 def test_case_split_generator():

@@ -14,6 +14,8 @@ from cubemorph.chain_mappings import (
 from cubemorph.cube_core import BooleanFunction, format_bits, parse_point
 from cubemorph.stretch_metrics import is_mapping_between, stretch_report
 
+from scalar_reference import chain_point
+
 
 def _tail_signature(bits: int, m: int) -> Signature:
     return signature(bits, m) if m else Signature(0, 0, 0)
@@ -28,8 +30,8 @@ def maj_to_dict_reference(x: int, n: int) -> int:
     k = sig.k
     j = xp.bit_count()
     if 2 * (j + xn) >= n + 1:
-        return 1 | (sig.element_bits(2 * j - (n - k) + xn) << 1)
-    return sig.element_bits((n + k) - 2 * j - 1 - xn) << 1
+        return 1 | (chain_point(sig, 2 * j - (n - k) + xn) << 1)
+    return chain_point(sig, (n + k) - 2 * j - 1 - xn) << 1
 
 
 def dict_to_maj_reference(y: int, n: int) -> int:
@@ -44,7 +46,7 @@ def dict_to_maj_reference(y: int, n: int) -> int:
     else:
         xn = (n + k - 1 - level) & 1
         j = (n + k - 1 - level - xn) // 2
-    return sig.element_bits(j) | (xn << m)
+    return chain_point(sig, j) | (xn << m)
 
 # the full 6-point block of the n=3 chain {00, 01, 11}
 EXAMPLE_BLOCK = [

@@ -454,14 +454,8 @@ def test_cli_import_loads_no_other_module_of_the_package():
 
 
 # public names that no module of the package and nothing under bench/ uses,
-# each with its reason
-_CALLERLESS = {
-    # the only tree-map evaluator past n = 63, for criterion 6's parity sample
-    "gf2_maps.tree2_apply_bits",
-    # the scalar reference that tests/test_btk_chains.py and
-    # tests/test_chain_mappings.py check btk_chains.chains_of against
-    "btk_chains.Signature.element_bits",
-}
+# each with its reason; code that only tests need lives under tests/
+_CALLERLESS: set[str] = set()
 
 
 def _public_definitions(tree: ast.Module):
@@ -525,4 +519,5 @@ def test_every_public_name_has_a_caller():
                    for path, tree in modules.items() for name, node in _public_methods(tree)
                    if (package[node.name] == _attributes(node)[node.name]
                        and node.name not in bench_attributes)}
+    assert _CALLERLESS == set()
     assert callerless == _CALLERLESS

@@ -15,15 +15,15 @@ from cubemorph.gf2_maps import (
     SparseGF2Matrix,
     _tree_inverse_consistent,
     build_tree_matrix,
-    extract_even_bits,
     gf2_inverse_rows,
     prefix_xor_mapping,
-    tree2_apply_bits,
     tree_mapping,
     verify_conditions,
     xor_head_mapping,
 )
 from cubemorph.stretch_metrics import _exhaustive_stats, is_mapping_between, stretch_report
+
+from scalar_reference import extract_even_bits, tree2_apply_bits
 
 
 def _linear_maps(n):
