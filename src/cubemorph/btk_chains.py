@@ -18,20 +18,17 @@ A chain is its Signature: signature(x, n) names the chain of the packed
 point x, enumerate_partition yields every chain, and element_bits_all()
 lists a chain's points as packed ints, ascending by weight.
 
-A chain is read three ways.  One point goes through the stack pass
+A chain is read two ways.  One point goes through the stack pass
 (_mark_mask).  An array of points goes through chains_of: the marking is
 parenthesis matching, so it composes chunk by chunk, and per-chunk tables
 of 2^12 rows give each point's minimum level and its chain's point at any
-level, for tails of up to 64 bits.  Every point of a cube at once is
-cheaper still: the stack pass appends one top bit at a time, so
-chain_layout derives the marking of all 2^m points by prefix doubling, in
-O(2^m) word operations, and lays every chain out as one run of an array.
-The edge scan reads its chains from that layout, and per edge only the
-level pairs that can set a maximum: for the cross excess one pair per
-level, the level itself clamped to each chain, and for the Hausdorff
-distance the diagonals within _HAUSDORFF_BAND levels of each other, with
-every pair read again only for a block whose banded maximum could hide a
-nearer point.
+level, for tails of up to 64 bits.  Chain-map tables and the edge scan read
+their chains from chains_of too, the edge scan over every point of the
+cube at once.  Per edge it reads only the level pairs that can set a
+maximum: for the cross excess one pair per level, the level itself clamped
+to each chain, and for the Hausdorff distance the diagonals within
+_HAUSDORFF_BAND levels of each other, with every pair read again only for
+a block whose banded maximum could hide a nearer point.
 """
 
 from __future__ import annotations
@@ -44,8 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .cube_core import (EDGE_SCAN_MAX_N, PARTITION_MAX_N, TABLE_MAX_N, check_n, format_bits,
-                        slices)
+from .cube_core import EDGE_SCAN_MAX_N, PARTITION_MAX_N, check_n, format_bits
 
 GAP = "_"
 
@@ -55,9 +51,6 @@ _EDGE_BLOCK = 2048  # edges per block of the edge scan
 # distance is at most 3 = band + 1, so no block falls back; a band of 3
 # reads two more diagonals for nothing (0.10 against 0.08 s for n <= 14).
 _HAUSDORFF_BAND = 2
-# Tails per step of chain_layout's passes; steps of 2^16 raise analyze's
-# peak RSS at n = 19 from 35.0 to 35.7 MB.
-_LAYOUT_SLICE = 1 << 14
 # Bits per chunk of chains_of: its tables take 2^12 * 13 uint16 entries,
 # 106 KB, held for the life of the process.
 _CHUNK = 12
@@ -87,14 +80,13 @@ def _double_masks(m: int) -> np.ndarray:
     of the (b+1)-bit tails follow from those of the b-bit ones, because bit b
     is the last symbol of the stack pass.  A top 1 stays open, so the mask is
     unchanged; a top 0 closes the highest open 1 below it, the high bit of
-    t & ~mask."""
+    t & ~mask.  _high_bit keeps it exact up to m = 24."""
     masks = np.zeros(1 << m, dtype=np.uint32)
     for b in range(m):
         masks[1 << b:2 << b] = masks[:1 << b]
-        for lo, hi in slices(1 << b, _LAYOUT_SLICE):
-            low = masks[lo:hi]
-            high = _high_bit(np.arange(lo, hi, dtype=np.uint32) & ~low)  # 0: none open
-            low |= high | (high != 0) * np.uint32(1 << b)
+        low = masks[:1 << b]
+        high = _high_bit(np.arange(1 << b, dtype=np.uint32) & ~low)  # 0: none open
+        low |= high | (high != 0) * np.uint32(1 << b)
     return masks
 
 
@@ -152,66 +144,36 @@ def chains_of(tails: np.ndarray, m: int) -> tuple[np.ndarray, Callable[[np.ndarr
     for c in range(count):
         floor[c] = np.maximum(depth - zeros[c], 0)
         depth = floor[c] + ones[c]
-    # open ones of chunk c: those above its floor that no later floor reaches
+    # open ones of chunk c: those above its floor that no later floor reaches.
+    # Here and below the chunk rows are walked one at a time: numpy's
+    # accumulations along axis 0 take about 30 times as long.
     still_open = ones.copy()
-    later = np.minimum.accumulate(floor[:0:-1], axis=0)[::-1]
-    still_open[:-1] = np.clip(later - floor[:-1], 0, ones[:-1])
+    later = floor[-1]
+    for c in reversed(range(count - 1)):
+        still_open[c] = np.minimum(np.maximum(later - floor[c], 0), ones[c])
+        later = np.minimum(later, floor[c])
     # unmatched zeros of chunk c: those below the depth left by the chunks below
     unmatched = zeros + floor
     unmatched[1:] -= floor[:-1] + ones[:-1]
     closed = ones - still_open
-    open_total = still_open.sum(axis=0, dtype=np.int16)
     # the open ones and unmatched zeros of the chunks above each chunk
-    ones_above = np.cumsum(still_open[::-1], axis=0, dtype=np.int16)[::-1] - still_open
-    zeros_above = np.cumsum(unmatched[::-1], axis=0, dtype=np.int16)[::-1] - unmatched
+    ones_above = np.zeros_like(still_open)
+    zeros_above = np.zeros_like(unmatched)
+    for c in reversed(range(count - 1)):
+        np.add(ones_above[c + 1], still_open[c + 1], out=ones_above[c])
+        np.add(zeros_above[c + 1], unmatched[c + 1], out=zeros_above[c])
+    open_total = ones_above[0] + still_open[0]
     row = v * (_CHUNK + 1) + closed
     k = np.bitwise_count(tails).astype(np.int16) + pad - open_total
 
     def climb(steps: np.ndarray) -> np.ndarray:
         r = steps.astype(np.int16) + pad
-        band = (np.clip(r - ones_above, 0, still_open)
-                + np.clip(r - open_total - zeros_above, 0, unmatched))
+        band = (np.minimum(np.maximum(r - ones_above, 0), still_open)
+                + np.minimum(np.maximum(r - open_total - zeros_above, 0), unmatched))
         points = fill[row + band].astype(np.uint64) << shifts
         return np.bitwise_or.reduce(points, axis=0) & np.uint64((1 << m) - 1)
 
     return k, climb
-
-
-def chain_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every chain of the m-cube, laid out one after another: (order, start).
-
-    order (uint32, 2^m entries) lists the points chain by chain, the chains
-    ascending by their bottom point and each one ascending by level.
-    start[t] (uint32) is the offset in order of the chain of t, with the
-    chain's minimum level k packed above bit 24, so the point at level L on
-    the chain of t is order[(start[t] & 0xFFFFFF) + L - (start[t] >> 24)].
-    The two arrays are the only ones that grow with 2^m; order reuses the
-    buffer of the masks.
-    """
-    check_n(m, TABLE_MAX_N - 1, low=0, what="m")
-    masks = _double_masks(m)
-    # a chain's bottom point has no open 1; its run in order has m + 1 - 2k points
-    start = np.empty_like(masks)
-    for lo, hi in slices(start.size, _LAYOUT_SLICE):
-        t = np.arange(lo, hi, dtype=np.uint32)
-        mk = masks[lo:hi]
-        start[lo:hi] = np.where(t & ~mk == 0, np.uint32(m + 1) - np.bitwise_count(mk), 0)
-    np.cumsum(start, dtype=np.uint32, out=start)
-    # the chain of t is the one of its bottom t & mask <= t, so high slices
-    # read the cumulative sums before they are overwritten; indices are intp,
-    # numpy's fast path for gathers and scatters
-    for lo, hi in reversed(list(slices(start.size, _LAYOUT_SLICE))):
-        mk = masks[lo:hi]
-        twice_k = np.bitwise_count(mk).astype(np.uint32)
-        bottom = np.arange(lo, hi, dtype=np.intp) & mk
-        start[lo:hi] = (start[bottom] - (np.uint32(m + 1) - twice_k)) | (twice_k << np.uint32(23))
-    order = masks
-    for lo, hi in slices(start.size, _LAYOUT_SLICE):
-        t = np.arange(lo, hi, dtype=np.uint32)
-        s = start[lo:hi]
-        at = (s & np.uint32(0xFFFFFF)) + np.bitwise_count(t) - (s >> np.uint32(24))
-        order[at.astype(np.intp)] = t
-    return order, start
 
 
 def _mark_mask_seeded(bits: int, n: int, seed: int) -> int:
@@ -421,16 +383,13 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     check_n(n, EDGE_SCAN_MAX_N, low=0)
     size = 1 << n
     masks = _double_masks(n)
-    order, start = chain_layout(n)
-    ks = (start >> np.uint32(24)).astype(np.uint8)
-    bottom = (start & np.uint32(0xFFFFFF)).astype(np.intp)
+    ks, climb = chains_of(np.arange(size, dtype=np.uint64), n)
     # elements[j] is the level-j element of each point's chain; a level
     # outside k..n-k reads the chain's nearer end and is masked out
     elements = np.empty((n + 1, size), dtype=np.uint16)
-    k = ks.astype(np.intp)
     for j in range(n + 1):
-        elements[j] = order[bottom + np.clip(j - k, 0, n - 2 * k)]
-    del order, start, bottom, k
+        elements[j] = climb(np.clip(j - ks, 0, n - 2 * ks))
+    del climb
     worst = (0, 0, 0, 0)
     edges = 0
     for b in range(n):

@@ -20,28 +20,20 @@ have m = 2j - (n-k) + b, so b = (m + n - k) mod 2, and for y1 = 0 we have
 m = (n+k) - 2j - 1 - b, so b = (n + k - 1 - m) mod 2.
 
 Both kernels read two things about the chain of each tail: its minimum
-level k and the point a given number of steps above its bottom.  Points and
-samples get them from btk_chains.chains_of, which composes the marking of
-12-bit chunks from small tables, at any n up to 63.  A whole table gets them
-from btk_chains.chain_layout, two gathers a point: the layout is built once
-when the table is, and dropped with it.  The two paths must give the same
-bytes, and the tests compare them.
+level k and the point a given number of steps above its bottom.  Points,
+samples and whole tables all get them from btk_chains.chains_of, which
+composes the marking of 12-bit chunks from small tables, at any n up to 63.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .btk_chains import chain_layout, chains_of
+from .btk_chains import chains_of
 from .gf2_maps import prefix_xor_mapping
 from .stretch_metrics import Mapping
-
-# chains(tails) -> (k, climb): the minimum levels k (int16) of the chains of
-# the tails, and climb(steps), the point `steps` levels above each bottom.
-_Chains = Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
 def _require_odd(n: int) -> None:
@@ -49,22 +41,9 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"the chain mapping needs odd n, got {n}")
 
 
-def _laid_out_chains(m: int) -> _Chains:
-    """The chains of the m-bit tails by two gathers from chain_layout(m)."""
-    order, start = chain_layout(m)
-
-    def chains(tails: np.ndarray):
-        # uint64 tails below 2^23 read as intp, numpy's fast gather index
-        s = start[tails.view(np.intp)]
-        return ((s >> np.uint32(24)).astype(np.int16),
-                lambda steps: order[(s & np.uint32(0xFFFFFF)) + steps])
-
-    return chains
-
-
 # Levels are int16: every level expression below stays within +-2n.
 
-def _maj_to_dict_array(xs: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
+def _maj_to_dict_array(xs: np.ndarray, n: int) -> np.ndarray:
     m = n - 1
     tails = xs & np.uint64((1 << m) - 1)
     last = (xs >> np.uint64(m)).astype(np.int16)
@@ -73,14 +52,14 @@ def _maj_to_dict_array(xs: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
     # levels 2j - (n-k) + last and (n+k) - 2j - 1 - last: k cancels in the
     # steps, v = 2j - n + last and n - 2j - 1 - last = ~v
     v = 2 * j + (last - n)
-    _, climb = chains(tails)
+    _, climb = chains_of(tails, m)
     return (climb(np.where(upper, v, ~v)) << 1) | upper
 
 
-def _dict_to_maj_array(ys: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
+def _dict_to_maj_array(ys: np.ndarray, n: int) -> np.ndarray:
     m = n - 1
     tails = ys >> np.uint64(1)
-    k, climb = chains(tails)
+    k, climb = chains_of(tails, m)
     level = np.bitwise_count(tails).astype(np.int16)
     # both branches give 2j + last: the last bit is the parity, j the rest
     r = np.where((ys & np.uint64(1)) == 1, level + n - k, n + k - 1 - level)
@@ -88,36 +67,29 @@ def _dict_to_maj_array(ys: np.ndarray, n: int, chains: _Chains) -> np.ndarray:
     return image | ((r & 1).astype(image.dtype) << m)
 
 
-def _chain_evaluator(n: int, from_majority: bool, prefix: Mapping | None,
-                     chains: _Chains) -> Callable[[np.ndarray], np.ndarray]:
+def _chain_evaluator(n: int, from_majority: bool,
+                     prefix: Mapping | None) -> Callable[[np.ndarray], np.ndarray]:
     if from_majority:
         if prefix is None:
-            return lambda xs: _maj_to_dict_array(xs, n, chains)
-        return lambda xs: prefix.forward(_maj_to_dict_array(xs, n, chains))
+            return lambda xs: _maj_to_dict_array(xs, n)
+        return lambda xs: prefix.forward(_maj_to_dict_array(xs, n))
     if prefix is None:
-        return lambda ys: _dict_to_maj_array(ys, n, chains)
-    return lambda ys: _dict_to_maj_array(prefix.inverse(ys), n, chains)
+        return lambda ys: _dict_to_maj_array(ys, n)
+    return lambda ys: _dict_to_maj_array(prefix.inverse(ys), n)
 
 
 class _ChainMapping(Mapping):
     """The chain map (from_majority) or its inverse, composed with the
-    adjacent-sums map on the dictator side if to_parity.  Points and samples
-    read their tails' chains from btk_chains.chains_of; a whole table comes
-    from one chain layout of the tails, built for the table and dropped with
-    it."""
+    adjacent-sums map on the dictator side if to_parity.  Points, samples
+    and tables all read their tails' chains from btk_chains.chains_of."""
 
     def __init__(self, n: int, from_majority: bool, to_parity: bool, name: str):
         _require_odd(n)
         self._from_majority = from_majority
         self._to_parity = to_parity
-        self._prefix = prefix_xor_mapping(n) if to_parity else None
-        chains = partial(chains_of, m=n - 1)
-        super().__init__(n, _chain_evaluator(n, from_majority, self._prefix, chains),
-                         _chain_evaluator(n, not from_majority, self._prefix, chains), name)
-
-    def _table_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _chain_evaluator(self.n, self._from_majority, self._prefix,
-                                _laid_out_chains(self.n - 1))
+        prefix = prefix_xor_mapping(n) if to_parity else None
+        super().__init__(n, _chain_evaluator(n, from_majority, prefix),
+                         _chain_evaluator(n, not from_majority, prefix), name)
 
     def inverse_mapping(self) -> Mapping:
         return _ChainMapping(self.n, not self._from_majority, self._to_parity,

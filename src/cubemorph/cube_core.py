@@ -23,7 +23,7 @@ import numpy as np
 FORMULA_MAX_N = 63  # dtype: a packed point and its image fit one uint64 word
 EXHAUSTIVE_MAX_N = 30  # memory: a truth table is 2^n uint8 values, 1 GiB at n = 30
 MATCHING_MAX_N = 26  # memory: run_matching's 2^n-bit set bitmap and 2^(n-1)-bit bitsets; 80 MB peak at n = 26
-TABLE_MAX_N = 24  # memory: a 2^n uint32 table (n <= 32) is 64 MB at n = 24; analyze peaks at 94 MB, and at 95 MB for a chain map's table and layout at n = 23; random at 180 MB
+TABLE_MAX_N = 24  # memory: a 2^n uint32 table (n <= 32) is 64 MB at n = 24; analyze peaks at 94 MB, and at 65 MB for a chain map at n = 23; random at 180 MB
 PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python recursion
 CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20
 LOCAL_SEARCH_MAX_N = 20  # run time: ~2.2x per unit of n, 5 s for two restarts at n = 13

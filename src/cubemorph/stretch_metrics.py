@@ -9,9 +9,8 @@ and carry the sample size and a floating standard error.
 
 Every table, the local search's working table included, holds its images
 as ``TABLE_DTYPE`` (uint32) words, 4 bytes a point.  A mapping builds its
-table slice by slice with the evaluator from its private hook
-``_table_evaluator``: ``forward`` by default, while the chain maps read a
-chain layout.  Exhaustive statistics come from a second hook,
+table slice by slice with ``forward``, the evaluator that points and
+samples call.  Exhaustive statistics come from a private hook,
 ``_exhaustive_histogram``, as a per-direction distance histogram.  A
 linear map reads it off its column weights, with no table, so its reports
 go past ``TABLE_MAX_N``.  Every other map fills it in one single-threaded
@@ -44,10 +43,9 @@ from .cube_core import (FORMULA_MAX_N, LOCAL_SEARCH_MAX_N, ORACLE_MAX_N, TABLE_D
 
 # Proposals drawn and scored per numpy pass in the local search.
 _PROPOSAL_BLOCK = 256
-# Table builds call their evaluator on slices of this many points, so its
-# temporaries stay small at any n; with the chain maps' layout evaluators,
-# slices of SLICE = 2^16 points raise analyze's peak RSS at n = 19 from 35.0
-# to 38.3 MB.
+# Table builds call forward on slices of this many points, so its
+# temporaries stay small at any n; slices of SLICE = 2^16 points raise the
+# peak RSS of analyze --mapping maj2dict --n 19 from 34.4 to 40.0 MB.
 _TABLE_SLICE = 1 << 14
 # Table entries per step of the exhaustive pass; a block and its buffers
 # stay in a core's L2 cache (2^14 to 2^16 time within 5 % of each other).
@@ -58,10 +56,9 @@ class Mapping:
     """A map of the n-cube given by two array evaluators.
 
     ``forward(xs)`` and ``inverse(xs)`` map a uint64 array of packed points
-    to the array of their images.  Point evaluation and sampled statistics
-    call them, and so does the table unless a subclass's
-    ``_table_evaluator`` gives another evaluator of the same map;
-    ``table()`` caches the forward table as ``TABLE_DTYPE`` (uint32) images.
+    to the array of their images.  Point evaluation, sampled statistics and
+    ``table()`` call them; ``table()`` caches the forward table as
+    ``TABLE_DTYPE`` (uint32) images.
     """
 
     def __init__(self, n: int, forward: Callable[[np.ndarray], np.ndarray],
@@ -104,17 +101,10 @@ class Mapping:
         check_n(self.n, TABLE_MAX_N)  # also for a table given to from_table
         if self._table is None:
             table = np.empty(1 << self.n, dtype=TABLE_DTYPE)
-            evaluate = self._table_evaluator()
             for lo, hi in slices(table.size, _TABLE_SLICE):
-                table[lo:hi] = evaluate(np.arange(lo, hi, dtype=np.uint64))
+                table[lo:hi] = self.forward(np.arange(lo, hi, dtype=np.uint64))
             self._table = table
         return self._table
-
-    def _table_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The forward evaluator that table() calls on slices of points.  A
-        subclass may return one that holds state built for this one table,
-        freed when the table is done."""
-        return self.forward
 
     def _exhaustive_histogram(self) -> np.ndarray:
         """(n, n+1) int64 histogram of every edge: row b counts the 2^(n-1)

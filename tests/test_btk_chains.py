@@ -12,7 +12,6 @@ from cubemorph.btk_chains import (
     _mark_mask,
     adjacent_chain_scan,
     chain_count,
-    chain_layout,
     chains_of,
     enumerate_partition,
     partition_covers_cube,
@@ -104,17 +103,17 @@ def test_chains_at_chunk_edges(m):
 
 @pytest.mark.parametrize("m", range(0, 13))
 def test_chain_layout_lists_every_chain_once(m):
-    order, start = chain_layout(m)
-    assert order.dtype == start.dtype == np.uint32
-    offsets = sorted(set((start & 0xFFFFFF).tolist()))
-    runs = [tuple(order[lo:hi].tolist()) for lo, hi in zip(offsets, offsets[1:] + [1 << m])]
-    chains = [s.element_bits_all() for s in enumerate_partition(m)] if m else [(0,)]
-    assert sorted(runs) == sorted(chains)
-    # each run ascends by level, so t sits at its level minus k from its start
-    for t in range(1 << m):
-        s = int(start[t])
-        assert order[(s & 0xFFFFFF) + t.bit_count() - (s >> 24)] == t
-        assert s >> 24 == (signature(t, m).k if m else 0)
+    # chains_of over every m-bit tail: the climbs 0..m - 2k of each tail are
+    # one chain of the partition, and every chain comes out
+    tails = np.arange(1 << m, dtype=np.uint64)
+    k, climb = chains_of(tails, m)
+    levels = np.stack([climb(np.full(tails.size, j, dtype=np.int16)) for j in range(m + 1)])
+    runs = {tuple(levels[:m + 1 - 2 * int(k[t]), t].tolist()) for t in range(1 << m)}
+    chains = {s.element_bits_all() for s in enumerate_partition(m)} if m else {(0,)}
+    assert runs == chains
+    # each tail sits its level minus k above its chain's bottom
+    assert np.array_equal(climb(np.bitwise_count(tails).astype(np.int16) - k), tails)
+    assert k.tolist() == [signature(t, m).k if m else 0 for t in range(1 << m)]
 
 
 def test_signature_examples():

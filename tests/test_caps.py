@@ -120,12 +120,6 @@ def test_table_dtype_holds_every_point_up_to_the_table_cap():
     assert cube_core.TABLE_MAX_N <= 8 * cube_core.TABLE_DTYPE.itemsize
 
 
-def test_chain_layout_serves_every_chain_map_table():
-    # chain_layout reads high bits off float32, exact below 2^24, and packs
-    # offsets below 2^24 into start; it serves tables of up to TABLE_MAX_N bits
-    assert cube_core.TABLE_MAX_N - 1 <= 24
-
-
 def test_exhaustive_analyze_of_a_chain_map_keeps_the_table_cap(capsys):
     n = cube_core.TABLE_MAX_N + 1 | 1
     assert cli.main(["analyze", "--mapping", "maj2dict", "--n", str(n)]) == 2

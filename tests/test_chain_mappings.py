@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubemorph.btk_chains import Signature, _chunk_tables, signature
+from cubemorph.btk_chains import Signature, signature
 from cubemorph.chain_mappings import (
     dictator_to_majority_map,
     majority_to_dictator_map,
@@ -157,20 +157,8 @@ def test_composition_law_and_bound(n):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 7).map(lambda h: 2 * h + 1),
        st.sampled_from([majority_to_dictator_map, majority_to_xor_map]), st.booleans())
-def test_layout_table_matches_chunk_evaluator(n, build, inverse):
-    # table() reads the chains from one chain layout; forward from chains_of
+def test_sliced_table_matches_one_forward_call(n, build, inverse):
+    # table() calls forward on slices of points; one call takes every point
     phi = build(n).inverse_mapping() if inverse else build(n)
     xs = np.arange(1 << n, dtype=np.uint64)
     assert phi.table().tolist() == phi.forward(xs).tolist()
-
-
-def test_tables_build_no_chunk_table():
-    # whole tables read the chain layout only, so analyze never builds
-    # chains_of's tables
-    _chunk_tables.cache_clear()
-    phi = majority_to_dictator_map(19)
-    phi.table()
-    phi.inverse_mapping().table()
-    assert _chunk_tables.cache_info().currsize == 0
-    phi.apply_bits(0)
-    assert _chunk_tables.cache_info().currsize == 1
