@@ -14,9 +14,13 @@ samples call.  Exhaustive statistics come from a private hook,
 ``_exhaustive_histogram``, as a per-direction distance histogram.  A
 linear map reads it off its column weights, with no table, so its reports
 go past ``TABLE_MAX_N``.  Every other map fills it in one single-threaded
-pass over its table in blocks of ``_BLOCK`` entries.  A direction whose
-edges stay inside a block is paired within it; a longer one pairs a block
-with the block 2^b entries further on.  Each step reuses two buffers the
+pass over its table in blocks of ``_BLOCK`` entries.  The lowest
+``_TRANSPOSED`` directions pair whole rows of the block's transpose, the
+other directions whose edges stay inside a block pair runs of the block
+itself, and a longer one pairs a block with the block 2^b entries further
+on.  Each step writes its edges' distances as bytes and counts them two
+at a time, as uint16 keys, into a grid of distance pairs per direction;
+the grids fold to the histogram at the end.  The steps reuse buffers the
 size of a block, so the pass makes no table-sized temporaries.  A
 direction's distance sum is read off its histogram row in Python ints,
 which n = 63 needs.  Validation, inversion and the law check likewise work
@@ -48,8 +52,16 @@ _PROPOSAL_BLOCK = 256
 # peak RSS of analyze --mapping maj2dict --n 19 from 34.4 to 40.0 MB.
 _TABLE_SLICE = 1 << 14
 # Table entries per step of the exhaustive pass; a block and its buffers
-# stay in a core's L2 cache (2^14 to 2^16 time within 5 % of each other).
+# stay in a core's L2 cache.  On a 2-vCPU Xeon a pass over a
+# dictator->random table at n = 20 takes 41, 34 and 31 ms with blocks of
+# 2^14, 2^15 and 2^16, but 2^16 raises the peak of
+# analyze --mapping identity --n 24 from 94.1-94.4 to 94.8 MB.
 _BLOCK = 1 << 15
+# Directions the exhaustive pass pairs on the block's (2^5, block / 2^5)
+# transpose, whose rows are contiguous: on the block itself direction b
+# xors runs 2^b entries long, 99 us per 2^14 edges at b = 1 against 10 us
+# on the transpose.
+_TRANSPOSED = 5
 
 
 class Mapping:
@@ -228,28 +240,44 @@ class StretchReport:
 
 def _exhaustive_stats(table: np.ndarray, n: int) -> np.ndarray:
     """(n, n+1) int64 histogram of a ``TABLE_DTYPE`` table: row b counts the
-    2^(n-1) edges in direction b+1 by image distance."""
-    hist = np.zeros((n, n + 1), dtype=np.int64)
+    2^(n-1) edges in direction b+1 by image distance.  The key d + 256 d'
+    of two adjacent distance bytes counts one edge at d and one at d' in
+    cell (d', d) of the direction's grid (or (d, d') on a big-endian host),
+    so a distance's count is its row plus its column there."""
+    if n == 1:  # one edge, which no uint16 key can hold
+        hist = np.zeros((1, 2), dtype=np.int64)
+        hist[0, int(table[0] ^ table[1]).bit_count()] = 1
+        return hist
+    grid = np.zeros((n, n + 1, n + 1), dtype=np.int64)
     block = min(_BLOCK, table.size)
+    inner = block.bit_length() - 1
+    low = min(_TRANSPOSED, inner)
+    rows = np.empty((1 << low, block >> low), dtype=table.dtype)
     xor = np.empty(block, dtype=table.dtype)
     dist = np.empty(block, dtype=np.uint8)
-    inner = min(n, block.bit_length() - 1)
     half_xor, half_dist = xor[:block // 2], dist[:block // 2]
+
+    def count(b: int, dists: np.ndarray) -> None:
+        keys = np.bincount(dists.view(np.uint16), minlength=(n + 1) << 8)
+        grid[b] += keys.reshape(n + 1, 256)[:, :n + 1]
+
     for lo in range(0, table.size, block):
         blk = table[lo:lo + block]
+        rows[...] = blk.reshape(-1, 1 << low).T
         for b in range(inner):
-            paired = blk.reshape(-1, 2, 1 << b)
-            np.bitwise_xor(paired[:, 0, :], paired[:, 1, :],
-                           out=half_xor.reshape(-1, 1 << b))
+            paired = (rows.reshape(-1, 2, (block >> low) << b) if b < low
+                      else blk.reshape(-1, 2, 1 << b))
+            np.bitwise_xor(paired[:, 0], paired[:, 1],
+                           out=half_xor.reshape(len(paired), -1))
             np.bitwise_count(half_xor, out=half_dist)
-            hist[b] += np.bincount(half_dist, minlength=n + 1)
+            count(b, half_dist)
         for b in range(inner, n):
             if lo & (1 << b):
                 continue
             np.bitwise_xor(blk, table[lo + (1 << b):lo + (1 << b) + block], out=xor)
             np.bitwise_count(xor, out=dist)
-            hist[b] += np.bincount(dist, minlength=n + 1)
-    return hist
+            count(b, dist)
+    return grid.sum(axis=1) + grid.sum(axis=2)
 
 
 def _distance_sums(hist: np.ndarray) -> list[int]:

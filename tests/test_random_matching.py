@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cubemorph.random_matching import (
     recursion_curve,
     run_matching,
 )
-from cubemorph.stretch_metrics import is_mapping_between, stretch_report
+from cubemorph.stretch_metrics import _exhaustive_stats, is_mapping_between, stretch_report
 
 
 def _with_ones(n, ones):
@@ -432,6 +433,29 @@ def test_half_cube_images_repair_makes_no_table_sized_temporaries():
     for cls in (0, 1):
         (img, _), peak = _traced_peak(lambda: _half_cube_images(f_vals, n, cls))
         assert peak <= img.nbytes + (1 << n) + (1 << 20)
+
+
+def test_exhaustive_pass_makes_no_table_sized_temporaries():
+    # the pass holds a block's transpose, xors and distances, the intp copy
+    # np.bincount makes of the distance pairs, and a grid of pair counts:
+    # 0.5 MiB at n = 20
+    n = 20
+    table = build_dict_to_random_details(random_balanced(n, seed=7)).mapping.table()
+    hist, peak = _traced_peak(lambda: _exhaustive_stats(table, n))
+    assert int(hist.sum()) == n << (n - 1)
+    assert peak < table.nbytes // 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_stretch_within_displacement_bound(n, seed):
+    # on an edge xy, dist(phi x, phi y) <= dist(phi x, x) + 1 + dist(y, phi y),
+    # and each point ends n of the n 2^(n-1) edges, so avgStretch is at most
+    # 1 + 2 E[dist(x, phi x)]; the same holds for phi^-1
+    phi = build_dict_to_random_details(random_balanced(n, seed=seed)).mapping
+    for m in (phi, phi.inverse_mapping()):
+        mean_displacement = Fraction(int(displacements(m).sum()), 1 << n)
+        assert stretch_report(m).avg <= 1 + 2 * mean_displacement
 
 
 def test_dict_to_random_requires_balanced():

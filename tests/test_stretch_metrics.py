@@ -163,6 +163,31 @@ def test_exhaustive_pass_matches_per_edge_reference_at_block_size():
     _check_against_per_edge(np.random.Generator(np.random.PCG64(17)).permutation(1 << n), n)
 
 
+@pytest.mark.parametrize("block", [1 << 3, 1 << 7])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_exhaustive_pass_pairs_every_kind_of_direction(block, n, seed):
+    # blocks of 2^3 entries: directions 1..3 on the transpose, the rest across
+    # blocks; of 2^7: 1..5 on the transpose, 6 and 7 in the block, 8..12 across
+    table = np.random.Generator(np.random.PCG64(seed)).permutation(1 << n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stretch_metrics, "_BLOCK", block)
+        _check_against_per_edge(table, n)
+
+
+@pytest.mark.parametrize("block", [1 << 3, 1 << 7, 1 << 15])
+@pytest.mark.parametrize("n", [2, 6, 12])
+def test_exhaustive_pass_counts_antipodal_edges(block, n):
+    # x -> x ^ (2^n - 2) on odd x: every direction-1 edge goes to two
+    # antipodal points, so the top pair key n + 256 n is counted
+    xs = np.arange(1 << n)
+    table = xs ^ np.where(xs & 1, (1 << n) - 2, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stretch_metrics, "_BLOCK", block)
+        _check_against_per_edge(table, n)
+        assert stretch_metrics._exhaustive_stats(table.astype(np.uint32), n)[0, n] == 1 << (n - 1)
+
+
 def test_sampled_matches_exhaustive_within_3_se():
     phi = majority_to_dictator_map(9)
     exact = stretch_report(phi)
