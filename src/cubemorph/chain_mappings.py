@@ -27,8 +27,6 @@ composes the marking of 12-bit chunks from small tables, at any n up to 63.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .btk_chains import chains_of
@@ -67,44 +65,23 @@ def _dict_to_maj_array(ys: np.ndarray, n: int) -> np.ndarray:
     return image | ((r & 1).astype(image.dtype) << m)
 
 
-def _chain_evaluator(n: int, from_majority: bool,
-                     prefix: Mapping | None) -> Callable[[np.ndarray], np.ndarray]:
-    if from_majority:
-        if prefix is None:
-            return lambda xs: _maj_to_dict_array(xs, n)
-        return lambda xs: prefix.forward(_maj_to_dict_array(xs, n))
-    if prefix is None:
-        return lambda ys: _dict_to_maj_array(ys, n)
-    return lambda ys: _dict_to_maj_array(prefix.inverse(ys), n)
-
-
-class _ChainMapping(Mapping):
-    """The chain map (from_majority) or its inverse, composed with the
-    adjacent-sums map on the dictator side if to_parity.  Points, samples
-    and tables all read their tails' chains from btk_chains.chains_of."""
-
-    def __init__(self, n: int, from_majority: bool, to_parity: bool, name: str):
-        _require_odd(n)
-        self._from_majority = from_majority
-        self._to_parity = to_parity
-        prefix = prefix_xor_mapping(n) if to_parity else None
-        super().__init__(n, _chain_evaluator(n, from_majority, prefix),
-                         _chain_evaluator(n, not from_majority, prefix), name)
-
-    def inverse_mapping(self) -> Mapping:
-        return _ChainMapping(self.n, not self._from_majority, self._to_parity,
-                             f"{self.name}^-1")
-
-
 def majority_to_dictator_map(n: int) -> Mapping:
     """The chain map carrying majority to dictator, 11-Lipschitz, with its
     closed-form inverse bound."""
-    return _ChainMapping(n, True, False, "maj2dict")
+    _require_odd(n)
+    return Mapping(n, lambda xs: _maj_to_dict_array(xs, n),
+                   lambda ys: _dict_to_maj_array(ys, n), "maj2dict")
 
 
 def dictator_to_majority_map(n: int) -> Mapping:
-    return _ChainMapping(n, False, False, "dict2maj")
+    _require_odd(n)
+    return Mapping(n, lambda ys: _dict_to_maj_array(ys, n),
+                   lambda xs: _maj_to_dict_array(xs, n), "dict2maj")
 
 
 def majority_to_xor_map(n: int) -> Mapping:
-    return _ChainMapping(n, True, True, "maj2xor")
+    """The chain map followed by the adjacent-sums map on the dictator side."""
+    _require_odd(n)
+    prefix = prefix_xor_mapping(n)
+    return Mapping(n, lambda xs: prefix.forward(_maj_to_dict_array(xs, n)),
+                   lambda ys: _dict_to_maj_array(prefix.inverse(ys), n), "maj2xor")

@@ -179,7 +179,7 @@ def _suite_matching(max_n: int, trials: int, seed: int) -> list:
 
     from . import checks
     n = max(8, min(max_n, 24))
-    m = min(max_n, 16)
+    m = max(2, min(max_n, 16))
     return [partial(checks.matching_curve, n, trials, seed),
             partial(checks.injection, min(n, 16), checks.derived_seeds(seed, trials, 2 ** 31)),
             partial(checks.dict2random, m,

@@ -28,7 +28,7 @@ PARTITION_MAX_N = 24  # run time: C(24, 12) = 2,704,156 chains from a Python rec
 CHAINS_DUMP_MAX_N = 20  # run time: a full dump prints C(n, n/2) lines, 184,756 at n = 20
 LOCAL_SEARCH_MAX_N = 20  # run time: ~2.2x per unit of n, 5 s for two restarts at n = 13
 EDGE_SCAN_MAX_N = 16  # dtype: chain elements are held as uint16
-ORACLE_MAX_N = 3  # run time: at n = 4 a balanced pair has (8!)^2 = 1.6e9 bijections to search
+ORACLE_MAX_N = 3  # memory: a row per class-preserving table, 8! at n = 3, (8!)^2 = 1.6e9 for a balanced pair at n = 4
 ELIMINATION_MAX_N = 4096  # run time: n^2 XORs of 2n-bit rows, 7 s at n = 4096
 TYPICAL_MAX_N = 10 ** 6  # run time: exact sums of n-bit binomials, 15 s at n = 10^6
 
@@ -67,7 +67,7 @@ def check_n(n: int, cap: int, low: int = 1, what: str = "n", note: str = "") -> 
 class BooleanFunction:
     """A function {0,1}^n -> {0,1}, formula-backed or table-backed.
 
-    Named formulas evaluate directly from the packed point.  A table-backed
+    A named formula builds its truth table from the formula.  A table-backed
     function holds its truth table in one of two forms, or both: values(),
     2^n uint8 values of 0 or 1 indexed by packed point, and bitmap(), the
     same bits little-endian in ((2^n + 7) // 8) bytes (point x is bit x & 7
@@ -120,17 +120,6 @@ class BooleanFunction:
         return cls(n, name="xor")
 
     # -- evaluation ---------------------------------------------------
-
-    def value(self, bits: int) -> int:
-        if not 0 <= bits < (1 << self.n):
-            raise ValueError(f"point 0x{bits:x} out of range for n={self.n}")
-        if self.name == "majority":
-            return 1 if 2 * bits.bit_count() > self.n else 0
-        if self.name == "dictator":
-            return bits & 1
-        if self.name == "xor":
-            return bits.bit_count() & 1
-        return int(self.values()[bits])
 
     def values(self) -> np.ndarray:
         """Full truth table as a uint8 array of 2^n entries (a formula's is

@@ -26,17 +26,19 @@ direction's distance sum is read off its histogram row in Python ints,
 which n = 63 needs.  Validation, inversion and the law check likewise work
 on slices of a table.
 
-Also here: brute-force oracles that enumerate every class-preserving
-bijection between two functions at tiny n (the ground truth the heuristics
-and the impossibility checks compare against), a seeded transposition-
-descent heuristic, and the two counting facts about middle binomial levels
-and typical weights.
+Also here: brute-force oracles at n <= ``ORACLE_MAX_N`` (the ground truth
+the heuristics and the impossibility checks compare against), which write
+every class-preserving table between two functions as one row of an array
+and score all rows with one popcount; a seeded transposition-descent
+heuristic; and the two counting facts about middle binomial levels and
+typical weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 from typing import Callable
 
@@ -343,90 +345,48 @@ def stretch_report(phi: Mapping, mode: str = "exhaustive",
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles over all class-preserving bijections
+# brute-force oracles over every class-preserving table
 # ---------------------------------------------------------------------------
 
-def _class_lists(f: BooleanFunction, g: BooleanFunction) -> tuple[list[int], list[int], list[int]]:
+def _min_over_tables(f: BooleanFunction, g: BooleanFunction, metric: str,
+                     direction: int | None = None) -> tuple[int, np.ndarray]:
+    """The least score over every class-preserving table from f to g, and
+    the first table in ascending order that reaches it.
+
+    Every such table is one row of an array, at most 8! = 40,320 rows at
+    ``ORACLE_MAX_N``.  The rows are sorted ascending and scored at once, so
+    the first minimum np.argmin finds is the first minimal table.  metric
+    "avg" scores the sum of edge distances, "max" the largest edge
+    distance, "direction" the sum over the edges along one direction.
+    """
     n = f.n
     if g.n != n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     check_n(n, ORACLE_MAX_N)
-    f_vals = [f.value(x) for x in range(1 << n)]
-    targets0 = [x for x in range(1 << n) if g.value(x) == 0]
-    targets1 = [x for x in range(1 << n) if g.value(x) == 1]
-    if len(targets1) != sum(f_vals):
+    f_vals, g_vals = f.values(), g.values()
+    if np.count_nonzero(f_vals) != np.count_nonzero(g_vals):
         raise ValueError("class sizes differ; no mapping from f to g exists")
-    return f_vals, targets0, targets1
-
-
-def _search_bijections(f: BooleanFunction, g: BooleanFunction, metric: str,
-                       direction: int | None = None) -> tuple[int, list[int]]:
-    """DFS over all bijections from f to g, minimizing the chosen metric.
-
-    metric "avg" minimizes the sum of edge distances, "max" the largest
-    edge distance, "direction" the sum over edges along one direction.
-    Branches whose partial value plus one per undecided edge already
-    reaches the incumbent are pruned, which cannot change the optimum or
-    the first witness found in ascending assignment order.
-    """
-    n = f.n
-    f_vals, targets0, targets1 = _class_lists(f, g)
-    size = 1 << n
-    if metric == "direction":
-        lower_nbrs = [[x ^ (1 << (direction - 1))] if x & (1 << (direction - 1)) else []
-                      for x in range(size)]
-        total_edges = size // 2
-    else:
-        lower_nbrs = [[x ^ (1 << b) for b in range(n) if x & (1 << b)]
-                      for x in range(size)]
-        total_edges = n * size // 2
-    used0 = [False] * len(targets0)
-    used1 = [False] * len(targets1)
-    assign = [0] * size
-    best_value: list[int | None] = [None]
-    best_table: list[list[int] | None] = [None]
-
-    def rec(x: int, partial: int, edges_done: int) -> None:
-        if x == size:
-            if best_value[0] is None or partial < best_value[0]:
-                best_value[0] = partial
-                best_table[0] = assign[:]
-            return
-        targets, used = (targets1, used1) if f_vals[x] else (targets0, used0)
-        nbrs = lower_nbrs[x]
-        remaining = total_edges - edges_done - len(nbrs)
-        for t_idx, t in enumerate(targets):
-            if used[t_idx]:
-                continue
-            if metric == "max":
-                worst = partial
-                for y in nbrs:
-                    d = (assign[y] ^ t).bit_count()
-                    if d > worst:
-                        worst = d
-                new_partial = worst
-                bound = max(new_partial, 1)
-            else:
-                add = 0
-                for y in nbrs:
-                    add += (assign[y] ^ t).bit_count()
-                new_partial = partial + add
-                bound = new_partial + remaining
-            if best_value[0] is not None and bound >= best_value[0]:
-                continue
-            used[t_idx] = True
-            assign[x] = t
-            rec(x + 1, new_partial, edges_done + len(nbrs))
-            used[t_idx] = False
-
-    rec(0, 0, 0)
-    return best_value[0], best_table[0]
+    if direction is not None:
+        check_n(direction, n, what="direction")
+    perms = [np.array(list(permutations(np.flatnonzero(g_vals == c))), dtype=TABLE_DTYPE)
+             for c in (0, 1)]
+    tables = np.empty((len(perms[0]) * len(perms[1]), 1 << n), dtype=TABLE_DTYPE)
+    tables[:, f_vals == 0] = np.repeat(perms[0], len(perms[1]), axis=0)
+    tables[:, f_vals == 1] = np.tile(perms[1], (len(perms[0]), 1))
+    tables = tables[np.lexsort(tables.T[::-1])]
+    bits = [direction - 1] if metric == "direction" else range(n)
+    lo, hi = np.array([(x, x | 1 << b) for b in bits for x in range(1 << n)
+                       if not x >> b & 1]).T
+    dist = np.bitwise_count(tables[:, lo] ^ tables[:, hi])
+    scores = dist.max(axis=1) if metric == "max" else dist.sum(axis=1)
+    best = int(np.argmin(scores))
+    return int(scores[best]), tables[best].copy()
 
 
 def exhaustive_min_avg_stretch(f: BooleanFunction, g: BooleanFunction
                                ) -> tuple[Fraction, Mapping]:
     """Global minimum of avgStretch over all mappings from f to g, with witness."""
-    total, table = _search_bijections(f, g, "avg")
+    total, table = _min_over_tables(f, g, "avg")
     edges = f.n * (1 << (f.n - 1))
     return Fraction(total, edges), Mapping.from_table(f.n, table, name="oracle-min-avg")
 
@@ -434,14 +394,14 @@ def exhaustive_min_avg_stretch(f: BooleanFunction, g: BooleanFunction
 def exhaustive_min_max_stretch(f: BooleanFunction, g: BooleanFunction
                                ) -> tuple[int, Mapping]:
     """Global minimum of the worst edge stretch over all mappings from f to g."""
-    value, table = _search_bijections(f, g, "max")
+    value, table = _min_over_tables(f, g, "max")
     return value, Mapping.from_table(f.n, table, name="oracle-min-max")
 
 
 def exhaustive_min_directional(f: BooleanFunction, g: BooleanFunction, i: int
                                ) -> tuple[Fraction, Mapping]:
     """Global minimum of the direction-i average stretch over all mappings."""
-    total, table = _search_bijections(f, g, "direction", direction=i)
+    total, table = _min_over_tables(f, g, "direction", direction=i)
     return Fraction(total, 1 << (f.n - 1)), Mapping.from_table(
         f.n, table, name=f"oracle-min-dir{i}")
 

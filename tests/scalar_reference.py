@@ -6,6 +6,17 @@ from functools import cache
 from cubemorph.btk_chains import Signature
 
 
+def formula_value(name: str, n: int, x: int) -> int:
+    """The named formula at the packed point x of the n-cube."""
+    if name == "majority":
+        return 1 if 2 * x.bit_count() > n else 0
+    if name == "dictator":
+        return x & 1
+    if name == "xor":
+        return x.bit_count() & 1
+    raise ValueError(f"unknown formula {name!r}")
+
+
 def chain_point(sig: Signature, j: int) -> int:
     """The unique point of weight j on the chain sig, as packed bits: the
     marked bits with the top j - k gaps set."""

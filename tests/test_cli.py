@@ -374,6 +374,15 @@ def test_verify_all_suites_pass(capsys):
     assert len(out.splitlines()) >= 15
 
 
+@pytest.mark.parametrize("suite", ["matching", "all"])
+def test_verify_max_n_1_passes(capsys, suite):
+    # the matching constructions need n >= 2, so the suite clamps its n up
+    assert run_cli("verify", "--suite", suite, "--max-n", "1") == 0
+    out = capsys.readouterr().out
+    assert all(line.startswith("PASS") for line in out.splitlines())
+    assert "PASS matching.dict2random n=2" in out
+
+
 def test_workers_env_is_ignored(tmp_path, monkeypatch):
     monkeypatch.delenv("CUBEMORPH_WORKERS", raising=False)
     a = tmp_path / "a.json"

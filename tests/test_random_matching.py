@@ -196,7 +196,7 @@ def test_injection_cases():
     # mixed 10 extends into the set, mixed 11 extends into the set
     x10 = parse_point("10")
     assert int(img[x10]) in (x10, x10 + 4)
-    assert a.value(int(img[x10])) == 1
+    assert a.values()[int(img[x10])] == 1
     # unmatched rich 00 -> 00|1, unmatched poor 01 -> 01|0
     assert int(img[parse_point("00")]) == parse_point("001")
     assert int(img[parse_point("01")]) == parse_point("010")

@@ -29,24 +29,24 @@ from cubemorph.stretch_metrics import (
 )
 
 
-def naive_min_over_bijections(f, g, n, metric):
-    """Independent oracle: plain itertools enumeration, no pruning."""
-    ones_f = [x for x in range(1 << n) if f.value(x)]
-    zeros_f = [x for x in range(1 << n) if not f.value(x)]
-    ones_g = [x for x in range(1 << n) if g.value(x)]
-    zeros_g = [x for x in range(1 << n) if not g.value(x)]
+def naive_min_over_bijections(f, g, n, metric, direction=None):
+    """Independent oracle: plain itertools enumeration, no pruning.  Returns
+    the least score and the first table in ascending order that reaches it;
+    "direction" scores only the edges along that direction."""
+    f_vals, g_vals = f.values().tolist(), g.values().tolist()
+    targets = [[y for y in range(1 << n) if g_vals[y] == c] for c in (0, 1)]
+    bits = [direction - 1] if metric == "direction" else range(n)
     edges = [(x, x | (1 << b)) for x in range(1 << n)
-             for b in range(n) if not x & (1 << b)]
+             for b in bits if not x & (1 << b)]
     best = None
-    for p1 in permutations(ones_g):
-        for p0 in permutations(zeros_g):
-            t = {}
-            t.update(zip(ones_f, p1))
-            t.update(zip(zeros_f, p0))
+    for p0 in permutations(targets[0]):
+        for p1 in permutations(targets[1]):
+            images = [iter(p0), iter(p1)]
+            t = [next(images[c]) for c in f_vals]
             ds = [(t[a] ^ t[b]).bit_count() for a, b in edges]
             val = max(ds) if metric == "max" else sum(ds)
-            if best is None or val < best:
-                best = val
+            if best is None or (val, t) < best:
+                best = (val, t)
     return best
 
 
@@ -228,7 +228,7 @@ def test_oracle_xor_to_majority_ground_truth():
     assert v == XOR_TO_MAJ_MIN_AVG
     assert v > 1
     assert is_mapping_between(wit, xor3, maj3)
-    naive_total = naive_min_over_bijections(xor3, maj3, 3, "avg")
+    naive_total, _ = naive_min_over_bijections(xor3, maj3, 3, "avg")
     assert Fraction(naive_total, 12) == v
 
 
@@ -245,8 +245,51 @@ def test_oracle_dict_to_majority_min_max():
     v, wit = exhaustive_min_max_stretch(dic3, maj3)
     assert v == DICT_TO_MAJ_MIN_MAX
     assert v >= 2
-    assert naive_min_over_bijections(dic3, maj3, 3, "max") == v
+    assert naive_min_over_bijections(dic3, maj3, 3, "max")[0] == v
     assert is_mapping_between(wit, dic3, maj3)
+
+
+def _assert_oracles_match_naive(f, g):
+    n = f.n
+    oracles = [("avg", None, exhaustive_min_avg_stretch(f, g), n << (n - 1)),
+               ("max", None, exhaustive_min_max_stretch(f, g), 1)]
+    oracles += [("direction", i, exhaustive_min_directional(f, g, i), 1 << (n - 1))
+                for i in range(1, n + 1)]
+    for metric, i, (value, witness), edges in oracles:
+        total, table = naive_min_over_bijections(f, g, n, metric, i)
+        assert value == Fraction(total, edges), (metric, i)
+        assert witness.table().tolist() == table, (metric, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracles_match_naive_on_named_pairs(n):
+    named = [fn(n) for fn in (BooleanFunction.majority, BooleanFunction.dictator,
+                              BooleanFunction.xor)]
+    for f in named:
+        for g in named:
+            if f.ones_count() == g.ones_count():
+                _assert_oracles_match_naive(f, g)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)).flatmap(
+    lambda f: st.tuples(st.just(f), st.permutations(f))))
+@example(([0] * 8, [0] * 8))
+@example(([1] * 8, [1] * 8))
+@example(([1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]))
+@example(([0, 1, 1, 1, 1, 1, 1, 0], [1, 1, 0, 1, 1, 1, 0, 1]))
+def test_oracles_match_naive_on_tables(pair):
+    n = len(pair[0]).bit_length() - 1
+    f, g = (BooleanFunction(n, table=np.array(t, dtype=np.uint8)) for t in pair)
+    _assert_oracles_match_naive(f, g)
+
+
+def test_oracle_directional_refuses_directions_outside_the_cube():
+    xor3, maj3 = BooleanFunction.xor(3), BooleanFunction.majority(3)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=rf"^direction must be in 1\.\.3, got {i}$"):
+            exhaustive_min_directional(xor3, maj3, i)
 
 
 def test_oracle_class_mismatch():
