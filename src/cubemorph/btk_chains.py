@@ -76,11 +76,11 @@ def _high_bit(xs: np.ndarray) -> np.ndarray:
 
 
 def _double_masks(m: int) -> np.ndarray:
-    """_mark_mask of every m-bit tail, uint32, by prefix doubling: the masks
-    of the (b+1)-bit tails follow from those of the b-bit ones, because bit b
-    is the last symbol of the stack pass.  A top 1 stays open, so the mask is
-    unchanged; a top 0 closes the highest open 1 below it, the high bit of
-    t & ~mask.  _high_bit keeps it exact up to m = 24."""
+    """_mark_mask of every m-bit tail (m = _CHUNK, for the chunk tables),
+    uint32, by prefix doubling: the masks of the (b+1)-bit tails follow from
+    those of the b-bit ones, because bit b is the last symbol of the stack
+    pass.  A top 1 stays open, so the mask is unchanged; a top 0 closes the
+    highest open 1 below it, the high bit of t & ~mask (exact to m = 24)."""
     masks = np.zeros(1 << m, dtype=np.uint32)
     for b in range(m):
         masks[1 << b:2 << b] = masks[:1 << b]
@@ -355,7 +355,7 @@ def _scan_edges(n: int, xs: np.ndarray, bit: int, masks: np.ndarray, ks: np.ndar
     """
     ys = xs | bit
     mx, my = masks[xs], masks[ys]
-    sd = np.bitwise_count((mx ^ my) | (mx & my & np.uint64(bit)))
+    sd = np.bitwise_count((mx ^ my) | (mx & my & np.uint16(bit)))
     kx, ky = ks[xs].astype(np.int8), ks[ys].astype(np.int8)
     gap = np.abs(kx - ky)
     ex, ey = elements[:, xs], elements[:, ys]
@@ -382,7 +382,6 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     """
     check_n(n, EDGE_SCAN_MAX_N, low=0)
     size = 1 << n
-    masks = _double_masks(n)
     ks, climb = chains_of(np.arange(size, dtype=np.uint64), n)
     # elements[j] is the level-j element of each point's chain; a level
     # outside k..n-k reads the chain's nearer end and is masked out
@@ -390,6 +389,9 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     for j in range(n + 1):
         elements[j] = climb(np.clip(j - ks, 0, n - 2 * ks))
     del climb
+    # rows 0 and n are each chain's bottom and top, which differ in exactly
+    # its unmarked positions: the complement is its marks (and the bits above n)
+    masks = ~(elements[0] ^ elements[n])
     worst = (0, 0, 0, 0)
     edges = 0
     for b in range(n):

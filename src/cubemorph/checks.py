@@ -201,7 +201,7 @@ def maj2xor_composition(ns) -> Check:
         ok &= is_mapping_between(phi, BooleanFunction.majority(n), BooleanFunction.xor(n))
         worst = max(worst, stretch_report(phi).max_stretch)
     return Check(f"maj2dict.composition-to-parity odd n<={max(ns)}", ok and worst <= 22,
-                 f"law holds, max stretch {worst} <= 22")
+                 f"law {'holds' if ok else 'broken'}, max stretch {worst} <= 22")
 
 
 def tree_conditions(sizes, cross_check_max: int) -> Check:
@@ -339,7 +339,7 @@ def dict2random(n: int, seed_seqs) -> Check:
         worst_avg = max(worst_avg, trial.avg_stretch, trial.avg_stretch_inv)
     ok = law_ok and worst_frac >= 1 - 5 / n and worst_avg <= 10
     return Check(f"matching.dict2random n={n}", ok,
-                 f"law exact, min frac(dist<=2)={worst_frac:.4f}, "
+                 f"law {'exact' if law_ok else 'broken'}, min frac(dist<=2)={worst_frac:.4f}, "
                  f"max avg stretch {worst_avg:.2f} <= 10")
 
 
@@ -359,5 +359,5 @@ def rand2rand(n: int, seed_pairs) -> Check:
         worst_far = max(worst_far, float((displacements(comp) >= 4).mean()))
     ok = law_ok and worst_avg <= 20 and worst_far <= 10 / n
     return Check(f"matching.rand2rand n={n}", ok,
-                 f"law exact, avg {worst_avg:.2f} <= 20, "
+                 f"law {'exact' if law_ok else 'broken'}, avg {worst_avg:.2f} <= 20, "
                  f"frac(dist>=4)={worst_far:.4f} <= 10/n")

@@ -278,18 +278,19 @@ def cmd_search(args) -> int:
         value, witness = local_search_min_stretch(f, g, seed=args.seed,
                                                   restarts=args.restarts)
         header = f"best avg stretch = {value}"
+    if args.out is None and args.n > 4:  # too long to print, so never formatted
+        print(header)
+        print(f"witness omitted ({1 << args.n} lines); use --out FILE", file=sys.stderr)
+        return 0
     table = witness.table()
-    witness_lines = [f"{format_bits(x, args.n)} → {format_bits(int(table[x]), args.n)}"
-                     for x in range(1 << args.n)]
+    lines = "\n".join(f"{format_bits(x, args.n)} → {format_bits(int(table[x]), args.n)}"
+                      for x in range(1 << args.n))
     # the file first: a bad path then exits 2 before the header is out
     if args.out is not None:
-        _write_text(args.out, header + "\n" + "\n".join(witness_lines) + "\n")
+        _write_text(args.out, header + "\n" + lines + "\n")
     print(header)
     if args.out is None:
-        if args.n <= 4:
-            print("\n".join(witness_lines))
-        else:
-            print(f"witness omitted ({1 << args.n} lines); use --out FILE", file=sys.stderr)
+        print(lines)
     return 0
 
 

@@ -30,8 +30,9 @@ inside each word, and of b >= 6 a swap of whole words.
 
 For a balanced f the dictator-to-f bijection runs this construction once
 per class of f, with coordinates rotated so the extension coordinate is
-coordinate 1; whatever the matching could not place (an O(1/n) fraction)
-is repaired by pairing leftover sources with uncovered targets.
+coordinate 1.  It repairs what the matching could not place (an O(1/n)
+fraction) from the state alone: each unmatched poor source takes the lower
+extension of an unmatched rich point, both in ascending order.
 
 Images and tables are uint32 (``TABLE_DTYPE``).  The injection, its check,
 the rotation back, the composition and the displacements work on slices
@@ -265,7 +266,9 @@ def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
 
 def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray, int]:
     """Images for sources u = coordinates 2..n of the cls half, plus the
-    count of repaired sources (= the unmatched poor of that half)."""
+    count of repaired sources: the unmatched poor, whose image x|0 leaves
+    the class, each take the lower extension of an unmatched rich point (a
+    target no image reaches), both in ascending order."""
     # f^{-1}(cls) with coordinates rotated one step left: coordinate 1 of the
     # cube becomes the top coordinate, the one the matching extends
     rotated = np.concatenate([f_vals[0::2], f_vals[1::2]])
@@ -273,27 +276,18 @@ def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray,
     state = run_matching(BooleanFunction(n, table=rotated))
     del rotated  # the state holds the set as bitsets
     img = build_injection(state)
-    del state
-    # rotate each image back, in place, and mark the targets of the ones
-    # that land in the class
+    placed = state.low | state.high  # with the matched poor: all but the unmatched poor
+    for plane in state.round_planes:
+        placed |= plane
+    poor = np.flatnonzero(_unpack(~placed, img.size))
+    img[poor] = np.flatnonzero(_unpack(state.rich_unmatched, img.size))
+    del state, placed
+    # rotate each image back, in place; rich x|0 becomes 2x, still ascending
     mask = (1 << n) - 1
-    taken = np.zeros(1 << n, dtype=bool)
     for lo, hi in slices(img.size):
         part = img[lo:hi]
         part[:] = ((part << 1) & mask) | (part >> (n - 1))
-        taken[part[f_vals[part] == cls]] = True
-    # every taken target is in the class, so this leaves its untaken ones;
-    # they go, ascending, to the sources whose image left the class
-    for lo, hi in slices(taken.size):
-        taken[lo:hi] ^= f_vals[lo:hi] == cls
-    free = np.flatnonzero(taken)
-    repaired = 0
-    for lo, hi in slices(img.size):
-        part = img[lo:hi]
-        bad = np.flatnonzero(f_vals[part] != cls)
-        part[bad] = free[repaired:repaired + bad.size]
-        repaired += bad.size
-    return img, repaired
+    return img, poor.size
 
 
 @dataclass(frozen=True)

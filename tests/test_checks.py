@@ -1,9 +1,13 @@
 """Each check of the catalogue can fail: an empty coverage never passes, and
 a corrupted construction turns the verdict to ok=False."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from cubemorph import checks
+from cubemorph.cube_core import BooleanFunction
 from cubemorph.stretch_metrics import Mapping
 
 EMPTY_COVERAGE = {
@@ -45,6 +49,56 @@ def test_maj2dict_bijection_fails_on_a_broken_law(monkeypatch):
 
     monkeypatch.setattr(checks, "majority_to_dictator_map", swapped)
     assert not checks.maj2dict_bijection([3, 5]).ok
+
+
+def _swap_classes(mapping, f_vals):
+    """The mapping with the images of f's first class-0 and first class-1
+    points traded: still a permutation, but the law breaks at both."""
+    t = mapping.table().copy()
+    pair = [int(np.argmin(f_vals)), int(np.argmax(f_vals))]
+    t[pair] = t[pair[::-1]]
+    return Mapping.from_table(mapping.n, t, name=mapping.name)
+
+
+def test_maj2xor_composition_fails_on_a_broken_law(monkeypatch):
+    assert checks.maj2xor_composition([3, 5]).ok
+    real = checks.majority_to_xor_map
+    monkeypatch.setattr(checks, "majority_to_xor_map", lambda n: _swap_classes(
+        real(n), BooleanFunction.majority(n).values()))
+    result = checks.maj2xor_composition([3, 5])
+    assert not result.ok
+    assert result.detail.startswith("law broken,")
+
+
+def test_dict2random_fails_on_a_broken_law(monkeypatch):
+    # with the repair wrong the table can still be a permutation, so only
+    # the law check tells
+    seeds = [1, 2]
+    result = checks.dict2random(10, seeds)
+    assert result.ok and result.detail.startswith("law exact,")
+    real = checks.dict_to_random_trial
+
+    def swapped(n, seed):
+        trial = real(n, seed)
+        mapping = _swap_classes(trial.details.mapping, BooleanFunction.dictator(n).values())
+        return replace(trial, details=replace(trial.details, mapping=mapping))
+
+    monkeypatch.setattr(checks, "dict_to_random_trial", swapped)
+    result = checks.dict2random(10, seeds)
+    assert not result.ok
+    assert result.detail.startswith("law broken,")
+
+
+def test_rand2rand_fails_on_a_broken_law(monkeypatch):
+    pairs = [(1, 2), (3, 4)]
+    result = checks.rand2rand(10, pairs)
+    assert result.ok and result.detail.startswith("law exact,")
+    real = checks.build_random_to_random
+    monkeypatch.setattr(checks, "build_random_to_random",
+                        lambda f, g: _swap_classes(real(f, g), f.values()))
+    result = checks.rand2rand(10, pairs)
+    assert not result.ok
+    assert result.detail.startswith("law broken,")
 
 
 def test_partition_tiles_fails_when_the_tiling_check_raises(monkeypatch):

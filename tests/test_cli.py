@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cubemorph import checks, cli, random_matching
+from cubemorph import checks, cli, cube_core, random_matching
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -286,6 +286,26 @@ def test_search_exhaustive_golden(capsys):
     assert out[0] == "min avg stretch = 3/2"
     assert len(out) == 1 + 8
     assert all("→" in line for line in out[1:])
+
+
+def test_search_beyond_n4_prints_the_header_only(capsys, monkeypatch, tmp_path):
+    argv = ("search", "--from", "xor", "--to", "maj", "--n", "5", "--mode", "local",
+            "--seed", "1")
+    out = tmp_path / "witness.txt"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    header = capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert header == lines[0] + "\n" and len(lines) == 1 + 32
+    # without --out the 2^n witness lines are not even formatted
+
+    def refuse(*args):
+        raise AssertionError("a witness line was formatted")
+
+    monkeypatch.setattr(cube_core, "format_bits", refuse)
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == header
+    assert captured.err == "witness omitted (32 lines); use --out FILE\n"
 
 
 def test_search_min_max_metric(capsys):

@@ -425,14 +425,55 @@ def test_matching_reads_the_set_bitmap_in_place():
 
 
 def test_half_cube_images_repair_makes_no_table_sized_temporaries():
-    # at n = 20 the class indicator, a bool mask of the 2^19 sources and one
-    # of the 2^20 targets are 1, 0.5 and 1 MiB; beside its image and the
-    # 2^n-byte bitmap of taken targets only slices and bitsets may be held
+    # at n = 20 the rotated class indicator is 1 MiB; the repair unpacks
+    # a bitset of the 2^19 sources (0.5 MiB) and lists the unmatched poor
+    # and rich points as int64 indices (about 0.3 MiB each); beside its
+    # image only these, slices and bitsets may be held
     n = 20
     f_vals = random_balanced(n, seed=7).values()
     for cls in (0, 1):
         (img, _), peak = _traced_peak(lambda: _half_cube_images(f_vals, n, cls))
         assert peak <= img.nbytes + (1 << n) + (1 << 20)
+
+
+def _generic_repair(f_vals, n, cls):
+    """The cls half's images repaired without the matching state: mark the
+    targets in the class that the rotated-back injection takes, and give the
+    free ones, ascending, to the sources whose image left the class, also
+    ascending.  Returns the images, those sources and the state."""
+    rotated = np.concatenate([f_vals[0::2], f_vals[1::2]]) ^ (1 - cls)
+    state = run_matching(BooleanFunction(n, table=rotated))
+    img = build_injection(state).astype(np.int64)
+    img = ((img << 1) & ((1 << n) - 1)) | (img >> (n - 1))
+    inside = f_vals[img] == cls
+    taken = np.zeros(1 << n, dtype=bool)
+    taken[img[inside]] = True
+    left = np.flatnonzero(~inside)
+    img[left] = np.flatnonzero(~taken & (f_vals == cls))
+    return img, left, state
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 32), st.sampled_from([0, 1]))
+@example(6, 1, 0)  # the half-cube is one padded word
+@example(7, 2, 1)  # the half-cube is one whole word
+def test_half_cube_images_match_the_generic_repair(n, seed, cls):
+    f_vals = random_balanced(n, seed).values()
+    want, left, state = _generic_repair(f_vals, n, cls)
+    img, repaired = _half_cube_images(f_vals, n, cls)
+    assert img.tolist() == want.tolist()
+    assert repaired == left.size
+    # what the repair rests on: the sources that leave the class are the
+    # unmatched poor, and each takes 2x, the rotated-back lower extension
+    # of an unmatched rich x, both ascending
+    half = state.size
+    low, high = _bits(state.low, half), _bits(state.high, half)
+    matched = {x for i in range(1, state.rounds + 1)
+               for x, m in enumerate(_bits(_matched_in_round(state, i), half)) if m}
+    assert left.tolist() == [x for x in range(half)
+                             if not low[x] and not high[x] and x not in matched]
+    rich = [x for x, r in enumerate(_bits(state.rich_unmatched, half)) if r]
+    assert img[left].tolist() == [2 * x for x in rich]
 
 
 def test_exhaustive_pass_makes_no_table_sized_temporaries():
