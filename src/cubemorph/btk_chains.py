@@ -23,12 +23,13 @@ A chain is read two ways.  One point goes through the stack pass
 parenthesis matching, so it composes chunk by chunk, and per-chunk tables
 of 2^12 rows give each point's minimum level and its chain's point at any
 level, for tails of up to 64 bits.  Chain-map tables and the edge scan read
-their chains from chains_of too, the edge scan over every point of the
-cube at once.  Per edge it reads only the level pairs that can set a
-maximum: for the cross excess one pair per level, the level itself clamped
-to each chain, and for the Hausdorff distance the diagonals within
-_HAUSDORFF_BAND levels of each other, with every pair read again only for
-a block whose banded maximum could hide a nearer point.
+their chains from chains_of too, the edge scan as one row of chain points
+per level over the whole cube.  It scans one direction at a time, from the
+rows of the edges' two ends alone, and per edge reads only the level pairs
+that can set a maximum: for the cross excess one pair per level, and for
+the Hausdorff distance the diagonals within _HAUSDORFF_BAND levels of each
+other, with every pair read again only for a direction whose banded
+maximum could hide a nearer point.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ from .cube_core import EDGE_SCAN_MAX_N, PARTITION_MAX_N, check_n, format_bits
 
 GAP = "_"
 
-_EDGE_BLOCK = 2048  # edges per block of the edge scan
 # Level offsets |j' - j| the edge scan's Hausdorff pass reads before it
 # falls back to every pair of levels.  Up to n = 16 every edge's Hausdorff
-# distance is at most 3 = band + 1, so no block falls back; a band of 3
-# reads two more diagonals for nothing (0.10 against 0.08 s for n <= 14).
+# distance is at most 3 = band + 1, so no direction falls back; a band of 3
+# reads two more diagonals for nothing (0.07 against 0.06 CPU s for n <= 14).
 _HAUSDORFF_BAND = 2
 # Bits per chunk of chains_of: its tables take 2^12 * 13 uint16 entries,
 # 106 KB, held for the life of the process.
@@ -330,41 +330,42 @@ def _hausdorff(ex: np.ndarray, ey: np.ndarray, near_x: np.ndarray, near_y: np.nd
     return max(int(near_x.max(initial=0)), int(near_y.max(initial=0)))
 
 
-def _scan_edges(n: int, xs: np.ndarray, bit: int, masks: np.ndarray, ks: np.ndarray,
-                elements: np.ndarray) -> tuple[int, int, int, int]:
-    """adjacent_chain_scan's four maxima over the edges (x, x | bit), x in xs.
+def _scan_edges(n: int, ex: np.ndarray, ey: np.ndarray, bit: int) -> tuple[int, int, int, int]:
+    """adjacent_chain_scan's four maxima over the edges whose two ends have
+    the elements rows ex and ey (row j along axis 0), the ends y = x | bit.
 
-    Let c_j and c'_j' be the points at levels j and j' of the chains of x and
-    y, and I(j, j') = |c_j & c'_j'|.  Then dist(c_j, c'_j') - |j - j'| is
-    2 * (min(j, j') - I(j, j')), and I never falls as either level rises,
-    because each chain's points are nested.  So for min(j, j') = j the
-    excess is largest at the lowest j' on y's chain, max(j, k'), and
-    likewise with the ends swapped.  elements clamps a level to its chain's
-    range, so row j of the two ends holds exactly that pair for every j in
-    min(k, k')..n - max(k, k'): the cross excess is the largest of
-    2 * (j - popcount(E[j, x] & E[j, y])) over those rows.  Rows below them
-    repeat row min(k, k')'s points with a smaller j, and rows above them
-    read with j held at n - max(k, k') meet at least that row's overlap, so
-    neither can set the maximum and no row is masked.
+    Every fact is read off the rows.  A row is its chain's point at level j
+    clamped to the chain, so its popcount is the clamped level: row 0's is
+    k, the rows on the chain are those whose popcount is j, and rows 0 and
+    n, the chain's bottom and top, differ in exactly its unmarked positions,
+    so ~(row 0 ^ row n) holds its marks (and the bits above n).
+
+    Let c_j and c'_j' be the points at levels j and j' of the two chains.
+    Then dist(c_j, c'_j') - |j - j'| is 2 * (min(j, j') - |c_j & c'_j'|),
+    and the overlap never falls as either level rises, because each chain's
+    points are nested.  So for min(j, j') = j the excess is largest at the
+    lowest j' on y's chain, max(j, k'), and likewise with the ends swapped.
+    Row j of the two ends holds exactly that pair for every j in
+    min(k, k')..n - max(k, k'), a level below a chain reading its bottom.
+    Every row pair is a pair of chain points c and c', whose excess is
+    2 * (min(|c|, |c'|) - |c & c'|), so the largest of these over all rows
+    is the cross excess and no row is masked.
 
     The Hausdorff distance reads the diagonals |j' - j| <= _HAUSDORFF_BAND.
     Since dist(c_j, c'_j') >= |j - j'|, a pair off the band is at least
     _HAUSDORFF_BAND + 1 apart, so the banded minima are exact whenever the
-    block's maximum is at most that; otherwise the block is read again at
-    full width.
+    maximum is at most that; otherwise the rows are read again at full
+    width.
     """
-    ys = xs | bit
-    mx, my = masks[xs], masks[ys]
+    ex, ey = ex.reshape(n + 1, -1), ey.reshape(n + 1, -1)  # copies strided views
+    mx, my = ~(ex[0] ^ ex[n]), ~(ey[0] ^ ey[n])
     sd = np.bitwise_count((mx ^ my) | (mx & my & np.uint16(bit)))
-    kx, ky = ks[xs].astype(np.int8), ks[ys].astype(np.int8)
-    gap = np.abs(kx - ky)
-    ex, ey = elements[:, xs], elements[:, ys]
-    levels = np.arange(n + 1, dtype=np.int8)[:, None]
-    excess = np.minimum(levels, n - np.maximum(kx, ky)) - np.bitwise_count(ex & ey).astype(np.int8)
-    # a level lies on a chain of minimum level k iff |2j - n| <= n - 2k
-    reach = np.abs(2 * levels - n)
+    wx, wy = np.bitwise_count(ex), np.bitwise_count(ey)
+    gap = np.abs(wx[0].astype(np.int8) - wy[0].astype(np.int8))
+    excess = np.minimum(wx, wy) - np.bitwise_count(ex & ey)  # halved
+    levels = np.arange(n + 1, dtype=np.uint8)[:, None]
     far = np.uint8(n + 1)
-    near_x, near_y = (reach <= n - 2 * kx) * far, (reach <= n - 2 * ky) * far
+    near_x, near_y = (wx == levels) * far, (wy == levels) * far
     haus = _hausdorff(ex, ey, near_x, near_y, _HAUSDORFF_BAND)
     if haus > _HAUSDORFF_BAND + 1:
         haus = _hausdorff(ex, ey, near_x, near_y, n)
@@ -378,30 +379,23 @@ def adjacent_chain_scan(n: int) -> EdgeScanResult:
     |k - k'| between chain minimum levels, the worst excess of
     dist(c_j, c'_j') over |j - j'| across all element pairs, and the
     Hausdorff distance between the two chains.  The edges of one direction
-    are scanned a block at a time.
+    are scanned at once.
     """
     check_n(n, EDGE_SCAN_MAX_N, low=0)
     size = 1 << n
     ks, climb = chains_of(np.arange(size, dtype=np.uint64), n)
     # elements[j] is the level-j element of each point's chain; a level
-    # outside k..n-k reads the chain's nearer end and is masked out
+    # outside k..n-k reads the chain's nearer end
     elements = np.empty((n + 1, size), dtype=np.uint16)
     for j in range(n + 1):
         elements[j] = climb(np.clip(j - ks, 0, n - 2 * ks))
-    del climb
-    # rows 0 and n are each chain's bottom and top, which differ in exactly
-    # its unmarked positions: the complement is its marks (and the bits above n)
-    masks = ~(elements[0] ^ elements[n])
+    del ks, climb
     worst = (0, 0, 0, 0)
-    edges = 0
     for b in range(n):
-        for lo in range(0, size // 2, _EDGE_BLOCK):
-            # the points with bit b clear, numbered lo, lo + 1, ...
-            t = np.arange(lo, min(lo + _EDGE_BLOCK, size // 2))
-            xs = ((t >> b) << (b + 1)) | (t & ((1 << b) - 1))
-            edges += xs.size
-            worst = tuple(map(max, worst, _scan_edges(n, xs, 1 << b, masks, ks, elements)))
-    return EdgeScanResult(n, edges, *worst)
+        # the points with bit b clear, and the same points with it set
+        halves = elements.reshape(n + 1, -1, 2, 1 << b)
+        worst = tuple(map(max, worst, _scan_edges(n, halves[:, :, 0], halves[:, :, 1], 1 << b)))
+    return EdgeScanResult(n, n * size // 2, *worst)
 
 
 def partition_covers_cube(n: int) -> tuple[int, int]:

@@ -124,15 +124,17 @@ def partition_tiles(ns) -> Check:
 def edge_facts(max_n: int) -> Check:
     """Across every cube edge, the chain-distance quantities stay small."""
     worst = (0, 0, 0, 0)
+    edges = 0
     for n in _coverage(range(1, max_n + 1), "n"):
         r = adjacent_chain_scan(n)
+        edges += r.edges
         worst = tuple(max(a, b) for a, b in zip(worst, (
             r.max_signature_distance, r.max_level_gap, r.max_cross_excess,
             r.max_hausdorff)))
     ok = worst[0] <= 3 and worst[1] <= 1 and worst[2] <= 6 and worst[3] <= 7
     return Check(f"btk.edge-facts n<={max_n}", ok,
                  f"sig<={worst[0]} level-gap<={worst[1]} "
-                 f"cross-excess<={worst[2]} hausdorff<={worst[3]}")
+                 f"cross-excess<={worst[2]} hausdorff<={worst[3]} over {edges} edges")
 
 
 def order_invariance(seed: int) -> Check:
@@ -208,10 +210,13 @@ def tree_conditions(sizes, cross_check_max: int) -> Check:
     """The binary tree matrix meets the five conditions at every size, checked
     against Gaussian elimination up to cross_check_max."""
     sizes = sorted(set(_coverage(sizes, "sizes")))
-    ok = all(verify_conditions(build_tree_matrix(n, 2), cross_check=n <= cross_check_max)
-             .all_pass for n in sizes)
+    reports = [verify_conditions(build_tree_matrix(n, 2), cross_check=n <= cross_check_max)
+               for n in sizes]
+    ok = all(r.all_pass for r in reports)
     return Check(f"tree.conditions grid to {_power_text(sizes[-1])}", ok,
-                 f"{len(sizes)} sizes, elimination cross-check to {cross_check_max}")
+                 f"{len(sizes)} sizes, elimination cross-check to {cross_check_max}, "
+                 f"inverse column weight {reports[-1].max_inverse_col_weight} "
+                 f"at {_power_text(sizes[-1])}")
 
 
 def _column_report_is_exact(phi: LinearMap) -> bool:

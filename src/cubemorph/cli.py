@@ -286,11 +286,9 @@ def cmd_search(args) -> int:
     lines = "\n".join(f"{format_bits(x, args.n)} → {format_bits(int(table[x]), args.n)}"
                       for x in range(1 << args.n))
     # the file first: a bad path then exits 2 before the header is out
-    if args.out is not None:
-        _write_text(args.out, header + "\n" + lines + "\n")
-    print(header)
-    if args.out is None:
-        print(lines)
+    _write_text(args.out, header + "\n" + lines + "\n")
+    if args.out not in (None, "-"):
+        print(header)
     return 0
 
 

@@ -282,8 +282,22 @@ def test_adjacent_chain_scan_pinned():
         adjacent_chain_scan(EDGE_SCAN_MAX_N + 1)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_element_rows_carry_the_scan_facts(n):
+    # the rows the edge scan builds, and the per-point facts it reads off them
+    points = np.arange(1 << n, dtype=np.uint64)
+    k, climb = chains_of(points, n)
+    rows = np.stack([climb(np.clip(j - k, 0, n - 2 * k)) for j in range(n + 1)])
+    weights = np.bitwise_count(rows).astype(np.int64)
+    assert np.array_equal(weights[0], k)
+    marks = ~(rows[0] ^ rows[n]) & np.uint64((1 << n) - 1)
+    assert marks.tolist() == [_mark_mask(x, n) for x in range(1 << n)]
+    levels = np.arange(n + 1)[:, None]
+    assert np.array_equal(weights == levels, (k <= levels) & (levels <= n - k))
+
+
 def test_edge_scan_full_width_retry(monkeypatch):
-    # with no band, a block is read again at every pair of levels whenever
+    # with no band, a direction is read again at every pair of levels whenever
     # its diagonal alone leaves a Hausdorff distance above 1
     banded = [adjacent_chain_scan(n) for n in (15, EDGE_SCAN_MAX_N)]
     bands = []

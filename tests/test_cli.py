@@ -308,6 +308,17 @@ def test_search_beyond_n4_prints_the_header_only(capsys, monkeypatch, tmp_path):
     assert captured.err == "witness omitted (32 lines); use --out FILE\n"
 
 
+def test_search_out_dash_prints_the_file_once(capsys, tmp_path):
+    argv = ("search", "--from", "xor", "--to", "maj", "--n", "3", "--mode", "exhaustive")
+    out = tmp_path / "witness.txt"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", "-") == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text(encoding="utf-8")
+    assert printed.count("min avg stretch = 3/2") == 1 and len(printed.splitlines()) == 1 + 8
+
+
 def test_search_min_max_metric(capsys):
     assert run_cli("search", "--from", "dict", "--to", "maj", "--n", "3",
                    "--mode", "exhaustive", "--metric", "max") == 0
