@@ -199,8 +199,7 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     from .checks import Check
-    for flag, value, low in (("--max-n", args.max_n, 1), ("--trials", args.trials, 1),
-                             ("--seed", args.seed, 0)):
+    for flag, value, low in (("--max-n", args.max_n, 1), ("--trials", args.trials, 1)):
         if value < low:
             raise UsageError(f"{flag} must be at least {low}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -362,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # one rule for every command's seed
+            raise UsageError("--seed must be at least 0")
         return args.func(args)
     except (UsageError, ValueError) as e:
         # library preconditions (caps, parity, dimensions) reached through

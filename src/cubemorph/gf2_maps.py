@@ -8,10 +8,10 @@ weight and the rest even, so the map is 2-Lipschitz and sends the dictator
 function to parity.  Its inverse is the descendant-indicator matrix, whose
 column j is the ancestor chain of j, so the inverse is (height+1)-Lipschitz.
 
-The parent array is the one form of the tree: the matrix's entries, the
-structural inverse check and the inverse map's columns all derive from it.
-A SparseGF2Matrix holds its nonzero entries as two sorted index arrays,
-and its weights, bitmaps and text form derive from those.
+The parent array is the one form of the tree: the tree map's columns and
+its inverse's, the matrix's entries and the structural inverse check all
+derive from it.  A SparseGF2Matrix holds its nonzero entries as two sorted
+index arrays, and its weights, row bitmaps and text form derive from those.
 
 Also here: the adjacent-sums map (x1+x2, x2+x3, ..., xn) and the
 parity-head map (XOR(x), x2, ..., xn), the two textbook bijections from
@@ -20,8 +20,8 @@ dictator to parity.
 All three are LinearMaps: the column masks of the map and of its inverse
 give the two array evaluators, and through them points and the whole
 table.  The column weights alone give the exact stretch report, at any
-n up to 63.  Sparse matrices stay for the condition checks, which run to
-n = 2^16.
+n up to 63.  Sparse matrices stay for the condition measurements, which
+run to n = 2^16; the bounds they are held to live in ``checks``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cube_core import ELIMINATION_MAX_N, FORMULA_MAX_N, check_n
-from .stretch_metrics import Mapping
+from .stretch_metrics import Mapping, _inverse_name
 
 _CHUNK_BITS = 8
 
@@ -41,12 +41,16 @@ _CHUNK_BITS = 8
 # sparse matrices
 # ---------------------------------------------------------------------------
 
-def _or_bits(n: int, at: np.ndarray, bit: np.ndarray) -> list[int]:
-    """n int bitmaps; entry k sets bit bit[k]-1 of bitmap at[k]-1."""
-    masks = [0] * n
-    for i, b in zip(at.tolist(), bit.tolist()):
-        masks[i - 1] |= 1 << (b - 1)
-    return masks
+def _tree_parent(n: int, arity: int) -> np.ndarray:
+    """parent[j] of each vertex j of the level-order arity-ary tree on n
+    vertices; 0 at the root and at the unused index 0."""
+    if n < 1:
+        raise ValueError("tree needs at least one vertex")
+    if arity < 2:
+        raise ValueError("arity must be at least 2")
+    parent = (np.arange(n + 1) - 2) // arity + 1
+    parent[:2] = 0
+    return parent
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,15 +59,13 @@ class SparseGF2Matrix:
     1-based and sorted by row, then column.
 
     A matrix built from a tree also carries the tree: parent[j] is the
-    parent of vertex j, 0 at the root and at the unused index 0.  arity
-    sets the row-weight bound arity + 1 that verify_conditions applies.
+    parent of vertex j, 0 at the root and at the unused index 0.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     parent: np.ndarray | None = None
-    arity: int = 2
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64)
@@ -86,12 +88,11 @@ class SparseGF2Matrix:
         return np.bincount(self.cols, minlength=self.n + 1)[1:]
 
     def row_masks(self) -> list[int]:
-        """Rows as int bitmaps; column j is bit j-1."""
-        return _or_bits(self.n, self.rows, self.cols)
-
-    def col_masks(self) -> list[int]:
-        """Columns as int bitmaps indexed 0..n-1; row i is bit i-1."""
-        return _or_bits(self.n, self.cols, self.rows)
+        """Rows as int bitmaps indexed 0..n-1; column j is bit j-1."""
+        masks = [0] * self.n
+        for i, j in zip(self.rows.tolist(), self.cols.tolist()):
+            masks[i - 1] |= 1 << (j - 1)
+        return masks
 
     def to_text(self) -> str:
         """One line per row: the row's column indices, space separated."""
@@ -103,23 +104,18 @@ class SparseGF2Matrix:
 
 def build_tree_matrix(n: int, arity: int = 2) -> SparseGF2Matrix:
     """I + parent-to-child adjacency of the level-order arity-ary tree."""
-    if n < 1:
-        raise ValueError("tree needs at least one vertex")
-    if arity < 2:
-        raise ValueError("arity must be at least 2")
-    parent = (np.arange(n + 1) - 2) // arity + 1
-    parent[:2] = 0
+    parent = _tree_parent(n, arity)
     vertices = np.arange(1, n + 1)
     # The diagonal entries come first and children follow their parent in
     # level order, so a stable sort by row leaves each row's columns sorted.
     rows = np.concatenate([vertices, parent[2:]])
     cols = np.concatenate([vertices, vertices[1:]])
     order = np.argsort(rows, kind="stable")
-    return SparseGF2Matrix(n, rows[order], cols[order], parent, arity)
+    return SparseGF2Matrix(n, rows[order], cols[order], parent)
 
 
 # ---------------------------------------------------------------------------
-# condition verification
+# condition measurements
 # ---------------------------------------------------------------------------
 
 def gf2_inverse_rows(rows: list[int], n: int) -> list[int] | None:
@@ -177,28 +173,18 @@ def _tree_inverse_consistent(a: SparseGF2Matrix, parent: np.ndarray) -> int | No
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Measured weights plus the five pass/fail verdicts for a linear map."""
+    """The weights the tree-map conditions judge (the bounds are in checks):
+    parity_ok is column 1 odd and every other column even, the pattern that
+    sends dictator to parity; max_inverse_col_weight is None when singular."""
 
-    n: int
-    arity: int
-    invertible: bool
-    parity_ok: bool
     max_row_weight: int
     max_col_weight: int
+    parity_ok: bool
     max_inverse_col_weight: int | None
-    row_weight_ok: bool
-    col_weight_ok: bool
-    inverse_weight_ok: bool
-    method: str
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.invertible and self.parity_ok and self.row_weight_ok
-                and self.col_weight_ok and self.inverse_weight_ok)
 
 
 def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> ConditionReport:
-    """Measure a matrix against the five tree-map conditions.
+    """Measure the weights of a matrix and of its inverse.
 
     Invertibility and inverse column weights come from Gaussian elimination
     for generic matrices; matrices built from a tree use the explicit
@@ -221,24 +207,12 @@ def verify_conditions(a: SparseGF2Matrix, cross_check: bool = False) -> Conditio
         elif elim_w != inv_col_w:  # None on either side: not invertible
             raise AssertionError(f"inverse column weight: structural {inv_col_w} "
                                  f"vs elimination {elim_w}")
-
-    max_row_w = int(a.row_weights().max())
     col_w = a.col_weights()
-    parity_ok = bool(col_w[0] % 2 == 1 and not (col_w[1:] % 2).any())
-    max_col_w = int(col_w.max())
-    log_bound = max(n, 1).bit_length()  # floor(log2 n) + 1 for n >= 1
     return ConditionReport(
-        n=n,
-        arity=a.arity,
-        invertible=inv_col_w is not None,
-        parity_ok=parity_ok,
-        max_row_weight=max_row_w,
-        max_col_weight=max_col_w,
+        max_row_weight=int(a.row_weights().max()),
+        max_col_weight=int(col_w.max()),
+        parity_ok=bool(col_w[0] % 2 == 1 and not (col_w[1:] % 2).any()),
         max_inverse_col_weight=inv_col_w,
-        row_weight_ok=max_row_w <= a.arity + 1,
-        col_weight_ok=max_col_w <= 2,
-        inverse_weight_ok=inv_col_w is not None and inv_col_w <= log_bound,
-        method=("both" if cross_check else "structural") if structural else "elimination",
     )
 
 
@@ -299,19 +273,19 @@ class LinearMap(Mapping):
         return hist
 
     def inverse_mapping(self) -> "LinearMap":
-        return LinearMap(self.n, self.inverse_cols, self.cols,
-                         name=f"{self.name}^-1" if self.name else "")
+        return LinearMap(self.n, self.inverse_cols, self.cols, _inverse_name(self.name))
 
 
 def tree_mapping(n: int, arity: int = 2) -> LinearMap:
-    """The tree map; its inverse's column j is the ancestor chain of j."""
+    """The tree map: column j is e_j + e_parent(j), and its inverse's column
+    j the ancestor chain of j."""
     check_n(n, FORMULA_MAX_N)
-    a = build_tree_matrix(n, arity)
+    cols = []
     chains = [0] * (n + 1)  # parents precede their children in level order
-    for j, p in enumerate(a.parent.tolist()[1:], start=1):
+    for j, p in enumerate(_tree_parent(n, arity).tolist()[1:], start=1):
+        cols.append(1 << (j - 1) | 1 << p >> 1)  # no bit for the root's p = 0
         chains[j] = 1 << (j - 1) | chains[p]
-    return LinearMap(n, a.col_masks(), chains[1:],
-                     name=f"tree{arity}" if arity != 2 else "tree")
+    return LinearMap(n, cols, chains[1:], name=f"tree{arity}" if arity != 2 else "tree")
 
 
 def prefix_xor_mapping(n: int) -> LinearMap:

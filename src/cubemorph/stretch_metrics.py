@@ -592,11 +592,3 @@ def _middle_binomial_squares(limit: int):
     for n in range(1, limit + 1):
         yield c2
         c2 = c2 * (n + 1) ** 2 // (n // 2 + 1) ** 2
-
-
-def middle_binomial_check_range(limit: int) -> bool:
-    """True iff C(n, floor(n/2)) < 2^n / sqrt(n) for every n in 1..limit,
-    compared exactly as C(n, floor(n/2))^2 n < 2^(2n), that is, as a bit
-    length of at most 2n."""
-    return all((c2 * n).bit_length() <= 2 * n
-               for n, c2 in enumerate(_middle_binomial_squares(limit), start=1))

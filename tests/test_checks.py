@@ -2,11 +2,13 @@
 a corrupted construction turns the verdict to ok=False."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cubemorph import checks
+from cubemorph.chain_mappings import majority_to_dictator_map
 from cubemorph.cube_core import BooleanFunction
 from cubemorph.stretch_metrics import Mapping
 
@@ -37,18 +39,23 @@ def test_empty_coverage_never_passes(call):
     assert not result.ok
 
 
+def _swapped_maj2dict(n):
+    # 0 and 1...1 have different majority, so their images trade dictator values
+    t = majority_to_dictator_map(n).table().copy()
+    t[[0, -1]] = t[[-1, 0]]
+    return Mapping.from_table(n, t, name="maj2dict")
+
+
 def test_maj2dict_bijection_fails_on_a_broken_law(monkeypatch):
     assert checks.maj2dict_bijection([3, 5]).ok
-    real = checks.majority_to_dictator_map
-
-    def swapped(n):
-        # 0 and 1...1 have different majority, so their images trade dictator values
-        t = real(n).table().copy()
-        t[[0, -1]] = t[[-1, 0]]
-        return Mapping.from_table(n, t, name="maj2dict")
-
-    monkeypatch.setattr(checks, "majority_to_dictator_map", swapped)
+    monkeypatch.setattr(checks, "majority_to_dictator_map", _swapped_maj2dict)
     assert not checks.maj2dict_bijection([3, 5]).ok
+
+
+def test_maj2dict_block_fails_on_a_moved_image(monkeypatch):
+    assert checks.maj2dict_block().ok
+    monkeypatch.setattr(checks, "majority_to_dictator_map", _swapped_maj2dict)
+    assert not checks.maj2dict_block().ok
 
 
 def _swap_classes(mapping, f_vals):
@@ -146,3 +153,118 @@ def test_tree_exhaustive_fails_on_a_wrong_column_report(monkeypatch):
 
     monkeypatch.setattr(checks.LinearMap, "_exhaustive_histogram", shifted)
     assert not checks.tree_exhaustive(5).ok
+
+
+# Each case below pushes the one measurement a check reads just past the
+# check's bound and leaves everything else as measured.
+
+@pytest.mark.parametrize("field,value", [("max_signature_distance", 4), ("max_level_gap", 2),
+                                         ("max_cross_excess", 7), ("max_hausdorff", 8)])
+def test_edge_facts_fails_past_each_bound(monkeypatch, field, value):
+    assert checks.edge_facts(4).ok
+    real = checks.adjacent_chain_scan
+    monkeypatch.setattr(checks, "adjacent_chain_scan",
+                        lambda n: replace(real(n), **{field: value}))
+    assert not checks.edge_facts(4).ok
+
+
+def test_order_invariance_fails_on_an_order_dependent_signature(monkeypatch):
+    assert checks.order_invariance(1).ok
+    real = checks.signature
+    monkeypatch.setattr(checks, "signature", lambda x, n, order_seed=None: (
+        real(x, n) if order_seed is None else real(x ^ 1, n)))
+    assert not checks.order_invariance(1).ok
+
+
+def test_case_split_fails_past_distance_3(monkeypatch):
+    assert checks.case_split().ok
+    monkeypatch.setattr(checks, "signature_distance", lambda x, y, n: 4)
+    assert not checks.case_split().ok
+
+
+# one case per tree-map condition: singular, not dictator -> parity, a row
+# past arity + 1, a column past 2, an inverse column past floor(log2 n) + 1
+TREE_BREAKS = {
+    "invertible": lambda a: {"max_inverse_col_weight": None},
+    "parity": lambda a: {"parity_ok": False},
+    "row-weight": lambda a: {"max_row_weight": 4},
+    "col-weight": lambda a: {"max_col_weight": 3},
+    "inverse-weight": lambda a: {"max_inverse_col_weight": a.n.bit_length() + 1},
+}
+
+
+@pytest.mark.parametrize("broken", TREE_BREAKS.values(), ids=TREE_BREAKS.keys())
+def test_tree_conditions_fail_on_each_condition(monkeypatch, broken):
+    sizes = range(1, 17)
+    assert checks.tree_conditions(sizes, 16).ok
+    real = checks.verify_conditions
+    monkeypatch.setattr(checks, "verify_conditions", lambda a, cross_check=False: replace(
+        real(a, cross_check), **broken(a)))
+    assert not checks.tree_conditions(sizes, 16).ok
+
+
+def test_tree_arity_fails_past_height_plus_one(monkeypatch):
+    # a ternary tree on 64 vertices has height 4; weight 6 still meets the
+    # floor(log2 64) + 1 = 7 of the five conditions, so only the height bound fails
+    assert checks.tree_arity([3], [64]).ok
+    real = checks.verify_conditions
+    monkeypatch.setattr(checks, "verify_conditions", lambda a, cross_check=False: replace(
+        real(a, cross_check), max_inverse_col_weight=6))
+    assert not checks.tree_arity([3], [64]).ok
+
+
+def test_middle_binomial_fails_on_doubled_squares(monkeypatch):
+    # C(n, n/2)^2 n is about 0.64 * 2^(2n) at large n, so doubling it passes 2^(2n)
+    assert checks.middle_binomial(100).ok
+    real = checks._middle_binomial_squares
+    monkeypatch.setattr(checks, "_middle_binomial_squares",
+                        lambda limit: (2 * c2 for c2 in real(limit)))
+    assert not checks.middle_binomial(100).ok
+
+
+def test_typical_fraction_fails_below_nine_tenths(monkeypatch):
+    assert checks.typical_fraction([64]).ok
+    monkeypatch.setattr(checks, "_typical_fraction", lambda n, c: Fraction(9, 10) - Fraction(1, n))
+    assert not checks.typical_fraction([64]).ok
+
+
+def test_oracle_n3_fails_on_an_average_of_1(monkeypatch):
+    assert checks.oracle_n3(1).ok
+    real = checks.exhaustive_min_avg_stretch
+    monkeypatch.setattr(checks, "exhaustive_min_avg_stretch",
+                        lambda f, g: (Fraction(1), real(f, g)[1]))
+    assert not checks.oracle_n3(1).ok
+
+
+def test_dict2maj_impossibility_fails_on_a_worst_edge_of_1(monkeypatch):
+    assert checks.dict2maj_impossibility().ok
+    real = checks.exhaustive_min_max_stretch
+    monkeypatch.setattr(checks, "exhaustive_min_max_stretch", lambda f, g: (1, real(f, g)[1]))
+    assert not checks.dict2maj_impossibility().ok
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_matching_curve_passes_on_every_seed(n):
+    # 20 trials as verify runs them; the tolerance is 4u above n = 8 and 10
+    for seed in range(1, 21):
+        result = checks.matching_curve(n, 20, seed)
+        assert result.ok, (seed, result.detail)
+
+
+def test_matching_curve_tolerance_reaches_0_01_at_n_14():
+    assert "within 0.0100," in checks.matching_curve(14, 20, 1).detail
+    assert "within 0.0791," in checks.matching_curve(8, 20, 1).detail
+
+
+@pytest.mark.parametrize("n,shift", [(16, 0.02), (8, 0.1)])
+def test_matching_curve_fails_on_a_shifted_round(monkeypatch, n, shift):
+    assert checks.matching_curve(n, 20, 1).ok
+    real = checks.recursion_curve
+
+    def shifted(n, trials, seed):
+        cv = real(n, trials=trials, seed=seed)
+        cv.p_hat[:, 1] += shift
+        return cv
+
+    monkeypatch.setattr(checks, "recursion_curve", shifted)
+    assert not checks.matching_curve(n, 20, 1).ok

@@ -390,6 +390,21 @@ def test_verify_bad_trials_or_seed_exit2(capsys, flag, value):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--mapping", "tree", "--n", "5"),
+    ("analyze", "--mapping", "tree", "--n", "5", "--mode", "sampled", "--samples", "10"),
+    ("verify", "--suite", "btk", "--max-n", "3"),
+    ("random", "--n", "8", "--trials", "2"),
+    ("search", "--from", "xor", "--to", "xor", "--n", "3", "--mode", "local"),
+], ids=["analyze", "analyze-sampled", "verify", "random", "search"])
+def test_negative_seed_exit2(capsys, argv):
+    # one rule for every command that takes --seed, exhaustive analyze included
+    assert run_cli(*argv, "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be at least 0\n"
+
+
 def test_verify_has_no_workers_option(capsys):
     for argv in (["verify", "--suite", "btk"], ["analyze", "--mapping", "tree", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorph import cli
-from cubemorph.checks import tree_size_grid
+from cubemorph.checks import _tree_conditions_hold, tree_size_grid
 from cubemorph.cube_core import TABLE_MAX_N, BooleanFunction, format_bits, parse_point
 from cubemorph.gf2_maps import (
     SparseGF2Matrix,
@@ -76,9 +76,19 @@ def test_tree_labeling():
             assert a.rows.tolist() == rows, (n, arity)
             assert a.cols.tolist() == cols, (n, arity)
             assert a.parent.tolist() == parent, (n, arity)
-            assert a.arity == arity
     with pytest.raises(ValueError):
         build_tree_matrix(0, 2)
+
+
+def test_tree_map_columns_are_the_matrix_columns():
+    # the evaluated map and the checked matrix derive from one parent array
+    for arity in range(2, 7):
+        for n in range(1, 64):
+            a = build_tree_matrix(n, arity)
+            cols = [0] * n
+            for i, j in zip(a.rows.tolist(), a.cols.tolist()):
+                cols[j - 1] |= 1 << (i - 1)
+            assert tree_mapping(n, arity).cols == tuple(cols), (n, arity)
 
 
 def _image(mapping, s: str) -> str:
@@ -236,17 +246,16 @@ def test_tree_stretch_bounds(n):
 
 def test_verify_conditions_examples():
     r = verify_conditions(build_tree_matrix(3, 2), cross_check=True)
-    assert r.all_pass
+    assert _tree_conditions_hold(r, 3, 2)
     assert r.max_inverse_col_weight == 2
-    assert r.method == "both"
 
     rid = verify_conditions(SparseGF2Matrix(4, [1, 2, 3, 4], [1, 2, 3, 4]))
-    assert rid.invertible
+    assert rid.max_inverse_col_weight is not None
     assert not rid.parity_ok
-    assert not rid.all_pass
+    assert not _tree_conditions_hold(rid, 4, 2)
 
     r15 = verify_conditions(build_tree_matrix(15, 2), cross_check=True)
-    assert r15.all_pass
+    assert _tree_conditions_hold(r15, 15, 2)
     assert r15.max_inverse_col_weight == 4
 
 
@@ -350,7 +359,7 @@ def test_arity_generalization():
     for arity in (2, 3, 4, 5):
         for n in (1, 2, 7, 50, 333, 2048):
             rep = verify_conditions(build_tree_matrix(n, arity))
-            assert rep.all_pass
+            assert _tree_conditions_hold(rep, n, arity)
             assert rep.max_row_weight <= arity + 1
             height = 0
             while arity ** height < n:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubemorph import stretch_metrics
+from cubemorph import checks, stretch_metrics
 from cubemorph.chain_mappings import majority_to_dictator_map, majority_to_xor_map
 from cubemorph.cube_core import BooleanFunction, random_balanced
 from cubemorph.gf2_maps import prefix_xor_mapping, tree_mapping
@@ -23,7 +23,6 @@ from cubemorph.stretch_metrics import (
     exhaustive_min_max_stretch,
     is_mapping_between,
     local_search_min_stretch,
-    middle_binomial_check_range,
     stretch_report,
     typical_fraction,
 )
@@ -448,7 +447,7 @@ def test_middle_binomial_examples():
     assert middle_binomial_reference(1)
     assert middle_binomial_reference(4)
     assert middle_binomial_reference(16)
-    assert middle_binomial_check_range(2000)
+    assert checks.middle_binomial(2000).ok
     assert all(middle_binomial_reference(n) for n in range(1, 2001))
     # the check carries the square of the binomial from one n to the next
     assert list(_middle_binomial_squares(2999)) == [comb(n, n // 2) ** 2 for n in range(1, 3000)]
