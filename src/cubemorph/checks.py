@@ -147,7 +147,7 @@ def order_invariance(seed: int) -> Check:
         base = signature(x, n)
         ok &= all(signature(x, n, order_seed=int(s)) == base
                   for s in rng.integers(0, 2 ** 31, size=5))
-    return Check("btk.order-invariance", ok,
+    return Check("btk.order-invariance 200 points n<=20", ok,
                  "signature identical across marking orders")
 
 
@@ -189,7 +189,7 @@ def maj2dict_bijection(ns) -> Check:
         c = stretch_report(phi).max_stretch
         ok &= law and _inverse_is_two_sided(phi) and half_ok and c <= 11
         per_n.append(f"n={n}:C={c}")
-    return Check("maj2dict.bijection odd n", ok,
+    return Check(f"maj2dict.bijection odd n<={max(ns)}", ok,
                  "law+inverse+halfcube, measured constants " + " ".join(per_n))
 
 
@@ -249,7 +249,7 @@ def tree_exhaustive(max_n: int) -> Check:
         inv = stretch_report(inverse).max_stretch
         ok &= law and _inverse_is_two_sided(tm) and fwd <= 2 and inv <= n.bit_length()
         ok &= _column_report_is_exact(tm) and _column_report_is_exact(inverse)
-        if n in (8, 16):
+        if n in (8, 16, max_n):
             details.append(f"n={n}:fwd={fwd},inv={inv}")
     return Check(f"tree.exhaustive n<={max_n}", ok,
                  "law+roundtrip+stretch " + " ".join(details))
@@ -289,8 +289,8 @@ def typical_fraction(ns) -> Check:
     """At most a tenth of the cube has weight within 0.01 sqrt(n) of n/2."""
     ns = _coverage(ns, "n")
     ok = all(_typical_fraction(n, 0.01) >= Fraction(9, 10) for n in ns)
-    return Check("lowerbound.typical-fraction", ok,
-                 f">= 0.9 at n in {{{','.join(str(n) for n in ns)}}}")
+    return Check(f"lowerbound.typical-fraction n in {{{','.join(map(str, ns))}}}", ok,
+                 ">= 0.9 throughout")
 
 
 def oracle_n3(seed: int) -> Check:
@@ -321,12 +321,13 @@ def matching_curve(n: int, trials: int, seed: int) -> Check:
     the rich fraction, and ends below 2/n (plus three standard errors).  The
     first three hold within max(0.01, 4u), u = 1/sqrt(2^(n-1) trials) the
     sampling error of a mean over the trials' half cubes."""
-    cv = recursion_curve(n, trials=trials, seed=seed)
-    p, q = cv.p_mean(), cv.q_mean()
-    rec_err = max(abs(p[i + 1] - p[i] * (1 - p[i])) for i in range(cv.rounds))
-    pq_err = max(abs(p[i] - q[i]) for i in range(cv.rounds + 1))
+    p_hat, q_hat = recursion_curve(n, trials=trials, seed=seed)
+    p, q = p_hat.mean(axis=0), q_hat.mean(axis=0)
+    rounds = len(p) - 1
+    rec_err = max(abs(p[i + 1] - p[i] * (1 - p[i])) for i in range(rounds))
+    pq_err = max(abs(p[i] - q[i]) for i in range(rounds + 1))
     tol = max(0.01, 4 / ((1 << (n - 1)) * trials) ** 0.5)
-    se = cv.p_hat[:, -1].std(ddof=1) / trials ** 0.5 if trials > 1 else 0.0
+    se = p_hat[:, -1].std(ddof=1) / trials ** 0.5 if trials > 1 else 0.0
     ok = bool(max(abs(p[0] - 0.25), rec_err, pq_err) <= tol and p[-1] < 2 / n + 3 * se)
     return Check(f"matching.curve n={n}", ok,
                  f"p0={p[0]:.4f} recursion-err={rec_err:.4f} |p-q|={pq_err:.4f} "
@@ -347,21 +348,26 @@ def injection(n: int, seeds) -> Check:
 
 def dict2random(n: int, seed_seqs) -> Check:
     """dictator -> random balanced f, one f per seed: the law, all but 5/n of
-    the points moved by <= 2, and average stretch <= 10 both ways."""
+    the points moved by <= 2, and average stretch both ways <= 10 and <=
+    1 + 2 E[dist(x, phi(x))], the triangle-inequality bound of any bijection."""
     seed_seqs = _coverage(seed_seqs, "seeds")
     dic = BooleanFunction.dictator(n)
     law_ok = True
-    worst_avg = 0.0
+    worst_avg = Fraction(0)
     worst_frac = 1.0
+    slacks = []  # 1 + 2 E[dist] - the larger average stretch, per trial
     for seed in seed_seqs:
         trial = dict_to_random_trial(n, seed)
         law_ok &= is_mapping_between(trial.details.mapping, dic, trial.f)
         worst_frac = min(worst_frac, trial.frac_dist_le2)
-        worst_avg = max(worst_avg, trial.avg_stretch, trial.avg_stretch_inv)
-    ok = law_ok and worst_frac >= 1 - 5 / n and worst_avg <= 10
+        avg = max(trial.avg_stretch, trial.avg_stretch_inv)
+        worst_avg = max(worst_avg, avg)
+        slacks.append(1 + 2 * trial.mean_displacement - avg)
+    ok = law_ok and worst_frac >= 1 - 5 / n and worst_avg <= 10 and min(slacks) >= 0
     return Check(f"matching.dict2random n={n}", ok,
                  f"law {'exact' if law_ok else 'broken'}, min frac(dist<=2)={worst_frac:.4f}, "
-                 f"max avg stretch {worst_avg:.2f} <= 10")
+                 f"max avg stretch {float(worst_avg):.2f} <= 10, "
+                 f"avg stretch <= 1+2*mean-dist (min slack {float(min(slacks)):.2f})")
 
 
 def rand2rand(n: int, seed_pairs) -> Check:

@@ -237,17 +237,16 @@ def cmd_random(args) -> int:
         raise UsageError("--trials must be positive")
     lines = []
     if args.curve:
-        cv = recursion_curve(args.n, trials=args.trials, seed=args.seed)
+        p_hat, q_hat = recursion_curve(args.n, trials=args.trials, seed=args.seed)
         lines.append("trial,round,p_hat,q_hat")
-        for t in range(args.trials):
-            for r in range(cv.rounds + 1):
-                lines.append(f"{t},{r},{float(cv.p_hat[t, r])!r},{float(cv.q_hat[t, r])!r}")
+        for t, r in np.ndindex(p_hat.shape):
+            lines.append(f"{t},{r},{float(p_hat[t, r])!r},{float(q_hat[t, r])!r}")
     else:
         lines.append("trial,frac_unmatched_poor,frac_dist_le2,avg_stretch,avg_stretch_inv")
         for t, child in enumerate(np.random.SeedSequence(args.seed).spawn(args.trials)):
             tr = dict_to_random_trial(args.n, child)
-            lines.append(f"{t},{float(tr.details.unmatched_poor_fraction)!r},"
-                         f"{tr.frac_dist_le2!r},{tr.avg_stretch!r},{tr.avg_stretch_inv!r}")
+            lines.append(f"{t},{float(tr.details.unmatched_poor_fraction)!r},{tr.frac_dist_le2!r},"
+                         f"{float(tr.avg_stretch)!r},{float(tr.avg_stretch_inv)!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

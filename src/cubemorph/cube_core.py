@@ -13,8 +13,6 @@ one check that enforces them.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 # Size caps: the largest n each kind of work accepts, and why.  Every entry
@@ -30,7 +28,7 @@ LOCAL_SEARCH_MAX_N = 20  # run time: ~2.2x per unit of n, 5 s for two restarts a
 EDGE_SCAN_MAX_N = 16  # dtype: chain elements are held as uint16
 ORACLE_MAX_N = 3  # memory: a row per class-preserving table, 8! at n = 3, (8!)^2 = 1.6e9 for a balanced pair at n = 4
 ELIMINATION_MAX_N = 4096  # run time: n^2 XORs of 2n-bit rows, 7 s at n = 4096
-TYPICAL_MAX_N = 10 ** 6  # run time: exact sums of n-bit binomials, 15 s at n = 10^6
+TYPICAL_MAX_N = 10 ** 6  # run time: one n-bit binomial, C(n, lo) at the band's low end, dominates; 10 s at n = 10^6
 
 # Every mapping table holds its images in this dtype, which fits a point of
 # the n-cube up to n = 32.
@@ -145,13 +143,11 @@ class BooleanFunction:
         return self._bitmap
 
     def ones_count(self) -> int:
-        if self.name == "majority":
-            return sum(comb(self.n, w) for w in range(self.n // 2 + 1, self.n + 1))
-        if self.name in ("dictator", "xor"):
-            return 1 << (self.n - 1)
-        if self._values is None:
+        """Points mapped to 1: a popcount of the bitmap when that is the one
+        form held, else a count over values() (built for a formula, capped)."""
+        if self._values is None and self._bitmap is not None:
             return int(np.bitwise_count(self._bitmap).sum(dtype=np.int64))
-        return int(np.count_nonzero(self._values))
+        return int(np.count_nonzero(self.values()))
 
     def is_balanced(self) -> bool:
         return self.ones_count() == 1 << (self.n - 1)

@@ -222,46 +222,17 @@ def injection_is_valid(state: MatchState, img: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CurveResult:
-    """Per-round unmatched fractions across trials; round 0 is pre-matching."""
-
-    n: int
-    trials: int
-    p_hat: np.ndarray
-    q_hat: np.ndarray
-
-    @property
-    def rounds(self) -> int:
-        return self.p_hat.shape[1] - 1
-
-    def p_mean(self) -> np.ndarray:
-        return self.p_hat.mean(axis=0)
-
-    def q_mean(self) -> np.ndarray:
-        return self.q_hat.mean(axis=0)
-
-
-def recursion_curve(n: int, trials: int, seed: int) -> CurveResult:
-    """Empirical per-round poor/rich unmatched fractions over fresh random sets.
-
-    Each trial draws its own density-1/2 set from a named substream of the
-    seed, runs the matching, and records fractions after every round.
-    """
+def recursion_curve(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round unmatched fractions over fresh random sets, as (p_hat, q_hat):
+    float64 arrays of shape (trials, rounds + 1) whose row t is trial t's
+    round_stats (column 0 before any round) over 2^(n-1), so exact.  Each
+    trial draws its density-1/2 set from a named substream of the seed."""
     if trials < 1:
         raise ValueError("need at least one trial")
     check_n(n, MATCHING_MAX_N, low=2)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    rounds = (n - 1) // 2
-    half = 1 << (n - 1)
-    p = np.empty((trials, rounds + 1))
-    q = np.empty((trials, rounds + 1))
-    for t in range(trials):
-        state = run_matching(random_subset_function(n, children[t]))
-        for r, (pu, ru) in enumerate(state.round_stats):
-            p[t, r] = pu / half
-            q[t, r] = ru / half
-    return CurveResult(n=n, trials=trials, p_hat=p, q_hat=q)
+    stats = np.array([run_matching(random_subset_function(n, child)).round_stats
+                      for child in np.random.SeedSequence(seed).spawn(trials)]) / (1 << (n - 1))
+    return stats[..., 0], stats[..., 1]
 
 
 def _half_cube_images(f_vals: np.ndarray, n: int, cls: int) -> tuple[np.ndarray, int]:
@@ -332,27 +303,29 @@ def displacements(phi: Mapping) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DictToRandomTrial:
-    """One dictator -> random balanced f construction and its end-to-end numbers."""
+    """One dictator -> random balanced f construction, the fraction of points
+    it moves by <= 2, and exactly its mean displacement and avg stretch both ways."""
 
     f: BooleanFunction
     details: DictToRandomResult
     frac_dist_le2: float
-    avg_stretch: float
-    avg_stretch_inv: float
+    mean_displacement: Fraction
+    avg_stretch: Fraction
+    avg_stretch_inv: Fraction
 
 
 def dict_to_random_trial(n: int, seed) -> DictToRandomTrial:
-    """Draw a balanced f from the seed, build dictator -> f, and measure the
-    fraction of points it moves by at most 2 and its average stretch both ways."""
+    """Draw a balanced f from the seed, build dictator -> f, and measure its
+    displacements and its average stretch both ways."""
     check_n(n, TABLE_MAX_N, low=2)
     f = random_balanced(n, seed)
     details = build_dict_to_random_details(f)
     phi = details.mapping
-    return DictToRandomTrial(
-        f=f, details=details,
-        frac_dist_le2=float((displacements(phi) <= 2).mean()),
-        avg_stretch=float(stretch_report(phi).avg),
-        avg_stretch_inv=float(stretch_report(phi.inverse_mapping()).avg))
+    d = displacements(phi)
+    frac, mean = float((d <= 2).mean()), Fraction(int(d.sum(dtype=np.int64)), d.size)
+    del d  # before the stretch reports build their tables
+    return DictToRandomTrial(f, details, frac, mean, stretch_report(phi).avg,
+                             stretch_report(phi.inverse_mapping()).avg)
 
 
 def build_random_to_random(f: BooleanFunction, g: BooleanFunction) -> Mapping:

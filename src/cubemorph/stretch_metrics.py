@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, isqrt
 from typing import Callable
 
 import numpy as np
@@ -552,35 +552,19 @@ def local_search_min_stretch(f: BooleanFunction, g: BooleanFunction, seed: int,
 def typical_fraction(n: int, c) -> Fraction:
     """Exact fraction of points whose weight differs from n/2 by more than c*sqrt(n).
 
-    Floats are interpreted decimally (0.01 means 1/100).  The comparison
-    |w - n/2| > c*sqrt(n) is squared into integers, so no rounding occurs.
+    Floats are interpreted decimally (0.01 means 1/100).  For c = a/b, weight
+    w is typical exactly when |2w - n| <= isqrt(4 a^2 n // b^2): one band,
+    summed in integers with one running binomial.
     """
     check_n(n, TYPICAL_MAX_N)
-    if isinstance(c, float):
-        c = Fraction(str(c))
-    else:
-        c = Fraction(c)
-    thr_num = 4 * c.numerator ** 2 * n
-    thr_den = c.denominator ** 2
-
-    def atypical(w: int) -> bool:
-        return (2 * w - n) ** 2 * thr_den > thr_num
-
-    mid = n // 2
+    c = Fraction(str(c)) if isinstance(c, float) else Fraction(c)
+    s = isqrt(4 * c.numerator ** 2 * n // c.denominator ** 2)
+    lo, hi = max(0, (n - s + 1) // 2), min(n, (n + s) // 2)
     count = 0
-    binom = comb(n, mid)
-    w = mid
-    b = binom
-    while w >= 0 and not atypical(w):
-        count += b
-        b = b * w // (n - w + 1)
-        w -= 1
-    w = mid + 1
-    b = binom * (n - mid) // (mid + 1)
-    while w <= n and not atypical(w):
-        count += b
-        b = b * (n - w) // (w + 1)
-        w += 1
+    binom = comb(n, lo)
+    for w in range(lo, hi + 1):
+        count += binom
+        binom = binom * (n - w) // (w + 1)
     return 1 - Fraction(count, 1 << n)
 
 

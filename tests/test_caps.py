@@ -74,6 +74,7 @@ GUARDS = [
     (27, "TYPICAL_MAX_N", 1, lambda n: typical_fraction(n, 0.01)),
     (28, "TABLE_MAX_N", 2, lambda n: build_random_to_random(xor(n), xor(n))),
     (29, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction(n, bitmap=np.zeros(1, np.uint8))),
+    (30, "EXHAUSTIVE_MAX_N", 1, lambda n: BooleanFunction.majority(n).ones_count()),
 ]
 
 # (cap, lowest accepted n, subcommand arguments before --n's value, after it)

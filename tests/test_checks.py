@@ -1,6 +1,7 @@
 """Each check of the catalogue can fail: an empty coverage never passes, and
 a corrupted construction turns the verdict to ok=False."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -96,6 +97,27 @@ def test_dict2random_fails_on_a_broken_law(monkeypatch):
     assert result.detail.startswith("law broken,")
 
 
+@pytest.mark.parametrize("excess,ok,slack", [(Fraction(0), True, "0.00"),
+                                             (Fraction(1, 1 << 10), False, "-0.00")])
+def test_dict2random_fails_past_the_displacement_bound(monkeypatch, excess, ok, slack):
+    seeds = [1, 2]
+    assert checks.dict2random(10, seeds).ok
+    real = checks.dict_to_random_trial
+
+    def stretched(n, seed):
+        # the inverse's average stretch at 1 + 2 E[dist] plus excess, still
+        # far within the check's other bound of 10
+        trial = real(n, seed)
+        bound = 1 + 2 * trial.mean_displacement
+        assert bound + excess < 10
+        return replace(trial, avg_stretch_inv=bound + excess)
+
+    monkeypatch.setattr(checks, "dict_to_random_trial", stretched)
+    result = checks.dict2random(10, seeds)
+    assert result.ok == ok
+    assert result.detail.endswith(f"(min slack {slack})")
+
+
 def test_rand2rand_fails_on_a_broken_law(monkeypatch):
     pairs = [(1, 2), (3, 4)]
     result = checks.rand2rand(10, pairs)
@@ -137,6 +159,14 @@ def test_injection_fails_on_a_duplicated_image(monkeypatch):
 def test_tree_size_grid():
     assert checks.tree_size_grid(3, 15) == [1, 2, 3, (1 << 15) - 1, 1 << 15,
                                             (1 << 15) + 1, (1 << 16) - 1, 1 << 16]
+
+
+@pytest.mark.parametrize("max_n", range(1, 17))
+def test_tree_exhaustive_names_8_16_and_its_largest_n_once(max_n):
+    detail = checks.tree_exhaustive(max_n).detail
+    assert re.search(rf" n={max_n}:fwd=\d+,inv=\d+$", detail), detail
+    named = [int(k) for k in re.findall(r"n=(\d+):", detail)]
+    assert named == sorted({k for k in (8, 16, max_n) if k <= max_n})
 
 
 def test_tree_exhaustive_fails_on_a_wrong_column_report(monkeypatch):
@@ -262,9 +292,9 @@ def test_matching_curve_fails_on_a_shifted_round(monkeypatch, n, shift):
     real = checks.recursion_curve
 
     def shifted(n, trials, seed):
-        cv = real(n, trials=trials, seed=seed)
-        cv.p_hat[:, 1] += shift
-        return cv
+        p_hat, q_hat = real(n, trials=trials, seed=seed)
+        p_hat[:, 1] += shift
+        return p_hat, q_hat
 
     monkeypatch.setattr(checks, "recursion_curve", shifted)
     assert not checks.matching_curve(n, 20, 1).ok

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -361,6 +362,19 @@ def test_verify_exit_codes(capsys, monkeypatch):
                         lambda *a: [checks.Check("forced-failure", False, "injected")])
     assert run_cli("verify", "--suite", "lowerbound") == 1
     assert "FAIL forced-failure" in capsys.readouterr().out
+
+
+# an n bound, an n set or a size grid
+COVERAGE = re.compile(r"\bn(<=|=)\d|\bn in \{\d+(,\d+)*\}|\bgrid to \S|\ba,b,c,d<=\d")
+
+
+@pytest.mark.parametrize("max_n", ["14", "5"])
+def test_every_verify_line_names_its_coverage(capsys, max_n):
+    assert run_cli("verify", "--suite", "all", "--max-n", max_n, "--seed", "1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 18
+    for line in lines:
+        assert COVERAGE.search(line.partition(" - ")[0]), line
 
 
 @pytest.mark.parametrize("max_n", ["0", "-1"])

@@ -1,4 +1,5 @@
 import hashlib
+from math import comb
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ def test_all_pairs_distance_positive_n12():
     d = np.bitwise_count(idx[:, None] ^ idx[None, :])
     assert d[np.eye(1 << n, dtype=bool)].max() == 0
     assert d[~np.eye(1 << n, dtype=bool)].min() == 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_formula_ones_count_is_the_closed_form(n):
+    # counted over the built table: majority is the weights above n/2, and
+    # dictator and parity are balanced
+    majority = sum(comb(n, w) for w in range(n // 2 + 1, n + 1))
+    assert BooleanFunction.majority(n).ones_count() == majority
+    assert BooleanFunction.dictator(n).ones_count() == 1 << (n - 1)
+    assert BooleanFunction.xor(n).ones_count() == 1 << (n - 1)
+    assert BooleanFunction.majority(n).is_balanced() == (n % 2 == 1)
 
 
 def test_random_balanced_is_balanced_and_deterministic():

@@ -323,28 +323,41 @@ def test_windowed_validity_matches_brute_force(n, slice_size, data):
 
 
 def test_curve_statistics_n16():
-    cv = recursion_curve(16, trials=20, seed=11)
-    p, q = cv.p_mean(), cv.q_mean()
+    p_hat, q_hat = recursion_curve(16, trials=20, seed=11)
+    p, q = p_hat.mean(axis=0), q_hat.mean(axis=0)
+    rounds = len(p) - 1
     assert abs(p[0] - 0.25) <= 0.01
     assert abs(q[0] - 0.25) <= 0.01
     assert abs(p[1] - 0.1875) <= 0.01
-    for i in range(cv.rounds):
+    for i in range(rounds):
         assert abs(p[i + 1] - p[i] * (1 - p[i])) <= 0.01
-    for i in range(cv.rounds + 1):
+    for i in range(rounds + 1):
         assert abs(p[i] - q[i]) <= 0.01
-    assert cv.p_hat.shape == (20, cv.rounds + 1)
+    assert p_hat.shape == q_hat.shape == (20, rounds + 1)
 
 
 def test_curve_deterministic():
-    a = recursion_curve(10, trials=3, seed=4)
-    b = recursion_curve(10, trials=3, seed=4)
-    assert np.array_equal(a.p_hat, b.p_hat)
-    assert np.array_equal(a.q_hat, b.q_hat)
+    a_p, a_q = recursion_curve(10, trials=3, seed=4)
+    b_p, b_q = recursion_curve(10, trials=3, seed=4)
+    assert np.array_equal(a_p, b_p)
+    assert np.array_equal(a_q, b_q)
+
+
+@pytest.mark.parametrize("n", [2, 6, 7, 12])  # no rounds; either side of one bitset word
+def test_curve_rows_are_each_trials_round_stats(n):
+    trials, seed = 4, 9
+    p_hat, q_hat = recursion_curve(n, trials=trials, seed=seed)
+    assert p_hat.dtype == q_hat.dtype == np.float64
+    assert p_hat.shape == q_hat.shape == (trials, (n - 1) // 2 + 1)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        stats = run_matching(random_subset_function(n, child)).round_stats
+        assert [Fraction(x) for x in p_hat[t]] == [Fraction(pu, 1 << (n - 1)) for pu, _ in stats]
+        assert [Fraction(x) for x in q_hat[t]] == [Fraction(ru, 1 << (n - 1)) for _, ru in stats]
 
 
 def test_unmatched_poor_mean_below_2_over_n():
-    cv = recursion_curve(20, trials=30, seed=2)
-    final = cv.p_hat[:, -1]
+    p_hat, _ = recursion_curve(20, trials=30, seed=2)
+    final = p_hat[:, -1]
     se = final.std(ddof=1) / 30 ** 0.5
     assert final.mean() < 2 / 20 + 3 * se
 

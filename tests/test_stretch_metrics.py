@@ -437,6 +437,26 @@ def test_typical_fraction_exact_arithmetic():
     assert typical_fraction(2500, Fraction(1, 100)) == typical_fraction(2500, 0.01)
 
 
+def typical_fraction_reference(n: int, c: Fraction) -> Fraction:
+    """1 - the weight of every w passing (2w - n)^2 <= 4 c^2 n, tested one by one."""
+    typical = sum(comb(n, w) for w in range(n + 1) if (2 * w - n) ** 2 <= 4 * c * c * n)
+    return 1 - Fraction(typical, 1 << n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 400),
+       c=st.fractions(min_value=-12, max_value=12, max_denominator=200))
+@example(n=1, c=Fraction(0))
+@example(n=5, c=Fraction(0))  # odd n: no weight is typical
+@example(n=6, c=Fraction(0))  # even n: only n/2
+@example(n=400, c=Fraction(-1, 7))
+@example(n=400, c=Fraction(10))  # the band covers the whole cube
+@example(n=100, c=Fraction(1, 20))  # c sqrt(n) = 1/2: on the boundary, typical
+@example(n=101, c=Fraction(1, 20))  # |w - n/2| = 1/2 past c sqrt(n) < 1/2
+def test_typical_fraction_matches_the_weight_by_weight_reference(n, c):
+    assert typical_fraction(n, c) == typical_fraction_reference(n, c)
+
+
 def middle_binomial_reference(n: int) -> bool:
     """C(n, floor(n/2)) < 2^n / sqrt(n), compared exactly for one n."""
     c = comb(n, n // 2)
